@@ -96,21 +96,6 @@ def product_spectrum(x_mat: np.ndarray, p_mat: np.ndarray):
     return np.sqrt(lam), basis, x_sqrt, x_inv_sqrt
 
 
-def product_function(
-    x_mat: np.ndarray,
-    p_mat: np.ndarray,
-    fn: Callable[[np.ndarray], np.ndarray],
-):
-    """Evaluate f(X P) through the SPD similarity transform.
-
-    ``fn`` receives the array of c-values (square roots of the spectrum of
-    X^{1/2} P X^{1/2}) and must return the scalar function values.
-    """
-    c, basis, x_sqrt, x_inv_sqrt = product_spectrum(x_mat, p_mat)
-    vals = fn(c)
-    return x_sqrt @ ((basis * vals) @ basis.T) @ x_inv_sqrt, c
-
-
 # Gauss-Kronrod 15(7) nodes and weights on [-1, 1].
 _GK_NODES = np.array([
     -0.991455371120813, -0.949107912342759, -0.864864423359769,

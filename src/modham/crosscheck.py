@@ -31,9 +31,10 @@ from .kernels import (
 from .lattice import GaussianState
 from .regions import Region, phase_space_indices
 from .subspace import (
-    lndelta_arccot_split,
-    lndelta_resolvent_quadrature,
-    modular_data_full,
+    _arccot_split,
+    _modular_data,
+    _require_standard,
+    _resolvent_quadrature,
 )
 
 
@@ -100,20 +101,23 @@ def route_agreement(
 
     All routes run without clipping; callers facing degenerate regions
     should first map the instance through :func:`regularized_instance`.
+    The full-space routes share one standardness frame of (state, region),
+    a deterministic input each of them would otherwise rebuild identically.
     """
     n = state.n_sites
     rc = restrict_correlators(state, region)
+    sub = _require_standard(state, region)
 
-    data = modular_data_full(state, region)
+    data = _modular_data(sub)
     gen_spectral = region_block(state.I_mat @ data.lnDelta, region, n)
 
     kernels = mn_kernels(rc, sing_tol=sing_tol)
     gen_blocks = kernels.L_block
 
-    quad = lndelta_resolvent_quadrature(state, region, quad_tol=quad_tol)
+    quad = _resolvent_quadrature(sub, quad_tol)
     gen_quad = region_block(state.I_mat @ quad.lnDelta, region, n)
 
-    split_full = lndelta_arccot_split(state, region)
+    split_full = _arccot_split(sub)
     gen_kernel_form = lndelta_region_via_G(rc, sing_tol=sing_tol)
 
     norm = frob(gen_blocks)

@@ -258,7 +258,10 @@ def run_kms_suite(
     are reported and the (possibly unresolvable) raw standardness check is
     skipped, since the flow acts on the regularized restriction only.
     Per-point failures are recorded without aborting the sweep, and
-    near-divergent regions (gap below 1e-6) carry a warning.
+    near-divergent regions (gap below 1e-6) carry a warning.  When the flow
+    cannot be built, the report has ``method="none"``, the construction
+    error, no residuals and ``max_residual`` NaN: nothing was measured.  An
+    empty ``t_grid`` measures nothing either and reports 0.0.
     """
     if len(region) == 0 or len(region) >= state.n_sites:
         raise NotStandard("region must be a proper non-empty subset of the chain")
@@ -302,7 +305,7 @@ def run_kms_suite(
             kms_residuals=(),
             group_residuals=(),
             symplectic_residuals=(),
-            max_residual=0.0,
+            max_residual=float("nan"),
             warnings=tuple(warnings_list),
             errors=(f"flow construction: {type(exc).__name__}: {exc}",),
             method="none",

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _version
-from .config import RunConfig, config_to_dict, resolve_region
+from .config import RunConfig, ScanConfig, config_to_dict, resolve_region
 from .crosscheck import regularized_instance, route_agreement
 from .errors import (
     BranchCutProximity,
@@ -49,7 +49,7 @@ from .kernels import (
     restrict_correlators,
     symplectic_spectrum,
 )
-from .lattice import build_harmonic_chain, vacuum_state
+from .lattice import GaussianState, build_harmonic_chain, vacuum_state
 from .regions import Region
 from .subspace import standardness_check
 
@@ -165,22 +165,28 @@ def _write_scan_csv(path: Path, rows: list) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def entropy_scan(config: RunConfig):
-    """Entropy of centered (or fixed-start) intervals over a length sweep.
-
-    Rows keep the order of the configured lengths; failures are recorded in
-    the row and do not abort the sweep.
-    """
+def _vacuum(config: RunConfig) -> GaussianState:
     model = build_harmonic_chain(
         config.model.n_sites,
         config.model.mass,
         config.model.coupling,
         config.model.boundary,
     )
-    state = vacuum_state(model)
-    n = model.n_sites
+    return vacuum_state(model)
+
+
+def entropy_scan(config: RunConfig):
+    """Entropy of centered (or fixed-start) intervals over a length sweep.
+
+    Rows keep the order of the configured lengths; failures are recorded in
+    the row and do not abort the sweep.
+    """
+    return _scan_rows(_vacuum(config), config.scan)
+
+
+def _scan_rows(state: GaussianState, scan: ScanConfig) -> list:
+    n = state.n_sites
     rows = []
-    scan = config.scan
     for length in scan.lengths:
         start = scan.start if scan.start is not None else (n - length) // 2
         try:
@@ -320,36 +326,30 @@ def run(config: RunConfig, output_dir: str | Path | None = None):
         return bundle, _record_error(out_dir, exc, EXIT_IO)
 
     try:
-        model = build_harmonic_chain(
-            config.model.n_sites,
-            config.model.mass,
-            config.model.coupling,
-            config.model.boundary,
-        )
-        state = vacuum_state(model)
+        state = _vacuum(config)
         region = resolve_region(config)
+        if any(task != "entropy_scan" for task in config.tasks):
+            if len(region) == 0 or len(region) >= state.n_sites:
+                raise NotStandard(
+                    f"region {list(region.sites)} is not a proper "
+                    f"non-empty subset of the {state.n_sites}-site chain"
+                )
+            if config.tolerances.clip is None:
+                report = standardness_check(state, region)
+                if not report.is_standard:
+                    raise NotStandard(
+                        f"region {list(region.sites)} is not standard: "
+                        f"min |eig| = {report.min_abs_eigenvalue:.9f}, "
+                        f"separating = {report.is_separating}; set "
+                        f"tolerances.clip or --clip to regularize"
+                    )
 
         all_pass = True
         for task in config.tasks:
             if task == "entropy_scan":
-                bundle.scan_rows = entropy_scan(config)
+                bundle.scan_rows = _scan_rows(state, config.scan)
                 bundle.reports["entropy_scan"] = {"rows": len(bundle.scan_rows)}
                 continue
-            if task in ("kernels", "flow", "kms", "crosscheck"):
-                if len(region) == 0 or len(region) >= model.n_sites:
-                    raise NotStandard(
-                        f"region {list(region.sites)} is not a proper "
-                        f"non-empty subset of the {model.n_sites}-site chain"
-                    )
-                if config.tolerances.clip is None:
-                    report = standardness_check(state, region)
-                    if not report.is_standard:
-                        raise NotStandard(
-                            f"region {list(region.sites)} is not standard: "
-                            f"min |eig| = {report.min_abs_eigenvalue:.9f}, "
-                            f"separating = {report.is_separating}; set "
-                            f"tolerances.clip or --clip to regularize"
-                        )
             runner = {
                 "kernels": _task_kernels,
                 "flow": _task_flow,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -78,6 +79,9 @@ STANDARD_EIG_TOL = 1e-9
 RANK_TOL = 1e-10
 CONSISTENCY_TOL = 1e-8
 GRAM_COND_WARN = 1e12
+PAIRING_TOL = 1e-8
+QUAD_MAX_EVALS = 200_000
+TRIVIAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -223,11 +227,15 @@ class _SubspaceFrame:
     def trivial_dim(self) -> int:
         return self.trivial_basis.shape[1]
 
+    @cached_property
+    def a_hl(self) -> np.ndarray:
+        """A on H_L in the orthonormal basis ``q_basis`` (symmetrized frame)."""
+        return symmetrize(self.q_basis.T @ self.A_sym @ self.q_basis)
+
     def restricted_spectrum(self):
         """Eigen-data of A on H_L in the symmetrized frame."""
-        a_hl = symmetrize(self.q_basis.T @ self.A_sym @ self.q_basis)
-        eigs, vecs = np.linalg.eigh(a_hl)
-        return a_hl, eigs, vecs
+        eigs, vecs = np.linalg.eigh(self.a_hl)
+        return self.a_hl, eigs, vecs
 
 
 def standardness_check(state: GaussianState, region: Region) -> StandardnessReport:
@@ -297,9 +305,11 @@ def modular_data_full(state: GaussianState, region: Region) -> ModularData:
     DecompositionSingular
         If the h = f + I g decomposition system is rank deficient.
     """
-    sub = _require_standard(state, region)
-    n = state.n_sites
+    return _modular_data(_require_standard(state, region))
 
+
+def _modular_data(sub: _SubspaceFrame) -> ModularData:
+    n = sub.state.n_sites
     a_hl, eigs, vecs = sub.restricted_spectrum()
     inside = np.abs(eigs) <= 1.0
     if inside.any():
@@ -338,7 +348,7 @@ def modular_data_full(state: GaussianState, region: Region) -> ModularData:
     projector = sub.frame.from_frame(proj_sym)
 
     return ModularData(
-        region=region,
+        region=sub.region,
         A=sub.A,
         lnDelta=ln_delta,
         Delta=delta,
@@ -379,71 +389,82 @@ def _tomita_operator(sub: _SubspaceFrame) -> np.ndarray:
 def _trivial_conjugation(basis: np.ndarray, i_sym: np.ndarray) -> np.ndarray:
     """Conjugation u -> u, I u -> -I u on the span of an I-invariant basis.
 
-    Pairs each chosen direction u with I u (both inside the trivial space,
-    which is I-invariant), removes the pair from the working basis by an
-    SVD that discards the rank lost to the projection, and accumulates the
-    reflection u u^T - (I u)(I u)^T.
+    In the symmetrized frame I is orthogonal and antisymmetric, so on an
+    I-invariant span with orthonormal basis T the compression
+    ``K = T^T I T`` is orthogonal and antisymmetric too.  One real Schur
+    decomposition ``K = Z S Z^T`` brings it to 2x2 blocks
+    ``[[0, -b], [b, 0]]`` with b = +-1.  The two columns z_1, z_2 of a block
+    give the pair u = T z_1, I u = b T z_2, so every pair comes at once and
+    the reflection is ``R = U U^T - V V^T`` with ``U = T Z[:, 0::2]`` and
+    ``V = T Z[:, 1::2]``.
+
+    Raises :class:`NumericalError` when the dimension is odd or a block's
+    off-diagonal entry is not +-1 within 1e-8: the span is then not
+    I-invariant.
     """
-    remaining = basis.copy()
-    out = np.zeros((basis.shape[0], basis.shape[0]))
-    while remaining.shape[1]:
-        u = remaining[:, 0]
-        u = u / np.linalg.norm(u)
-        v = i_sym @ u
-        v = v - u * (u @ v)
-        v = v / np.linalg.norm(v)
-        out += np.outer(u, u) - np.outer(v, v)
-        rest = remaining[:, 1:]
-        if rest.shape[1] == 0:
-            break
-        rest = rest - np.outer(u, u @ rest) - np.outer(v, v @ rest)
-        left, sing, _ = np.linalg.svd(rest, full_matrices=False)
-        remaining = left[:, sing > 0.5]
-    return out
+    k = basis.T @ i_sym @ basis
+    schur_form, z = scipy.linalg.schur(0.5 * (k - k.T), output="real")
+    couplings = np.abs(np.diag(schur_form, -1)[::2])
+    deviation = float(np.max(np.abs(couplings - 1.0), initial=0.0))
+    if basis.shape[1] % 2 or deviation > PAIRING_TOL:
+        raise NumericalError(
+            f"span of dimension {basis.shape[1]} is not I-invariant: the "
+            f"Schur couplings of T^T I T deviate from 1 by up to {deviation:.3e}"
+        )
+    u = basis @ z[:, 0::2]
+    v = basis @ z[:, 1::2]
+    return u @ u.T - v @ v.T
 
 
 def lndelta_resolvent_quadrature(
     state: GaussianState,
     region: Region,
     quad_tol: float = 1e-10,
-    max_evals: int = 200_000,
+    max_evals: int = QUAD_MAX_EVALS,
 ) -> QuadratureResult:
     """ln Delta from the resolvent integral, no spectral calculus involved.
 
     Integrates ``2 A (A^2 - s^2)^{-1}`` over s in (0, 1] (the substitution
     t = 1/s of the arcoth resolvent integral over t in [1, inf)) using
-    adaptive Gauss-Kronrod panels and dense linear solves.  The integrand is
-    projected onto H_L, which is exact because both H_L and its
-    mu-orthogonal complement are invariant under A.
+    adaptive Gauss-Kronrod panels and dense linear solves.  Both H_L and its
+    mu-orthogonal complement are invariant under A, and ln Delta vanishes on
+    the complement, so the solves run in the 4r-dimensional orthonormal
+    basis of H_L (r region sites) and the integral is lifted to phase space
+    once at the end.  The lift is an isometry, so the Frobenius error
+    estimate, the adaptive panels and ``n_evals`` are those of the
+    full-space integrand.
 
     Raises :class:`QuadratureNotConverged` when the error bound cannot be
     pushed below ``quad_tol`` within ``max_evals`` integrand evaluations;
     regions with machine-degenerate modes stall this way.
     """
+    return _resolvent_quadrature(_require_standard(state, region), quad_tol, max_evals)
+
+
+def _resolvent_quadrature(
+    sub: _SubspaceFrame, quad_tol: float, max_evals: int = QUAD_MAX_EVALS
+) -> QuadratureResult:
     if quad_tol <= 0:
         raise InvalidParameter(f"quad_tol must be positive, got {quad_tol!r}")
-    sub = _require_standard(state, region)
-    n = state.n_sites
-    a_sym = sub.A_sym
-    a_sq = symmetrize(a_sym @ a_sym)
-    proj = sub.q_basis @ sub.q_basis.T
-    numerator = proj @ a_sym @ proj
-    eye = np.eye(2 * n)
+    q = sub.q_basis
+    a_hl = sub.a_hl
+    a_sq = symmetrize(a_hl @ a_hl)
+    eye = np.eye(a_hl.shape[0])
 
     def integrand(s: float) -> np.ndarray:
-        return proj @ np.linalg.solve(a_sq - s * s * eye, 2.0 * numerator)
+        return np.linalg.solve(a_sq - s * s * eye, 2.0 * a_hl)
 
     integral, err, n_evals = adaptive_matrix_quadrature(
         integrand, 0.0, 1.0, abs_tol=quad_tol, max_evals=max_evals
     )
-    ln_delta = sub.frame.from_frame(integral)
+    ln_delta = sub.frame.from_frame(q @ integral @ q.T)
     return QuadratureResult(ln_delta, err, n_evals)
 
 
 def lndelta_arccot_split(
     state: GaussianState,
     region: Region,
-    trivial_tol: float = 1e-9,
+    trivial_tol: float = TRIVIAL_TOL,
 ) -> np.ndarray:
     """I ln Delta assembled from the two invariant subspace blocks.
 
@@ -458,7 +479,11 @@ def lndelta_arccot_split(
     Returns the full 2n x 2n matrix equal to ``I_mat @ lnDelta`` of
     :func:`modular_data_full`.
     """
-    _require_standard(state, region)
+    return _arccot_split(_require_standard(state, region), trivial_tol)
+
+
+def _arccot_split(sub: _SubspaceFrame, trivial_tol: float = TRIVIAL_TOL) -> np.ndarray:
+    state, region = sub.state, sub.region
     n = state.n_sites
     out = np.zeros((2 * n, 2 * n))
 

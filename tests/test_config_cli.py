@@ -173,6 +173,34 @@ class TestRunner:
         assert "error" in rows[-1] and "NotStandard" in rows[-1]["error"]
         assert (tmp_path / "out" / "entropy_scan.csv").exists()
 
+    def test_one_vacuum_and_one_standardness_check_per_run(self, tmp_path, monkeypatch):
+        import modham.runner as runner
+
+        calls = {"vacuum_state": 0, "standardness_check": 0}
+
+        def counted(name):
+            original = getattr(runner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(runner, name, counted(name))
+        config = parse_config(
+            minimal_config(
+                region={"interval": {"start": 3, "length": 2}},
+                tasks=["kernels", "flow", "kms", "entropy_scan"],
+                scan={"lengths": [2, 4]},
+                output={"directory": str(tmp_path / "out"), "formats": ["json"]},
+            )
+        )
+        bundle, code = run(config)
+        assert code == 0 and len(bundle.scan_rows) == 2
+        assert calls == {"vacuum_state": 1, "standardness_check": 1}
+
     def test_empty_scan(self, tmp_path):
         config = parse_config(
             minimal_config(

@@ -179,6 +179,14 @@ class TestKmsSuite:
         assert report.clipped_modes
         assert report.errors and report.kms_residuals == ()
 
+    def test_unbuilt_flow_reports_nan(self, chain8):
+        # no flow, no measurement: the maximum residual is NaN, never 0.0
+        _, state = chain8
+        report = run_kms_suite(state, Region.half(8), clip=1e-8)
+        assert report.method == "none"
+        assert report.errors and report.kms_residuals == ()
+        assert np.isnan(report.max_residual)
+
     def test_regularized_flow_clean_report(self, chain8):
         _, state = chain8
         report = run_kms_suite(state, Region.half(8), clip=1e-4)

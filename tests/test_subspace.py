@@ -8,6 +8,7 @@ from modham import (
     IndexOutOfRange,
     NotMuSelfAdjoint,
     NotStandard,
+    NumericalError,
     QuadratureNotConverged,
     Region,
     SpectrumOutOfDomain,
@@ -23,10 +24,12 @@ from modham import (
     region_block,
     regularized_instance,
     restrict_correlators,
+    route_agreement,
     standardness_check,
     vacuum_state,
 )
-from modham._linalg import adaptive_matrix_quadrature
+from modham import subspace
+from modham._linalg import adaptive_matrix_quadrature, symmetrize
 from modham.regions import region_mask
 
 
@@ -254,6 +257,36 @@ class TestResolventQuadrature:
         with pytest.raises(NotStandard):
             lndelta_resolvent_quadrature(state, Region([]))
 
+    @pytest.mark.parametrize(
+        "n, sites",
+        [(20, [8, 9, 10]), (24, [5, 6, 15, 16])],
+        ids=["interval3", "two_intervals"],
+    )
+    def test_reduced_basis_matches_full_space_integrand(self, n, sites):
+        # the full-space integrand proj (A^2 - s^2)^-1 2 proj A proj, solved
+        # with 2n x 2n systems, against the route's solves in the H_L basis
+        quad_tol = 1e-10
+        state = vacuum_state(build_harmonic_chain(n, 0.5))
+        region = Region(sites)
+        sub = subspace._require_standard(state, region)
+        a_sym = sub.A_sym
+        a_sq = symmetrize(a_sym @ a_sym)
+        proj = sub.q_basis @ sub.q_basis.T
+        numerator = 2.0 * proj @ a_sym @ proj
+        eye = np.eye(2 * n)
+
+        def full_integrand(s):
+            return proj @ np.linalg.solve(a_sq - s * s * eye, numerator)
+
+        full, full_err, full_evals = adaptive_matrix_quadrature(
+            full_integrand, 0.0, 1.0, abs_tol=quad_tol
+        )
+        quad = lndelta_resolvent_quadrature(state, region, quad_tol=quad_tol)
+        assert sub.q_basis.shape[1] == 4 * len(region)
+        assert quad.n_evals == full_evals
+        assert np.linalg.norm(sub.frame.to_frame(quad.lnDelta) - full) <= 10 * quad_tol
+        assert quad.error_bound == pytest.approx(full_err, rel=1e-6)
+
     def test_evaluation_cap(self):
         # a spike the 15-point rule cannot resolve within one refinement
         def nasty(s):
@@ -262,6 +295,47 @@ class TestResolventQuadrature:
         with pytest.raises(QuadratureNotConverged) as info:
             adaptive_matrix_quadrature(nasty, 0.0, 1.0, 1e-12, max_evals=60)
         assert info.value.achieved_error > 0
+
+
+class TestTrivialConjugation:
+    @pytest.fixture(scope="class")
+    def trivial(self):
+        state = vacuum_state(build_harmonic_chain(64, 0.3))
+        sub = subspace._require_standard(state, Region.interval(30, 3))
+        return sub.trivial_basis, sub.frame.to_frame(state.I_mat)
+
+    def test_reflection_identities(self, trivial):
+        basis, i_sym = trivial
+        assert basis.shape[1] >= 100
+        refl = subspace._trivial_conjugation(basis, i_sym)
+        proj = basis @ basis.T
+        assert np.linalg.norm(refl - refl.T) <= 1e-10
+        assert np.linalg.norm(refl @ refl - proj) <= 1e-10
+        assert np.linalg.norm((refl @ i_sym + i_sym @ refl) @ basis) <= 1e-10
+
+    def test_rejects_basis_that_is_not_i_invariant(self, trivial, rng):
+        basis, i_sym = trivial
+        # a generic 6-dimensional subspace of T is not mapped into itself by I
+        mix, _ = np.linalg.qr(rng.standard_normal((basis.shape[1], 6)))
+        with pytest.raises(NumericalError):
+            subspace._trivial_conjugation(basis @ mix, i_sym)
+        with pytest.raises(NumericalError):
+            subspace._trivial_conjugation(basis[:, :3], i_sym)
+
+
+def test_route_agreement_builds_one_frame(monkeypatch, chain8, center_region):
+    _, state = chain8
+    builds = []
+
+    class CountingFrame(subspace._SubspaceFrame):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(subspace, "_SubspaceFrame", CountingFrame)
+    agreement = route_agreement(state, center_region)
+    assert len(builds) == 1
+    assert agreement.spectral_vs_quadrature <= 1e-10
 
 
 class TestArccotSplit:
