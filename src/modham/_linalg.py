@@ -12,7 +12,7 @@ Everything here reduces to symmetric eigenproblems or pivoted linear solves:
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,11 +54,14 @@ def spd_power(mat: np.ndarray, exponent: float, what: str = "matrix") -> np.ndar
     return (u * w**exponent) @ u.T
 
 
-def spd_sqrt_pair(mat: np.ndarray, what: str = "matrix"):
-    """Return (mat^{1/2}, mat^{-1/2}) from a single eigendecomposition."""
-    w, u = spd_eigh(mat, what)
+def _sqrt_pair(w: np.ndarray, u: np.ndarray):
     s = np.sqrt(w)
     return (u * s) @ u.T, (u / s) @ u.T
+
+
+def spd_sqrt_pair(mat: np.ndarray, what: str = "matrix"):
+    """Return (mat^{1/2}, mat^{-1/2}) from a single eigendecomposition."""
+    return _sqrt_pair(*spd_eigh(mat, what))
 
 
 class SymmetrizedFrame:
@@ -71,8 +74,8 @@ class SymmetrizedFrame:
 
     def __init__(self, gram: np.ndarray):
         self.gram = gram
-        self.sqrt, self.inv_sqrt = spd_sqrt_pair(gram, "Gram matrix")
-        w, _ = np.linalg.eigh(symmetrize(gram))
+        w, u = spd_eigh(gram, "Gram matrix")
+        self.sqrt, self.inv_sqrt = _sqrt_pair(w, u)
         self.cond = float(w.max() / w.min())
 
     def to_frame(self, op: np.ndarray) -> np.ndarray:
@@ -82,18 +85,26 @@ class SymmetrizedFrame:
         return self.inv_sqrt @ op @ self.sqrt
 
 
-def product_spectrum(x_mat: np.ndarray, p_mat: np.ndarray):
-    """Mode data of the product X P for SPD X, P.
+class ModeData(NamedTuple):
+    """Mode data of X P for SPD X, P: ``c`` are the square roots of the
+    eigenvalues of X^{1/2} P X^{1/2} in ascending order, ``basis`` their
+    orthonormal eigenvectors and ``x_cond`` the condition number of X."""
 
-    Returns ``(c, basis, x_sqrt, x_inv_sqrt)`` where ``c`` are the square
-    roots of the eigenvalues of X^{1/2} P X^{1/2} in ascending order and
-    ``basis`` the corresponding orthonormal eigenvectors.
-    """
-    x_sqrt, x_inv_sqrt = spd_sqrt_pair(x_mat, "X correlator")
+    c: np.ndarray
+    basis: np.ndarray
+    x_sqrt: np.ndarray
+    x_inv_sqrt: np.ndarray
+    x_cond: float
+
+
+def product_spectrum(x_mat: np.ndarray, p_mat: np.ndarray) -> ModeData:
+    """Mode data of X P from one eigendecomposition each of X and X^{1/2} P X^{1/2}."""
+    w, u = spd_eigh(x_mat, "X correlator")
+    x_sqrt, x_inv_sqrt = _sqrt_pair(w, u)
     sym = symmetrize(x_sqrt @ p_mat @ x_sqrt)
     lam, basis = np.linalg.eigh(sym)
     lam = np.clip(lam, 0.0, None)
-    return np.sqrt(lam), basis, x_sqrt, x_inv_sqrt
+    return ModeData(np.sqrt(lam), basis, x_sqrt, x_inv_sqrt, float(w.max() / w.min()))
 
 
 # Gauss-Kronrod 15(7) nodes and weights on [-1, 1].

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 from .config import RunConfig, parse_config
 from .errors import ModhamError, SchemaError
@@ -17,8 +18,7 @@ from .runner import (
     EXIT_CONSTRUCTION,
     EXIT_IO,
     EXIT_OK,
-    _write_json,
-    _write_scan_csv,
+    _write_scan_tables,
     entropy_scan,
     run,
 )
@@ -108,14 +108,9 @@ def main(argv=None) -> int:
         except ModhamError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONSTRUCTION
-        from pathlib import Path
-
         out_dir = Path(config.output.directory)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if "json" in config.output.formats:
-            _write_json(out_dir / "entropy_scan.json", {"rows": rows})
-        if "csv" in config.output.formats:
-            _write_scan_csv(out_dir / "entropy_scan.csv", rows)
+        _write_scan_tables(out_dir, config.output.formats, rows)
         print(f"wrote {len(rows)} row(s) to {out_dir}")
         return EXIT_OK
 

@@ -3,8 +3,13 @@
 Route (a) is full-space spectral calculus (``2 arcoth`` of ``1 - P + IPI``),
 route (b) the M/N block formula on the restricted correlators, route (c)
 the adaptive resolvent quadrature.  All three must produce the same region
-block of ``I ln Delta``.  The subspace-split and two-point-kernel variants
-are included as supplementary residuals.
+block of ``I ln Delta``.  Two supplementary residuals follow.  The
+subspace split (region block minus complement block) is compared with the
+full-space route.  The two-point-kernel route diagonalizes ``2 eps G|_R + i``
+with a nonsymmetric complex eigensolver and applies ``-2 arccot`` to its
+eigenvalues; it shares no step with the mode data of the block route, so
+``kernel_vs_blocks`` compares two independent evaluations of the region
+block.
 
 Regions whose restricted spectrum touches c = 1/2 at double precision have
 no representable generator; for those, :func:`regularized_instance` clips
@@ -117,7 +122,7 @@ def route_agreement(
     quad = _resolvent_quadrature(sub, quad_tol)
     gen_quad = region_block(state.I_mat @ quad.lnDelta, region, n)
 
-    split_full = _arccot_split(sub)
+    split_full = _arccot_split(sub, rc)
     gen_kernel_form = lndelta_region_via_G(rc, sing_tol=sing_tol)
 
     norm = frob(gen_blocks)

@@ -51,7 +51,7 @@ from .kernels import (
     regularize_correlators,
     restrict_correlators,
 )
-from .lattice import GaussianState
+from .lattice import GaussianState, _eps_matrix, _two_point_kernel
 from .regions import Region
 from .subspace import standardness_check
 
@@ -97,19 +97,6 @@ class KmsReport:
     clipped_modes: tuple = ()
 
 
-def _restricted_g(rc: RestrictedCorrelators):
-    r = rc.size
-    g_r = np.zeros((2 * r, 2 * r), dtype=complex)
-    g_r[:r, :r] = rc.X_R
-    g_r[r:, r:] = rc.P_R
-    g_r[:r, r:] = 0.5j * np.eye(r)
-    g_r[r:, :r] = -0.5j * np.eye(r)
-    eps_r = np.zeros((2 * r, 2 * r))
-    eps_r[:r, r:] = np.eye(r)
-    eps_r[r:, :r] = -np.eye(r)
-    return g_r, eps_r
-
-
 def build_flow(
     kernels: RegionKernels,
     rc: RestrictedCorrelators,
@@ -132,7 +119,8 @@ def build_flow(
     if kernels.region != rc.region:
         raise InvalidParameter("kernels and correlators belong to different regions")
     generator = -kernels.L_block
-    g_r, eps_r = _restricted_g(rc)
+    g_r = _two_point_kernel(rc.X_R, rc.P_R)
+    eps_r = _eps_matrix(rc.size)
 
     g_t = g_r.T.copy()
     defect = frob(g_t - (g_r - 1j * eps_r))
@@ -273,6 +261,19 @@ def run_kms_suite(
                 f"{report.min_abs_eigenvalue:.6f}, separating = "
                 f"{report.is_separating}); pass clip=... to regularize"
             )
+    return _kms_sweep(state, region, t_grid, clip, sing_tol, group_samples, seed)
+
+
+def _kms_sweep(
+    state: GaussianState,
+    region: Region,
+    t_grid: Sequence[float] = (-1.0, -0.5, 0.0, 0.5, 1.0),
+    clip: float | None = None,
+    sing_tol: float = 1e-10,
+    group_samples: int = 5,
+    seed: int = 7,
+) -> KmsReport:
+    """The sweep of :func:`run_kms_suite` for a region already checked there."""
     rc = restrict_correlators(state, region)
     clipped: tuple = ()
     branch_tol = BRANCH_TOL

@@ -23,10 +23,11 @@ way to study degenerate regions with the full-space machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ._linalg import frob, product_spectrum, symmetrize
+from ._linalg import ModeData, frob, product_spectrum, symmetrize
 from .errors import (
     EmptyRegion,
     InvalidParameter,
@@ -34,7 +35,7 @@ from .errors import (
     NumericalError,
     PositivityViolation,
 )
-from .lattice import GaussianState
+from .lattice import GaussianState, _eps_matrix, _two_point_kernel
 from .regions import Region, validate_region
 
 POSITIVITY_TOL = 1e-10
@@ -45,7 +46,13 @@ XR_COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class RestrictedCorrelators:
-    """Field and momentum correlators restricted to a region."""
+    """Field and momentum correlators restricted to a region.
+
+    ``modes`` is the mode data of X_R P_R: the c-spectrum in ascending
+    order, its orthonormal basis, ``X_R^{1/2}``, ``X_R^{-1/2}`` and the
+    condition number of X_R.  It is computed on first access, once per
+    instance, and every spectral function of the restriction reads it.
+    """
 
     region: Region
     X_R: np.ndarray = field(repr=False)
@@ -54,6 +61,10 @@ class RestrictedCorrelators:
     @property
     def size(self) -> int:
         return len(self.region)
+
+    @cached_property
+    def modes(self) -> ModeData:
+        return product_spectrum(self.X_R, self.P_R)
 
 
 @dataclass(frozen=True)
@@ -104,57 +115,59 @@ def restrict_correlators(state: GaussianState, region: Region) -> RestrictedCorr
         asym = frob(mat - mat.T) / max(frob(mat), 1e-300)
         if asym > SYMMETRY_TOL:
             raise NumericalError(f"{name} lost symmetry: {asym:.3e}")
-    c, _, _, _ = product_spectrum(x_r, p_r)
-    if np.min(c**2) < 0.25 - POSITIVITY_TOL:
+    rc = RestrictedCorrelators(region, symmetrize(x_r), symmetrize(p_r))
+    c_min = float(rc.modes.c[0])
+    if c_min**2 < 0.25 - POSITIVITY_TOL:
         raise PositivityViolation(
-            f"spec(X_R P_R) reaches {np.min(c**2):.12e} < 1/4 - {POSITIVITY_TOL:g}"
+            f"spec(X_R P_R) reaches {c_min**2:.12e} < 1/4 - {POSITIVITY_TOL:g}"
         )
-    return RestrictedCorrelators(region, symmetrize(x_r), symmetrize(p_r))
+    return rc
 
 
 def symplectic_spectrum(rc: RestrictedCorrelators) -> np.ndarray:
     """Eigenvalues of C = sqrt(X_R P_R) in ascending order."""
-    c, _, _, _ = product_spectrum(rc.X_R, rc.P_R)
-    return c
+    return rc.modes.c
 
 
 def compute_C(rc: RestrictedCorrelators) -> np.ndarray:
     """The (generally non-symmetric) square root C with C^2 = X_R P_R."""
-    w = np.linalg.eigvalsh(symmetrize(rc.X_R))
-    cond = w.max() / w.min() if w.min() > 0 else np.inf
-    if cond > XR_COND_LIMIT:
+    c, basis, x_sqrt, x_inv_sqrt, x_cond = rc.modes
+    if x_cond > XR_COND_LIMIT:
         raise NumericalError(
-            f"X_R condition number {cond:.3e} exceeds {XR_COND_LIMIT:g}; "
+            f"X_R condition number {x_cond:.3e} exceeds {XR_COND_LIMIT:g}; "
             f"C = sqrt(X P) is unreliable"
         )
-    c, basis, x_sqrt, x_inv_sqrt = product_spectrum(rc.X_R, rc.P_R)
     return x_sqrt @ ((basis * c) @ basis.T) @ x_inv_sqrt
 
 
 def mn_block_generator(
-    x_r: np.ndarray,
-    p_r: np.ndarray,
+    rc: RestrictedCorrelators,
     divergence_tol: float = 0.0,
     zero_below: float | None = None,
     clip: float | None = None,
 ):
-    """Assemble [[0, 2M], [-2N, 0]] from raw correlator blocks.
+    """Assemble [[0, 2M], [-2N, 0]] from the mode data of a restriction.
 
     Low-level routine shared by the kernel and subspace modules.  Modes with
     ``c <= zero_below`` contribute zero (the trivial-direction convention of
     the full-space machinery); modes with ``c - 1/2 <= divergence_tol`` that
     are not mapped to zero raise :class:`ModularDivergence` unless ``clip``
-    is given, in which case the logarithm is evaluated at ``1/2 + clip``.
+    is given, in which case the logarithm of every mode below
+    ``1/2 + clip`` is evaluated there.
 
-    Returns ``(block, c)`` with the unclipped c-spectrum in ascending order.
+    Returns ``(block, clipped)``: with ``clip`` given, ``clipped`` lists the
+    indices (into the ascending c-spectrum ``rc.modes.c``) of the modes
+    below ``1/2 + clip`` that are not mapped to zero; otherwise it is empty.
     """
-    c, basis, x_sqrt, x_inv_sqrt = product_spectrum(x_r, p_r)
+    c, basis, x_sqrt, x_inv_sqrt, _ = rc.modes
     zeroed = np.zeros_like(c, dtype=bool)
     if zero_below is not None:
         zeroed = c <= zero_below
     offending = (c - 0.5 <= divergence_tol) & ~zeroed
-    clipped_idx: tuple = ()
-    c_eff = c.copy()
+    clipped: tuple = ()
+    if clip is not None:
+        clipped = tuple(int(i) for i in np.flatnonzero((c < 0.5 + clip) & ~zeroed))
+    c_eff = c
     if offending.any():
         if clip is None:
             raise ModularDivergence(
@@ -165,20 +178,18 @@ def mn_block_generator(
             )
         if clip <= 0:
             raise InvalidParameter(f"clip must be positive, got {clip!r}")
-        clipped = c < 0.5 + clip
         c_eff = np.maximum(c, 0.5 + clip)
-        clipped_idx = tuple(int(i) for i in np.flatnonzero(clipped & ~zeroed))
     vals = np.zeros_like(c)
     active = ~zeroed
     vals[active] = _log_ratio(c_eff[active])
     f_of_product = x_sqrt @ ((basis * vals) @ basis.T) @ x_inv_sqrt
-    m_kernel = p_r @ f_of_product
-    n_kernel = f_of_product @ x_r
-    r = x_r.shape[0]
+    m_kernel = rc.P_R @ f_of_product
+    n_kernel = f_of_product @ rc.X_R
+    r = rc.size
     block = np.zeros((2 * r, 2 * r))
     block[:r, r:] = 2.0 * m_kernel
     block[r:, :r] = -2.0 * n_kernel
-    return block, c
+    return block, clipped
 
 
 def mn_kernels(
@@ -197,12 +208,7 @@ def mn_kernels(
         Evaluate the logarithm at ``c = 1/2 + clip`` for all modes below
         that value; the affected modes are reported in the result.
     """
-    block, c = mn_block_generator(
-        rc.X_R, rc.P_R, divergence_tol=sing_tol, clip=clip
-    )
-    clipped: tuple = ()
-    if clip is not None:
-        clipped = tuple(int(i) for i in np.flatnonzero(c < 0.5 + clip))
+    block, clipped = mn_block_generator(rc, divergence_tol=sing_tol, clip=clip)
     r = rc.size
     return RegionKernels(
         region=rc.region,
@@ -210,7 +216,7 @@ def mn_kernels(
         M=0.5 * block[:r, r:],
         N=-0.5 * block[r:, :r],
         L_block=block,
-        c_spectrum=c,
+        c_spectrum=rc.modes.c,
         clip=clip,
         clipped_modes=clipped,
     )
@@ -219,43 +225,29 @@ def mn_kernels(
 def lndelta_region_via_G(
     rc: RestrictedCorrelators,
     sing_tol: float = DEFAULT_SING_TOL,
-    complex_path: bool = False,
 ) -> np.ndarray:
     """Region generator from the two-point function kernel.
 
     Assembles the complex combination ``2 eps G|_R + i 1`` whose imaginary
-    parts cancel exactly, leaving [[0, 2 P_R], [-2 X_R, 0]], and evaluates
-    ``-2 arccot`` of it.  The default path squares the block matrix and
-    reduces to SPD spectral calculus in real arithmetic; ``complex_path``
-    instead diagonalizes the block matrix and applies the principal-branch
-    arccot to its (purely imaginary) eigenvalues, as an independent
-    validation of the real-arithmetic assembly.
+    parts cancel exactly, leaving [[0, 2 P_R], [-2 X_R, 0]], diagonalizes
+    it with a nonsymmetric eigensolver and applies ``-2 arccot`` (principal
+    branch) to its purely imaginary eigenvalues ``+-2ic``.  No step uses
+    the mode data ``rc.modes`` of the M/N route, so the result is an
+    independent evaluation of ``L_block``.
 
-    Returns the real 2r x 2r matrix equal to ``L_block`` of
-    :func:`mn_kernels`.
+    Raises :class:`ModularDivergence` when an eigenvalue comes within
+    ``sing_tol`` of ``+-i`` (a mode at c = 1/2).  Returns the real 2r x 2r
+    matrix equal to ``L_block`` of :func:`mn_kernels`.
     """
     r = rc.size
-    g_r = np.zeros((2 * r, 2 * r), dtype=complex)
-    g_r[:r, :r] = rc.X_R
-    g_r[r:, r:] = rc.P_R
-    g_r[:r, r:] = 0.5j * np.eye(r)
-    g_r[r:, :r] = -0.5j * np.eye(r)
-    eps_r = np.zeros((2 * r, 2 * r))
-    eps_r[:r, r:] = np.eye(r)
-    eps_r[r:, :r] = -np.eye(r)
-    q_complex = 2.0 * eps_r @ g_r + 1j * np.eye(2 * r)
+    g_r = _two_point_kernel(rc.X_R, rc.P_R)
+    q_complex = 2.0 * _eps_matrix(r) @ g_r + 1j * np.eye(2 * r)
     imag_defect = float(np.max(np.abs(q_complex.imag)))
     if imag_defect > 1e-10:
         raise NumericalError(
             f"imaginary parts of 2 eps G + i did not cancel: {imag_defect:.3e}"
         )
-    q_real = q_complex.real
-
-    if not complex_path:
-        block, _ = mn_block_generator(rc.X_R, rc.P_R, divergence_tol=sing_tol)
-        return block
-
-    evals, vecs = np.linalg.eig(q_real)
+    evals, vecs = np.linalg.eig(q_complex.real)
     if np.any(np.abs(evals - 1j) < sing_tol) or np.any(np.abs(evals + 1j) < sing_tol):
         raise ModularDivergence(
             "eigenvalues of 2 eps G + i within tolerance of +-i; arccot diverges",
@@ -320,7 +312,7 @@ def regularize_correlators(
     """
     if min_gap <= 0:
         raise InvalidParameter(f"min_gap must be positive, got {min_gap!r}")
-    c, basis, x_sqrt, x_inv_sqrt = product_spectrum(rc.X_R, rc.P_R)
+    c, basis, _, x_inv_sqrt, _ = rc.modes
     clipped = np.flatnonzero(c < 0.5 + min_gap)
     if clipped.size == 0:
         return rc, ()
@@ -341,7 +333,7 @@ def purify_restriction(rc: RestrictedCorrelators) -> tuple[GaussianState, Region
     Modes must satisfy c >= 1/2; regularize first if the input contains
     machine-degenerate modes and downstream code needs a spectral gap.
     """
-    c, basis, x_sqrt, x_inv_sqrt = product_spectrum(rc.X_R, rc.P_R)
+    c, basis, x_sqrt, x_inv_sqrt, _ = rc.modes
     if np.any(c < 0.5 - POSITIVITY_TOL):
         raise PositivityViolation(
             f"cannot purify: min c = {c.min():.12f} below 1/2"

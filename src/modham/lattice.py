@@ -137,11 +137,6 @@ class GaussianState:
         if x_full.shape != (n, n) or p_full.shape != (n, n):
             raise DimensionMismatch("correlators must be square and equal-sized")
 
-        eye_n = np.eye(n)
-        eps = np.zeros((2 * n, 2 * n))
-        eps[:n, n:] = eye_n
-        eps[n:, :n] = -eye_n
-
         i_mat = np.zeros((2 * n, 2 * n))
         i_mat[:n, n:] = -2.0 * p_full
         i_mat[n:, :n] = 2.0 * x_full
@@ -150,7 +145,7 @@ class GaussianState:
         gram[:n, :n] = x_full
         gram[n:, n:] = p_full
 
-        state = cls(n, x_full, p_full, i_mat, eps, gram)
+        state = cls(n, x_full, p_full, i_mat, _eps_matrix(n), gram)
         if validate:
             state._validate()
         return state
@@ -170,21 +165,30 @@ class GaussianState:
         )
         if isq > INVARIANT_TOL:
             raise NumericalError(f"complex structure failed I^2 = -1: {isq:.3e}")
-        w = np.linalg.eigvalsh(symmetrize(self.mu_gram))
-        if w.min() <= EIG_CLAMP:
+        # the Gram matrix is diag(X, P): its spectrum is that of X and of P
+        w_min = min(
+            np.linalg.eigvalsh(symmetrize(m))[0] for m in (self.X_full, self.P_full)
+        )
+        if w_min <= EIG_CLAMP:
             raise NumericalError(
-                f"mu Gram matrix not positive definite (min eig {w.min():.3e})"
+                f"mu Gram matrix not positive definite (min eig {w_min:.3e})"
             )
 
     def two_point_function(self) -> np.ndarray:
         """The complex 2n x 2n kernel G = [[X, i/2], [-i/2, P]]."""
-        n = self.n_sites
-        g = np.zeros((2 * n, 2 * n), dtype=complex)
-        g[:n, :n] = self.X_full
-        g[n:, n:] = self.P_full
-        g[:n, n:] = 0.5j * np.eye(n)
-        g[n:, :n] = -0.5j * np.eye(n)
-        return g
+        return _two_point_kernel(self.X_full, self.P_full)
+
+
+def _two_point_kernel(x_mat: np.ndarray, p_mat: np.ndarray) -> np.ndarray:
+    """``G = [[X, i/2], [-i/2, P]]`` of a correlator pair (full or restricted)."""
+    eye = np.eye(x_mat.shape[0])
+    return np.block([[x_mat, 0.5j * eye], [-0.5j * eye, p_mat]])
+
+
+def _eps_matrix(n: int) -> np.ndarray:
+    """The symplectic matrix ``eps = [[0, 1], [-1, 0]]`` on n sites."""
+    eye, zero = np.eye(n), np.zeros((n, n))
+    return np.block([[zero, eye], [-eye, zero]])
 
 
 def _laplacian(n_sites: int, boundary: Boundary) -> np.ndarray:

@@ -41,7 +41,7 @@ from .errors import (
     SpectrumOutOfDomain,
     ZeroModeError,
 )
-from .flow import build_flow, run_kms_suite
+from .flow import _kms_sweep, build_flow
 from .kernels import (
     entanglement_entropy,
     mn_kernels,
@@ -145,24 +145,20 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(to_json_text(payload) + "\n")
 
 
-def _write_scan_csv(path: Path, rows: list) -> None:
+def _write_scan_tables(out_dir: Path, formats, rows: list) -> None:
+    """Write the entropy scan rows as ``entropy_scan.json`` and/or ``.csv``."""
+    if "json" in formats:
+        _write_json(out_dir / "entropy_scan.json", {"rows": rows})
+    if "csv" not in formats:
+        return
     lines = ["length,entropy,c_min,c_max,error"]
     for row in rows:
         if "error" in row:
             lines.append(f"{row['length']},,,,{json.dumps(row['error'])}")
         else:
-            lines.append(
-                ",".join(
-                    [
-                        str(row["length"]),
-                        f"{row['entropy']:.17g}",
-                        f"{row['c_min']:.17g}",
-                        f"{row['c_max']:.17g}",
-                        "",
-                    ]
-                )
-            )
-    path.write_text("\n".join(lines) + "\n")
+            values = (row["entropy"], row["c_min"], row["c_max"])
+            lines.append(f"{row['length']}," + "".join(f"{v:.17g}," for v in values))
+    (out_dir / "entropy_scan.csv").write_text("\n".join(lines) + "\n")
 
 
 def _vacuum(config: RunConfig) -> GaussianState:
@@ -260,7 +256,8 @@ def _task_flow(state, region, tol, bundle: ResultBundle):
 
 
 def _task_kms(state, region, tol, bundle: ResultBundle):
-    report = run_kms_suite(state, region, clip=tol.clip, sing_tol=tol.sing_tol)
+    # run() has already made run_kms_suite's region checks
+    report = _kms_sweep(state, region, clip=tol.clip, sing_tol=tol.sing_tol)
     bundle.reports["kms"] = {
         "t_values": list(report.t_values),
         "kms_residuals": list(report.kms_residuals),
@@ -391,7 +388,6 @@ def _record_error(out_dir: Path, exc: Exception, code: int) -> int:
 
 
 def _write_outputs(out_dir: Path, config: RunConfig, bundle: ResultBundle) -> None:
-    formats = config.output.formats
     if bundle.matrices:
         _write_json(
             out_dir / "kernels.json",
@@ -407,8 +403,5 @@ def _write_outputs(out_dir: Path, config: RunConfig, bundle: ResultBundle) -> No
             },
         )
     if bundle.scan_rows or "entropy_scan" in config.tasks:
-        if "json" in formats:
-            _write_json(out_dir / "entropy_scan.json", {"rows": bundle.scan_rows})
-        if "csv" in formats:
-            _write_scan_csv(out_dir / "entropy_scan.csv", bundle.scan_rows)
+        _write_scan_tables(out_dir, config.output.formats, bundle.scan_rows)
     _write_json(out_dir / "metadata.json", bundle.metadata)

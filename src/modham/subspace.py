@@ -40,7 +40,6 @@ from ._linalg import (
 from .errors import (
     ConditioningWarning,
     DecompositionSingular,
-    EmptyRegion,
     InvalidParameter,
     ModularDivergence,
     NotMuSelfAdjoint,
@@ -48,7 +47,7 @@ from .errors import (
     NumericalError,
     SpectrumOutOfDomain,
 )
-from .kernels import mn_block_generator
+from .kernels import RestrictedCorrelators, mn_block_generator, restrict_correlators
 from .lattice import GaussianState
 from .regions import (
     CuttingProjection,
@@ -479,16 +478,19 @@ def lndelta_arccot_split(
     Returns the full 2n x 2n matrix equal to ``I_mat @ lnDelta`` of
     :func:`modular_data_full`.
     """
-    return _arccot_split(_require_standard(state, region), trivial_tol)
+    sub = _require_standard(state, region)
+    return _arccot_split(sub, restrict_correlators(state, region), trivial_tol)
 
 
-def _arccot_split(sub: _SubspaceFrame, trivial_tol: float = TRIVIAL_TOL) -> np.ndarray:
+def _arccot_split(
+    sub: _SubspaceFrame, rc: RestrictedCorrelators, trivial_tol: float = TRIVIAL_TOL
+) -> np.ndarray:
     state, region = sub.state, sub.region
     n = state.n_sites
     out = np.zeros((2 * n, 2 * n))
 
-    x_r, p_r = _restricted_pair(state, region)
-    block_r, c_region = mn_block_generator(x_r, p_r)
+    block_r, _ = mn_block_generator(rc)
+    c_region = rc.modes.c
     if np.any(c_region - 0.5 <= trivial_tol):
         bad = c_region[c_region - 0.5 <= trivial_tol]
         raise ModularDivergence(
@@ -500,16 +502,8 @@ def _arccot_split(sub: _SubspaceFrame, trivial_tol: float = TRIVIAL_TOL) -> np.n
     out[np.ix_(sel_r, sel_r)] = block_r
 
     comp = region.complement(n)
-    x_c, p_c = _restricted_pair(state, comp)
-    block_c, _ = mn_block_generator(x_c, p_c, zero_below=0.5 + trivial_tol)
+    rc_c = restrict_correlators(state, comp)
+    block_c, _ = mn_block_generator(rc_c, zero_below=0.5 + trivial_tol)
     sel_c = phase_space_indices(comp, n)
     out[np.ix_(sel_c, sel_c)] = -block_c
     return out
-
-
-def _restricted_pair(state: GaussianState, region: Region):
-    idx = region.indices()
-    if idx.size == 0:
-        raise EmptyRegion("cannot restrict correlators to an empty region")
-    grid = np.ix_(idx, idx)
-    return state.X_full[grid], state.P_full[grid]

@@ -201,6 +201,35 @@ class TestRunner:
         assert code == 0 and len(bundle.scan_rows) == 2
         assert calls == {"vacuum_state": 1, "standardness_check": 1}
 
+    def test_one_standardness_check_per_run_in_every_namespace(
+        self, tmp_path, monkeypatch
+    ):
+        import sys
+
+        from modham import subspace
+
+        original = subspace.standardness_check
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "modham" or name.startswith("modham."):
+                if getattr(module, "standardness_check", None) is original:
+                    monkeypatch.setattr(module, "standardness_check", counted)
+        config = parse_config(
+            minimal_config(
+                region={"interval": {"start": 3, "length": 2}},
+                tasks=["kernels", "flow", "kms", "crosscheck"],
+                output={"directory": str(tmp_path / "out"), "formats": ["json"]},
+            )
+        )
+        bundle, code = run(config)
+        assert code == 0 and bundle.reports["kms"]["method"] != "none"
+        assert len(calls) == 1
+
     def test_empty_scan(self, tmp_path):
         config = parse_config(
             minimal_config(
@@ -261,6 +290,21 @@ class TestCli:
         assert cli_main(["scan", path]) == 0
         table = (tmp_path / "out" / "entropy_scan.csv").read_text()
         assert table.startswith("length,entropy,c_min,c_max,error")
+
+    def test_scan_and_run_write_identical_tables(self, tmp_path):
+        path = self.write_config(
+            tmp_path,
+            tasks=["entropy_scan"],
+            scan={"lengths": [2, 4, 8]},
+            output={"directory": str(tmp_path / "unused"), "formats": ["csv", "json"]},
+        )
+        for command in ("scan", "run"):
+            out = str(tmp_path / command)
+            assert cli_main([command, path, "--output-dir", out]) == 0
+        for name in ("entropy_scan.json", "entropy_scan.csv"):
+            scanned = (tmp_path / "scan" / name).read_bytes()
+            assert scanned == (tmp_path / "run" / name).read_bytes()
+        assert b"NotStandard" in scanned  # the 8-site row covers the chain
 
 
 class TestCrosscheckTask:

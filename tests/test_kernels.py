@@ -9,6 +9,7 @@ from modham import (
     PositivityViolation,
     Region,
     RestrictedCorrelators,
+    build_flow,
     build_harmonic_chain,
     complement_kernels,
     compute_C,
@@ -172,11 +173,27 @@ class TestViaG:
         block = lndelta_region_via_G(rc)
         assert np.linalg.norm(block - kernels.L_block) <= 1e-8 * np.linalg.norm(kernels.L_block)
 
+    def test_reads_no_mode_data(self, monkeypatch, chain8):
+        import modham.kernels as kernels_module
+
+        _, state = chain8
+        rc = restrict_correlators(state, Region([2, 3, 4]))
+        reference = mn_kernels(rc).L_block
+
+        def forbidden(*args):
+            raise AssertionError("the two-point-kernel route used the mode data")
+
+        monkeypatch.setattr(kernels_module, "product_spectrum", forbidden)
+        fresh = RestrictedCorrelators(rc.region, rc.X_R, rc.P_R)
+        block = lndelta_region_via_G(fresh)
+        assert "modes" not in vars(fresh)
+        assert np.linalg.norm(block - reference) <= 1e-8 * np.linalg.norm(reference)
+
     def test_complex_path_is_real_and_agrees(self, chain8):
         _, state = chain8
         rc = restrict_correlators(state, Region([3, 4]))
         kernels = mn_kernels(rc)
-        block = lndelta_region_via_G(rc, complex_path=True)
+        block = lndelta_region_via_G(rc)
         assert block.dtype.kind == "f"
         assert np.linalg.norm(block - kernels.L_block) <= 1e-8 * np.linalg.norm(kernels.L_block)
 
@@ -257,6 +274,34 @@ class TestRegularizeAndPurify:
         rc = RestrictedCorrelators(Region([0]), np.array([[0.1]]), np.array([[0.1]]))
         with pytest.raises(PositivityViolation):
             purify_restriction(rc)
+
+
+def test_one_mode_spectrum_per_restriction(monkeypatch, chain8_light):
+    import modham.kernels as kernels_module
+
+    original = kernels_module.product_spectrum
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kernels_module, "product_spectrum", counted)
+    _, state = chain8_light
+    rc = restrict_correlators(state, Region([2, 3, 4]))
+    c = symplectic_spectrum(rc)
+    kernels = mn_kernels(rc)
+    flow = build_flow(kernels, rc)
+    assert len(calls) == 1
+    assert_allclose(kernels.c_spectrum, c, rtol=0, atol=0)
+    assert flow.check_residual <= 1e-7
+    # a regularized restriction is a new instance with its own spectrum
+    gap = float(c.max()) - 0.5
+    rc_reg, clipped = regularize_correlators(rc, gap)
+    kernels_reg = mn_kernels(rc_reg)
+    build_flow(kernels_reg, rc_reg)
+    assert len(clipped) == 2 and len(calls) == 2
+    assert_allclose(kernels_reg.c_spectrum, np.maximum(c, 0.5 + gap), atol=1e-12)
 
 
 def test_compute_c_rejects_ill_conditioned_x():

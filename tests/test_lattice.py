@@ -6,6 +6,7 @@ from modham import (
     DimensionMismatch,
     GaussianState,
     InvalidParameter,
+    NumericalError,
     PhaseSpaceVector,
     ZeroModeError,
     build_harmonic_chain,
@@ -98,6 +99,13 @@ class TestVacuumState:
         assert np.linalg.norm(i_mat.T @ state.mu_gram @ i_mat - state.mu_gram) <= 1e-10
         half_eps = 0.5 * state.epsilon
         assert np.linalg.norm(i_mat.T @ half_eps @ i_mat - half_eps) <= 1e-10
+
+    def test_from_correlators_rejects_singular_gram(self):
+        # pure (4 X P = 1) but X has an eigenvalue below the clamp
+        x = np.diag([0.5, 1e-15])
+        p = np.diag([0.5, 0.25e15])
+        with pytest.raises(NumericalError, match="Gram"):
+            GaussianState.from_correlators(x, p)
 
     def test_from_correlators_rejects_impure(self):
         with pytest.raises(InvalidParameter):

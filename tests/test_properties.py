@@ -41,3 +41,4 @@ def test_full_space_routes_agree(case):
     assert agreement.spectral_vs_quadrature <= ROUTE_TOL
     assert agreement.spectral_vs_blocks <= ROUTE_TOL
     assert agreement.blocks_vs_quadrature <= ROUTE_TOL
+    assert agreement.kernel_vs_blocks <= ROUTE_TOL

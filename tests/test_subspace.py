@@ -29,7 +29,7 @@ from modham import (
     vacuum_state,
 )
 from modham import subspace
-from modham._linalg import adaptive_matrix_quadrature, symmetrize
+from modham._linalg import SymmetrizedFrame, adaptive_matrix_quadrature, symmetrize
 from modham.regions import region_mask
 
 
@@ -336,6 +336,32 @@ def test_route_agreement_builds_one_frame(monkeypatch, chain8, center_region):
     agreement = route_agreement(state, center_region)
     assert len(builds) == 1
     assert agreement.spectral_vs_quadrature <= 1e-10
+
+
+def test_kernel_route_is_measured_not_copied():
+    # the two-point-kernel route diagonalizes 2 eps G + i on its own, so its
+    # residual against the block route is a rounding-level number, never 0
+    state = vacuum_state(build_harmonic_chain(64, 0.3))
+    agreement = route_agreement(state, Region.interval(30, 3))
+    assert 0.0 < agreement.kernel_vs_blocks <= 1e-7
+
+
+def test_symmetrized_frame_takes_cond_from_its_one_eigh(monkeypatch, chain8):
+    _, state = chain8
+    w, _ = np.linalg.eigh(symmetrize(state.mu_gram))
+    original = np.linalg.eigh
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    frame = SymmetrizedFrame(state.mu_gram)
+    assert len(calls) == 1
+    assert frame.cond == float(w.max() / w.min())
+    assert_allclose(frame.sqrt @ frame.sqrt, state.mu_gram, atol=1e-12)
+    assert_allclose(frame.sqrt @ frame.inv_sqrt, np.eye(16), atol=1e-12)
 
 
 class TestArccotSplit:
