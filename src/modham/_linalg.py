@@ -49,11 +49,6 @@ def spd_eigh(mat: np.ndarray, what: str = "matrix"):
     return w, u
 
 
-def spd_power(mat: np.ndarray, exponent: float, what: str = "matrix") -> np.ndarray:
-    w, u = spd_eigh(mat, what)
-    return (u * w**exponent) @ u.T
-
-
 def _sqrt_pair(w: np.ndarray, u: np.ndarray):
     s = np.sqrt(w)
     return (u * s) @ u.T, (u / s) @ u.T
@@ -73,7 +68,6 @@ class SymmetrizedFrame:
     """
 
     def __init__(self, gram: np.ndarray):
-        self.gram = gram
         w, u = spd_eigh(gram, "Gram matrix")
         self.sqrt, self.inv_sqrt = _sqrt_pair(w, u)
         self.cond = float(w.max() / w.min())

@@ -12,7 +12,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import RunConfig, parse_config
+from .config import RunConfig, config_to_dict, parse_config
 from .errors import ModhamError, SchemaError
 from .runner import (
     EXIT_CONSTRUCTION,
@@ -70,10 +70,10 @@ def _load_config(args) -> RunConfig:
         source = sys.stdin.read()
     config = parse_config(source, lenient=args.lenient)
     if args.clip is not None:
-        config = dataclasses.replace(
-            config,
-            tolerances=dataclasses.replace(config.tolerances, clip=args.clip),
-        )
+        # the flag overrides tolerances.clip and passes the schema's checks
+        raw = config_to_dict(config)
+        raw["tolerances"]["clip"] = args.clip
+        config = parse_config(raw)
     if args.output_dir is not None:
         config = dataclasses.replace(
             config,

@@ -25,6 +25,7 @@ intervals are centered.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -117,6 +118,9 @@ def _get_number(mapping: dict, key: str, path: str, minimum=None, strict_min=Fal
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"expected a number, got {value!r}", f"{path}.{key}")
+    # json reads NaN and Infinity; integers beyond the float range fail here too
+    if not abs(value) <= sys.float_info.max:
+        raise SchemaError(f"expected a finite number, got {value!r}", f"{path}.{key}")
     value = float(value)
     if minimum is not None:
         if strict_min and value <= minimum:

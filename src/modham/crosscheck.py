@@ -109,14 +109,21 @@ def route_agreement(
     The full-space routes share one standardness frame of (state, region),
     a deterministic input each of them would otherwise rebuild identically.
     """
-    n = state.n_sites
     rc = restrict_correlators(state, region)
     sub = _require_standard(state, region)
+    kernels = mn_kernels(rc, sing_tol=sing_tol)
+    return _route_agreement(sub, rc, kernels, quad_tol, sing_tol)
+
+
+def _route_agreement(sub, rc, kernels, quad_tol, sing_tol) -> RouteAgreement:
+    """:func:`route_agreement` from the frame ``sub`` of the region's
+    standardness check, its restriction ``rc`` and the unclipped
+    :class:`RegionKernels` of ``rc``."""
+    state, region = sub.state, sub.region
+    n = state.n_sites
 
     data = _modular_data(sub)
     gen_spectral = region_block(state.I_mat @ data.lnDelta, region, n)
-
-    kernels = mn_kernels(rc, sing_tol=sing_tol)
     gen_blocks = kernels.L_block
 
     quad = _resolvent_quadrature(sub, quad_tol)

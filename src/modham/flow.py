@@ -30,6 +30,7 @@ included) therefore abort the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +42,6 @@ from .errors import (
     FlowOverflow,
     InvalidParameter,
     ModhamError,
-    NotStandard,
     NumericalError,
 )
 from .kernels import (
@@ -53,7 +53,7 @@ from .kernels import (
 )
 from .lattice import GaussianState, _eps_matrix, _two_point_kernel
 from .regions import Region
-from .subspace import standardness_check
+from .subspace import _require_standard
 
 GENERATOR_AGREE_TOL = 1e-7
 BRANCH_TOL = 1e-8
@@ -230,6 +230,39 @@ def group_residual(flow: ModularFlow, s: float, t: float) -> float:
     return frob(lhs - rhs) / max(frob(rhs), 1e-300)
 
 
+class _RegionPipeline:
+    """The objects one (state, region) pair fixes, each built once.
+
+    Construction checks the region (under a clip it only has to be proper)
+    and keeps the check's ``frame``, None under a clip.  ``rc`` is the
+    restriction; ``rc_flow`` is ``rc`` regularized at the clip, with the
+    indices of its ``clipped`` modes.  ``kernels`` (unclipped, of
+    ``rc_flow``) and ``flow`` are built on first use; ``flow`` holds the
+    construction error when the flow cannot be built.
+    """
+
+    def __init__(self, state: GaussianState, region: Region, clip=None, sing_tol=1e-10):
+        self.clip, self.sing_tol = clip, sing_tol
+        # an explicit clip fixes the gap; the branch guard must sit below it
+        self.branch_tol = BRANCH_TOL if clip is None else min(BRANCH_TOL, 0.5 * clip)
+        self.frame = _require_standard(state, region, regularized=clip is not None)
+        self.rc = restrict_correlators(state, region)
+        self.rc_flow, self.clipped = self.rc, ()
+        if clip is not None:
+            self.rc_flow, self.clipped = regularize_correlators(self.rc, clip)
+
+    @cached_property
+    def kernels(self) -> RegionKernels:
+        return mn_kernels(self.rc_flow, sing_tol=self.sing_tol)
+
+    @cached_property
+    def flow(self) -> ModularFlow | ModhamError:
+        try:
+            return build_flow(self.kernels, self.rc_flow, branch_tol=self.branch_tol)
+        except (BranchCutProximity, NumericalError) as exc:
+            return exc
+
+
 def run_kms_suite(
     state: GaussianState,
     region: Region,
@@ -251,38 +284,18 @@ def run_kms_suite(
     error, no residuals and ``max_residual`` NaN: nothing was measured.  An
     empty ``t_grid`` measures nothing either and reports 0.0.
     """
-    if len(region) == 0 or len(region) >= state.n_sites:
-        raise NotStandard("region must be a proper non-empty subset of the chain")
-    if clip is None:
-        report = standardness_check(state, region)
-        if not report.is_standard:
-            raise NotStandard(
-                f"region is not standard (min |eig| = "
-                f"{report.min_abs_eigenvalue:.6f}, separating = "
-                f"{report.is_separating}); pass clip=... to regularize"
-            )
-    return _kms_sweep(state, region, t_grid, clip, sing_tol, group_samples, seed)
+    pipeline = _RegionPipeline(state, region, clip, sing_tol)
+    return _kms_sweep(pipeline, t_grid, group_samples, seed)
 
 
 def _kms_sweep(
-    state: GaussianState,
-    region: Region,
+    pipeline: _RegionPipeline,
     t_grid: Sequence[float] = (-1.0, -0.5, 0.0, 0.5, 1.0),
-    clip: float | None = None,
-    sing_tol: float = 1e-10,
     group_samples: int = 5,
     seed: int = 7,
 ) -> KmsReport:
-    """The sweep of :func:`run_kms_suite` for a region already checked there."""
-    rc = restrict_correlators(state, region)
-    clipped: tuple = ()
-    branch_tol = BRANCH_TOL
-    if clip is not None:
-        rc, clipped = regularize_correlators(rc, clip)
-        # an explicit clip fixes the gap; the branch guard must sit below it
-        branch_tol = min(BRANCH_TOL, 0.5 * clip)
-    kernels = mn_kernels(rc, sing_tol=sing_tol)
-
+    """The sweep of :func:`run_kms_suite` over the flow of a checked region."""
+    kernels, flow, clipped = pipeline.kernels, pipeline.flow, pipeline.clipped
     warnings_list = []
     gap = float(np.min(kernels.c_spectrum)) - 0.5
     if gap < NEAR_DIVERGENT_GAP:
@@ -293,12 +306,11 @@ def _kms_sweep(
         )
     if clipped:
         warnings_list.append(
-            f"{len(clipped)} mode(s) regularized to gap {clip:g} before the flow"
+            f"{len(clipped)} mode(s) regularized to gap {pipeline.clip:g} "
+            f"before the flow"
         )
 
-    try:
-        flow = build_flow(kernels, rc, branch_tol=branch_tol)
-    except (BranchCutProximity, NumericalError) as exc:
+    if isinstance(flow, ModhamError):
         # the sweep is a reporting harness: an unbuildable flow becomes an
         # error entry instead of an exception
         return KmsReport(
@@ -308,7 +320,7 @@ def _kms_sweep(
             symplectic_residuals=(),
             max_residual=float("nan"),
             warnings=tuple(warnings_list),
-            errors=(f"flow construction: {type(exc).__name__}: {exc}",),
+            errors=(f"flow construction: {type(flow).__name__}: {flow}",),
             method="none",
             clipped_modes=clipped,
         )

@@ -163,22 +163,22 @@ def mn_block_generator(
     zeroed = np.zeros_like(c, dtype=bool)
     if zero_below is not None:
         zeroed = c <= zero_below
-    offending = (c - 0.5 <= divergence_tol) & ~zeroed
     clipped: tuple = ()
-    if clip is not None:
-        clipped = tuple(int(i) for i in np.flatnonzero((c < 0.5 + clip) & ~zeroed))
     c_eff = c
-    if offending.any():
-        if clip is None:
+    if clip is not None:
+        if not clip > 0:
+            raise InvalidParameter(f"clip must be positive, got {clip!r}")
+        clipped = tuple(int(i) for i in np.flatnonzero((c < 0.5 + clip) & ~zeroed))
+        c_eff = np.maximum(c, 0.5 + clip)
+    else:
+        offending = (c - 0.5 <= divergence_tol) & ~zeroed
+        if offending.any():
             raise ModularDivergence(
                 f"{int(offending.sum())} mode(s) within {divergence_tol:g} of "
                 f"c = 1/2; the modular generator diverges on nearly "
                 f"unentangled modes (pass clip=... to regularize explicitly)",
                 eigenvalues=c[offending],
             )
-        if clip <= 0:
-            raise InvalidParameter(f"clip must be positive, got {clip!r}")
-        c_eff = np.maximum(c, 0.5 + clip)
     vals = np.zeros_like(c)
     active = ~zeroed
     vals[active] = _log_ratio(c_eff[active])
@@ -206,7 +206,8 @@ def mn_kernels(
         unless ``clip`` is given.
     clip : float, optional
         Evaluate the logarithm at ``c = 1/2 + clip`` for all modes below
-        that value; the affected modes are reported in the result.
+        that value; the affected modes are reported in the result.  A clip
+        that is not a positive number raises :class:`InvalidParameter`.
     """
     block, clipped = mn_block_generator(rc, divergence_tol=sing_tol, clip=clip)
     r = rc.size

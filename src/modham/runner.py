@@ -7,6 +7,11 @@ quadrature that cannot reach its target), 3 on a construction error
 schema problems.  A machine-readable ``error.json`` is written whenever a
 run aborts.
 
+A run builds each object once and passes it to the tasks: the vacuum and,
+for the region tasks, one :class:`modham.flow._RegionPipeline` (the
+standardness check and its frame, the restriction, its regularization
+under a clip, the unclipped kernels and the flow).
+
 Data files are deterministic: floats are rendered with 17 significant
 digits, keys are sorted, and no timestamps enter them.  Wall-clock and
 library versions go to ``metadata.json`` only.
@@ -23,7 +28,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .config import RunConfig, ScanConfig, config_to_dict, resolve_region
-from .crosscheck import regularized_instance, route_agreement
+from .crosscheck import _route_agreement, route_agreement
 from .errors import (
     BranchCutProximity,
     DecompositionSingular,
@@ -41,17 +46,16 @@ from .errors import (
     SpectrumOutOfDomain,
     ZeroModeError,
 )
-from .flow import _kms_sweep, build_flow
+from .flow import _RegionPipeline, _kms_sweep
 from .kernels import (
     entanglement_entropy,
     mn_kernels,
-    regularize_correlators,
+    purify_restriction,
     restrict_correlators,
     symplectic_spectrum,
 )
 from .lattice import GaussianState, build_harmonic_chain, vacuum_state
 from .regions import Region
-from .subspace import standardness_check
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -211,10 +215,13 @@ def _scan_rows(state: GaussianState, scan: ScanConfig) -> list:
     return rows
 
 
-def _task_kernels(state, region, tol, bundle: ResultBundle):
-    rc = restrict_correlators(state, region)
-    kernels = mn_kernels(rc, sing_tol=tol.sing_tol, clip=tol.clip)
-    sites = list(region.sites)
+def _task_kernels(pipeline, tol, bundle: ResultBundle):
+    rc = pipeline.rc
+    if tol.clip is None:
+        kernels = pipeline.kernels
+    else:  # the kernels task clips the logarithm on the raw restriction
+        kernels = mn_kernels(rc, sing_tol=tol.sing_tol, clip=tol.clip)
+    sites = list(rc.region.sites)
     bundle.matrices["X_R"] = matrix_payload(rc.X_R, sites)
     bundle.matrices["P_R"] = matrix_payload(rc.P_R, sites)
     bundle.matrices["M"] = matrix_payload(kernels.M, sites)
@@ -234,18 +241,16 @@ def _task_kernels(state, region, tol, bundle: ResultBundle):
     return True
 
 
-def _task_flow(state, region, tol, bundle: ResultBundle):
-    rc = restrict_correlators(state, region)
-    if tol.clip is not None:
-        rc, clipped = regularize_correlators(rc, tol.clip)
-        if clipped:
-            bundle.warnings.append(
-                f"flow: {len(clipped)} mode(s) regularized to gap {tol.clip:g}"
-            )
-    kernels = mn_kernels(rc, sing_tol=tol.sing_tol)
-    flow = build_flow(kernels, rc)
+def _task_flow(pipeline, tol, bundle: ResultBundle):
+    flow = pipeline.flow
+    if isinstance(flow, ModhamError):
+        raise flow
+    if pipeline.clipped:
+        bundle.warnings.append(
+            f"flow: {len(pipeline.clipped)} mode(s) regularized to gap {tol.clip:g}"
+        )
     bundle.matrices["flow_generator"] = matrix_payload(
-        flow.generator, list(region.sites)
+        flow.generator, list(flow.region.sites)
     )
     bundle.reports["flow"] = {
         "generator_check_residual": flow.check_residual,
@@ -255,9 +260,8 @@ def _task_flow(state, region, tol, bundle: ResultBundle):
     return flow.check_residual <= tol.route_tol
 
 
-def _task_kms(state, region, tol, bundle: ResultBundle):
-    # run() has already made run_kms_suite's region checks
-    report = _kms_sweep(state, region, clip=tol.clip, sing_tol=tol.sing_tol)
+def _task_kms(pipeline, tol, bundle: ResultBundle):
+    report = _kms_sweep(pipeline)
     bundle.reports["kms"] = {
         "t_values": list(report.t_values),
         "kms_residuals": list(report.kms_residuals),
@@ -274,20 +278,22 @@ def _task_kms(state, region, tol, bundle: ResultBundle):
     return complete and report.max_residual <= tol.kms_tol
 
 
-def _task_crosscheck(state, region, tol, bundle: ResultBundle):
-    used_state, used_region, clipped = state, region, ()
-    if tol.clip is not None:
-        used_state, used_region, clipped = regularized_instance(
-            state, region, tol.clip
+def _task_crosscheck(pipeline, tol, bundle: ResultBundle):
+    clipped = pipeline.clipped
+    if tol.clip is None:
+        agreement = _route_agreement(
+            pipeline.frame, pipeline.rc, pipeline.kernels, tol.quad_tol, tol.sing_tol
         )
+    else:
         if clipped:
             bundle.warnings.append(
                 f"crosscheck: {len(clipped)} mode(s) regularized and purified "
                 f"at gap {tol.clip:g}"
             )
-    agreement = route_agreement(
-        used_state, used_region, quad_tol=tol.quad_tol, sing_tol=tol.sing_tol
-    )
+        pure_state, embedded = purify_restriction(pipeline.rc_flow)
+        agreement = route_agreement(
+            pure_state, embedded, quad_tol=tol.quad_tol, sing_tol=tol.sing_tol
+        )
     bundle.reports["crosscheck"] = {
         "generator_norm": agreement.norm,
         "spectral_vs_blocks": agreement.spectral_vs_blocks,
@@ -325,21 +331,9 @@ def run(config: RunConfig, output_dir: str | Path | None = None):
     try:
         state = _vacuum(config)
         region = resolve_region(config)
+        tol = config.tolerances
         if any(task != "entropy_scan" for task in config.tasks):
-            if len(region) == 0 or len(region) >= state.n_sites:
-                raise NotStandard(
-                    f"region {list(region.sites)} is not a proper "
-                    f"non-empty subset of the {state.n_sites}-site chain"
-                )
-            if config.tolerances.clip is None:
-                report = standardness_check(state, region)
-                if not report.is_standard:
-                    raise NotStandard(
-                        f"region {list(region.sites)} is not standard: "
-                        f"min |eig| = {report.min_abs_eigenvalue:.9f}, "
-                        f"separating = {report.is_separating}; set "
-                        f"tolerances.clip or --clip to regularize"
-                    )
+            pipeline = _RegionPipeline(state, region, tol.clip, tol.sing_tol)
 
         all_pass = True
         for task in config.tasks:
@@ -353,7 +347,7 @@ def run(config: RunConfig, output_dir: str | Path | None = None):
                 "kms": _task_kms,
                 "crosscheck": _task_crosscheck,
             }[task]
-            all_pass = runner(state, region, config.tolerances, bundle) and all_pass
+            all_pass = runner(pipeline, tol, bundle) and all_pass
     except QuadratureNotConverged as exc:
         return bundle, _record_error(out_dir, exc, EXIT_VALIDATION)
     except _CONSTRUCTION_ERRORS as exc:

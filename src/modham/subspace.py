@@ -195,7 +195,6 @@ class _SubspaceFrame:
     """Shared symmetrized-frame data for one (state, region) pair."""
 
     def __init__(self, state: GaussianState, region: Region):
-        validate_region(region, state.n_sites)
         self.state = state
         self.region = region
         n = state.n_sites
@@ -213,7 +212,6 @@ class _SubspaceFrame:
         wt = self.frame.sqrt @ self.w_cols
         u_svd, s_svd, vt_svd = np.linalg.svd(wt, full_matrices=True)
         self._svd = (u_svd, s_svd, vt_svd)
-        self.sing_vals = s_svd
         smax = float(s_svd[0]) if s_svd.size else 0.0
         self.rank_ratio = float(s_svd[-1] / smax) if smax > 0 else 0.0
         k = wt.shape[1]
@@ -231,10 +229,26 @@ class _SubspaceFrame:
         """A on H_L in the orthonormal basis ``q_basis`` (symmetrized frame)."""
         return symmetrize(self.q_basis.T @ self.A_sym @ self.q_basis)
 
-    def restricted_spectrum(self):
-        """Eigen-data of A on H_L in the symmetrized frame."""
-        eigs, vecs = np.linalg.eigh(self.a_hl)
-        return self.a_hl, eigs, vecs
+
+def _verdict(state: GaussianState, region: Region, build_frame: bool = True):
+    """The standardness report of a region and the frame it was read from.
+
+    A region that is not a proper non-empty subset of the lattice fails
+    without a frame.  Without ``build_frame`` only properness is decided,
+    and a proper region gives ``(None, None)``.
+    """
+    n = state.n_sites
+    if len(region) == 0:
+        return StandardnessReport(1.0, False, True, 2 * n), None
+    validate_region(region, n)
+    if len(region) >= n:
+        return StandardnessReport(1.0, False, False, 0), None
+    if not build_frame:
+        return None, None
+    sub = _SubspaceFrame(state, region)
+    min_abs = float(np.min(np.abs(np.linalg.eigvalsh(sub.A_sym))))
+    ok = min_abs >= 1.0 - STANDARD_EIG_TOL and sub.separating
+    return StandardnessReport(min_abs, ok, sub.separating, sub.trivial_dim), sub
 
 
 def standardness_check(state: GaussianState, region: Region) -> StandardnessReport:
@@ -246,40 +260,21 @@ def standardness_check(state: GaussianState, region: Region) -> StandardnessRepo
     column rank (the subspace is separating, which rules out regions
     covering more than half of a pure chain).
     """
-    n = state.n_sites
-    if len(region) == 0:
-        return StandardnessReport(1.0, False, True, 2 * n)
-    validate_region(region, n)
-    if len(region) >= n:
-        return StandardnessReport(1.0, False, False, 0)
-    sub = _SubspaceFrame(state, region)
-    eigs = np.linalg.eigvalsh(sub.A_sym)
-    min_abs = float(np.min(np.abs(eigs)))
-    ok = min_abs >= 1.0 - STANDARD_EIG_TOL and sub.separating
-    return StandardnessReport(min_abs, ok, sub.separating, sub.trivial_dim)
+    return _verdict(state, region)[0]
 
 
-def _require_standard(state: GaussianState, region: Region) -> _SubspaceFrame:
-    n = state.n_sites
-    if len(region) == 0:
-        raise NotStandard("empty region has no standard subspace")
-    if len(region) >= n:
+def _require_standard(state: GaussianState, region: Region, regularized: bool = False):
+    """Raise :class:`NotStandard` unless :func:`standardness_check` passes.
+
+    Returns the frame of the check.  A ``regularized`` caller acts on a
+    clipped restriction, so the region only has to be a proper non-empty
+    subset of the lattice; no frame is built and None is returned.
+    """
+    report, sub = _verdict(state, region, build_frame=not regularized)
+    if report is not None and not report.is_standard:
         raise NotStandard(
-            "region covers the full lattice; Delta = 1 and the projector "
-            "encoding 1 - P + I P I is degenerate"
-        )
-    sub = _SubspaceFrame(state, region)
-    if not sub.separating:
-        raise NotStandard(
-            f"subspace is not separating (relative rank of [P | I P] system "
-            f"{sub.rank_ratio:.3e}); regions larger than half of a pure chain "
-            f"are never separating"
-        )
-    eigs = np.linalg.eigvalsh(sub.A_sym)
-    if np.min(np.abs(eigs)) < 1.0 - STANDARD_EIG_TOL:
-        raise NotStandard(
-            f"mu-spectrum of 1 - P + I P I enters the forbidden gap: "
-            f"min |eig| = {np.min(np.abs(eigs)):.12f}"
+            f"region {list(region.sites)} of the {state.n_sites}-site chain is "
+            f"not standard ({report}); a clip regularizes a proper region"
         )
     return sub
 
@@ -309,7 +304,8 @@ def modular_data_full(state: GaussianState, region: Region) -> ModularData:
 
 def _modular_data(sub: _SubspaceFrame) -> ModularData:
     n = sub.state.n_sites
-    a_hl, eigs, vecs = sub.restricted_spectrum()
+    a_hl = sub.a_hl
+    eigs, vecs = np.linalg.eigh(a_hl)
     inside = np.abs(eigs) <= 1.0
     if inside.any():
         raise SpectrumOutOfDomain(

@@ -20,6 +20,44 @@ def minimal_config(**overrides):
     return cfg
 
 
+def count_calls(monkeypatch, names):
+    """Count calls to modham functions through every namespace that binds them."""
+    import sys
+
+    modules = [
+        module
+        for key, module in list(sys.modules.items())
+        if key == "modham" or key.startswith("modham.")
+    ]
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def counted_frames(monkeypatch):
+    """Record every subspace frame build."""
+    from modham import subspace
+
+    frames = []
+
+    class CountingFrame(subspace._SubspaceFrame):
+        def __init__(self, *args):
+            frames.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(subspace, "_SubspaceFrame", CountingFrame)
+    return frames
+
+
 class TestParseConfig:
     def test_minimal_with_defaults(self):
         config = parse_config(minimal_config())
@@ -174,21 +212,8 @@ class TestRunner:
         assert (tmp_path / "out" / "entropy_scan.csv").exists()
 
     def test_one_vacuum_and_one_standardness_check_per_run(self, tmp_path, monkeypatch):
-        import modham.runner as runner
-
-        calls = {"vacuum_state": 0, "standardness_check": 0}
-
-        def counted(name):
-            original = getattr(runner, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(runner, name, counted(name))
+        calls = count_calls(monkeypatch, ["vacuum_state"])
+        frames = counted_frames(monkeypatch)
         config = parse_config(
             minimal_config(
                 region={"interval": {"start": 3, "length": 2}},
@@ -199,26 +224,13 @@ class TestRunner:
         )
         bundle, code = run(config)
         assert code == 0 and len(bundle.scan_rows) == 2
-        assert calls == {"vacuum_state": 1, "standardness_check": 1}
+        # the standardness check builds the run's one subspace frame
+        assert (calls["vacuum_state"], len(frames)) == (1, 1)
 
     def test_one_standardness_check_per_run_in_every_namespace(
         self, tmp_path, monkeypatch
     ):
-        import sys
-
-        from modham import subspace
-
-        original = subspace.standardness_check
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name == "modham" or name.startswith("modham."):
-                if getattr(module, "standardness_check", None) is original:
-                    monkeypatch.setattr(module, "standardness_check", counted)
+        frames = counted_frames(monkeypatch)
         config = parse_config(
             minimal_config(
                 region={"interval": {"start": 3, "length": 2}},
@@ -228,7 +240,8 @@ class TestRunner:
         )
         bundle, code = run(config)
         assert code == 0 and bundle.reports["kms"]["method"] != "none"
-        assert len(calls) == 1
+        # the crosscheck reuses the frame of the run's standardness check
+        assert len(frames) == 1
 
     def test_empty_scan(self, tmp_path):
         config = parse_config(
@@ -367,3 +380,150 @@ class TestCliFlags:
         assert cli_main(["scan", str(path), "--format", "csv"]) == 0
         assert (tmp_path / "out" / "entropy_scan.csv").exists()
         assert not (tmp_path / "out" / "entropy_scan.json").exists()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "overrides, flags",
+    [
+        ({"tolerances": {"clip": NAN}}, ()),
+        ({"tolerances": {"clip": INF}}, ()),
+        ({"model": {"n_sites": 8, "mass": NAN}}, ()),
+        ({"tolerances": {"route_tol": INF}}, ()),
+        ({}, ("--clip", "0")),
+        ({}, ("--clip", "-1")),
+        ({}, ("--clip", "nan")),
+        ({}, ("--clip", "inf")),
+    ],
+    ids=["clip-nan", "clip-inf", "mass-nan", "route_tol-inf",
+         "flag-0", "flag-negative", "flag-nan", "flag-inf"],
+)
+def test_bad_numbers_are_schema_errors(tmp_path, capsys, overrides, flags):
+    # json reads NaN and Infinity; a file value and the --clip flag pass the
+    # same validation and exit 4 before anything runs
+    cfg = minimal_config(
+        region={"interval": {"start": 3, "length": 2}},
+        tasks=["kernels", "flow", "kms", "crosscheck"],
+        output={"directory": str(tmp_path / "out"), "formats": ["json"]},
+        **overrides,
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    if not flags:
+        with pytest.raises(SchemaError):
+            parse_config(path)
+    assert cli_main(["run", str(path), *flags]) == 4
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+ALL_TASKS = ["kernels", "flow", "kms", "crosscheck"]
+
+
+class TestSharedPipeline:
+    """One run builds each region object once and shares it across tasks."""
+
+    @pytest.mark.parametrize(
+        "region, tolerances, expected",
+        [
+            (
+                {"interval": {"start": 30, "length": 3}},
+                {},
+                # the second restriction and spectrum are the complement's
+                {"restrict_correlators": 2, "product_spectrum": 2, "mn_kernels": 1,
+                 "build_flow": 1, "regularize_correlators": 0, "frames": 1},
+            ),
+            (
+                {"half": {}},
+                {"clip": 1e-4},
+                # raw, regularized, purified and purified complement
+                {"restrict_correlators": 3, "product_spectrum": 4, "mn_kernels": 3,
+                 "build_flow": 1, "regularize_correlators": 1, "frames": 1},
+            ),
+        ],
+        ids=["raw-interval", "clipped-half"],
+    )
+    def test_call_counts_per_run(self, tmp_path, monkeypatch, region, tolerances,
+                                 expected):
+        frames = counted_frames(monkeypatch)
+        counts = count_calls(
+            monkeypatch,
+            ["restrict_correlators", "product_spectrum", "mn_kernels", "build_flow",
+             "regularize_correlators"],
+        )
+        config = parse_config(
+            minimal_config(
+                model={"n_sites": 64, "mass": 0.3},
+                region=region,
+                tasks=ALL_TASKS,
+                tolerances=tolerances,
+                output={"directory": str(tmp_path / "out"), "formats": ["json"]},
+            )
+        )
+        _, code = run(config)
+        assert code == 0
+        assert {**counts, "frames": len(frames)} == expected
+
+    @pytest.mark.parametrize(
+        "region, tolerances",
+        [({"interval": {"start": 3, "length": 2}}, {}), ({"half": {}}, {"clip": 1e-4})],
+        ids=["raw-interval", "clipped-half"],
+    )
+    def test_task_output_does_not_depend_on_other_tasks(self, tmp_path, region,
+                                                        tolerances):
+        def outputs(tasks):
+            out = tmp_path / "-".join(tasks)
+            config = parse_config(
+                minimal_config(
+                    region=region,
+                    tasks=list(tasks),
+                    tolerances=tolerances,
+                    output={"directory": str(out), "formats": ["json"]},
+                )
+            )
+            assert run(config)[1] == 0
+            kernels = out / "kernels.json"
+            matrices = json.loads(kernels.read_text())["matrices"] if kernels.exists() else {}
+            return matrices, json.loads((out / "residuals.json").read_text())["reports"]
+
+        alone = {task: outputs([task]) for task in ALL_TASKS}
+        for order in (ALL_TASKS, ALL_TASKS[::-1]):
+            matrices, reports = outputs(order)
+            for task, (task_matrices, task_reports) in alone.items():
+                assert reports[task] == task_reports[task]
+                assert {name: matrices[name] for name in task_matrices} == task_matrices
+        assert set(matrices) == {"X_R", "P_R", "M", "N", "L_block", "flow_generator"}
+
+    def test_unbuilt_shared_flow_fails_kms_entry_and_flow_task(self, tmp_path):
+        # kms records the construction error of the one flow; the flow task
+        # then raises that same error and the run exits 3
+        config = parse_config(
+            minimal_config(
+                tasks=["kms", "flow"],
+                tolerances={"clip": 1e-8},
+                output={"directory": str(tmp_path / "out"), "formats": ["json"]},
+            )
+        )
+        bundle, code = run(config)
+        assert code == 3
+        kms = bundle.reports["kms"]
+        assert kms["method"] == "none" and kms["kms_residuals"] == []
+        error = json.loads((tmp_path / "out" / "error.json").read_text())["error"]
+        assert kms["errors"] == [f"flow construction: {error['type']}: {error['message']}"]
+
+    def test_flow_task_uses_the_kms_branch_guard(self, tmp_path):
+        # the shared flow is built with the guard min(1e-8, clip / 2): at
+        # clip 1e-9 the 8-site half passes the gap guard and fails the
+        # generator cross-check instead of BranchCutProximity
+        config = parse_config(
+            minimal_config(
+                tasks=["flow"],
+                tolerances={"clip": 1e-9},
+                output={"directory": str(tmp_path / "out"), "formats": ["json"]},
+            )
+        )
+        assert run(config)[1] == 3
+        error = json.loads((tmp_path / "out" / "error.json").read_text())["error"]
+        assert error["type"] == "NumericalError"

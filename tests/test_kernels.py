@@ -150,6 +150,31 @@ class TestMnKernels:
         assert np.all(np.isfinite(kernels.L_block))
         assert kernels.clip == 1e-8
 
+    def test_clip_reaches_modes_above_sing_tol(self, chain8_light):
+        # gap 3.4e-5 lies between sing_tol and the clip: the mode is clipped
+        # at 1/2 + clip, exactly as when sing_tol alone flags it
+        _, state = chain8_light
+        rc = restrict_correlators(state, Region([2, 3, 4]))
+        gap = float(symplectic_spectrum(rc)[0]) - 0.5
+        assert 1e-10 < gap < 1e-4
+        clipped = mn_kernels(rc, clip=1e-4)
+        flagged = mn_kernels(rc, sing_tol=1e-4, clip=1e-4)
+        raw = mn_kernels(rc)
+        assert clipped.clipped_modes == (0,)
+        assert_allclose(clipped.L_block, flagged.L_block, rtol=0, atol=0)
+        change = np.linalg.norm(clipped.L_block - raw.L_block)
+        assert change > 1e-2 * np.linalg.norm(raw.L_block)
+
+    @pytest.mark.parametrize("clip", [0.0, -1e-4, float("nan")])
+    def test_rejects_non_positive_clip(self, chain8, clip):
+        # a clip is checked whenever it is given, not only when a mode needs it
+        from modham import InvalidParameter
+
+        _, state = chain8
+        rc = restrict_correlators(state, Region([3, 4]))
+        with pytest.raises(InvalidParameter):
+            mn_kernels(rc, clip=clip)
+
     def test_c_spectrum_invariant(self, chain8_light):
         _, state = chain8_light
         kernels = mn_kernels(restrict_correlators(state, Region([2, 3])))

@@ -3,17 +3,28 @@
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from modham import Region, build_harmonic_chain, minimal_gap, route_agreement, vacuum_state
+import numpy as np
+
+from modham import (
+    Region,
+    build_harmonic_chain,
+    minimal_gap,
+    purify_restriction,
+    regularize_correlators,
+    restrict_correlators,
+    route_agreement,
+    vacuum_state,
+)
 
 ROUTE_TOL = 1e-7
 MIN_GAP = 1e-6
 
 
 @st.composite
-def chain_and_region(draw):
+def chain_and_region(draw, min_mass=0.3):
     """A Dirichlet chain and a region of one or two separated intervals."""
     n = draw(st.integers(8, 40))
-    mass = draw(st.floats(0.3, 2.0))
+    mass = draw(st.floats(min_mass, 2.0))
     max_len = max(1, n // 8)
     lengths = draw(st.lists(st.integers(1, max_len), min_size=1, max_size=2))
     spacing = draw(st.integers(1, max(1, n // 4)))
@@ -42,3 +53,19 @@ def test_full_space_routes_agree(case):
     assert agreement.spectral_vs_blocks <= ROUTE_TOL
     assert agreement.blocks_vs_quadrature <= ROUTE_TOL
     assert agreement.kernel_vs_blocks <= ROUTE_TOL
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(chain_and_region(min_mass=0.1), st.floats(1e-6, 1e-2))
+def test_regularize_then_purify_round_trip(case, clip):
+    # the crosscheck's clipped path: regularize the restriction, purify it,
+    # and restrict the pure state back to the embedded region
+    n, mass, region = case
+    rc = restrict_correlators(vacuum_state(build_harmonic_chain(n, mass)), region)
+    regularized, _ = regularize_correlators(rc, clip)
+    assert regularized.X_R is rc.X_R
+    assert regularized.modes.c[0] >= 0.5 + clip - 1e-12
+    pure, embedded = purify_restriction(regularized)
+    back = restrict_correlators(pure, embedded)
+    assert np.max(np.abs(back.X_R - rc.X_R)) <= 1e-10
+    assert np.max(np.abs(back.P_R - regularized.P_R)) <= 1e-10
