@@ -15,16 +15,15 @@ the group law fixes the generator uniquely:
     L = -i ln( (G|_R)^{-1} G^T|_R ) = [[0, -2M], [2N, 0]] ,
 
 which is the *negative* of the region block ``I ln Delta|_R`` produced by
-the kernel module.  Both constructions are computed here and must agree;
-flipping the sign (i.e. generating the flow with ``I ln Delta|_R`` itself)
-violates the boundary condition above by orders of magnitude, so the KMS
-orientation is the binding one.
+the kernel module.  Flipping the sign (i.e. generating the flow with
+``I ln Delta|_R`` itself) violates the boundary condition above by orders
+of magnitude, so the KMS orientation is the binding one.
 
-The matrix ``(G|_R)^{-1} G^T|_R`` has positive real spectrum consisting of
-reciprocal pairs ``((2c+1)/(2c-1))^{+-1}``; as c -> 1/2 one eigenvalue of
-each pair runs into the origin, i.e. the principal-branch logarithm's cut.
-Eigenvalues within tolerance of the closed negative real axis (origin
-included) therefore abort the construction.
+The block generator is certified by the KMS relation at t = 0,
+``G^T|_R exp(-i L) = G|_R``: the exponential stays well conditioned where
+the logarithm above meets its branch cut.  As c -> 1/2 one eigenvalue of
+``(G|_R)^{-1} G^T|_R`` runs into the origin; a spectral gap ``c - 1/2``
+within the branch tolerance therefore aborts the construction.
 """
 
 from __future__ import annotations
@@ -34,9 +33,8 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
-from ._linalg import frob, rel_diff
+from ._linalg import frob
 from .errors import (
     BranchCutProximity,
     FlowOverflow,
@@ -55,31 +53,38 @@ from .lattice import GaussianState, _eps_matrix, _two_point_kernel
 from .regions import Region
 from .subspace import _require_standard
 
-GENERATOR_AGREE_TOL = 1e-7
+KMS_CHECK_TOL = 1e-7
 BRANCH_TOL = 1e-8
 OVERFLOW_NORM = 1e15
 IMAG_TIME_GUARD = 2.0
-EIG_COND_LIMIT = 1e8
 NEAR_DIVERGENT_GAP = 1e-6
 
 
 @dataclass(frozen=True)
 class ModularFlow:
-    """Flow generator with cached evaluation data.
+    """Flow generator with its eigendecomposition and KMS check.
 
-    ``generator`` is the KMS-oriented matrix ``-I ln Delta|_R``; the method
-    field records whether ``flow_at`` uses the cached eigendecomposition or
-    Pade scaling-and-squaring.
+    ``generator`` is the KMS-oriented matrix ``-I ln Delta|_R``.  Its
+    eigendecomposition is derived on first use, so a flow built by
+    ``dataclasses.replace(flow, generator=...)`` evaluates and checks the
+    new generator.
     """
 
     region: Region
     generator: np.ndarray = field(repr=False)
     G_R: np.ndarray = field(repr=False)
     eps_R: np.ndarray = field(repr=False)
-    method: str = "pade"
-    check_residual: float = 0.0
     c_min: float = float("nan")
-    _eig: tuple = field(default=(), repr=False)
+
+    @cached_property
+    def _eigensystem(self) -> tuple:
+        lam, v = np.linalg.eig(self.generator)
+        return lam, v, np.linalg.inv(v)
+
+    @cached_property
+    def check_residual(self) -> float:
+        """The KMS relation at t = 0, ``|G^T K(-i) - G| / |G|``."""
+        return kms_residual(self, 0.0)
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,7 @@ class KmsReport:
     max_residual: float
     warnings: tuple = ()
     errors: tuple = ()
-    method: str = "pade"
+    method: str = "eig"
     clipped_modes: tuple = ()
 
 
@@ -102,79 +107,47 @@ def build_flow(
     rc: RestrictedCorrelators,
     branch_tol: float = BRANCH_TOL,
 ) -> ModularFlow:
-    """Build the modular flow from kernels, cross-checking the generator.
+    """Build the modular flow from kernels, certified by KMS at t = 0.
 
     The generator from the M/N blocks (KMS orientation, see the module
-    docstring) is compared against the closed form
-    ``-i ln((G|_R)^{-1} G^T|_R)`` evaluated by complex diagonalization and
-    the principal logarithm; disagreement beyond 1e-7 relative is an error.
+    docstring) must satisfy ``G^T|_R exp(-i L) = G|_R`` to 1e-7 relative;
+    the check shares the eigendecomposition that evaluates the flow.
 
     Raises
     ------
     BranchCutProximity
-        If an eigenvalue of ``(G|_R)^{-1} G^T|_R`` comes within
-        ``branch_tol`` of the principal-log branch cut (the closed negative
-        real axis, origin included); this is the c -> 1/2 divergence.
+        If the spectral gap ``c - 1/2`` is within ``branch_tol`` of zero,
+        where an eigenvalue of ``(G|_R)^{-1} G^T|_R`` reaches the
+        principal-log branch cut; this is the c -> 1/2 divergence.
+    NumericalError
+        If the block generator violates the KMS relation at t = 0.
     """
     if kernels.region != rc.region:
         raise InvalidParameter("kernels and correlators belong to different regions")
-    generator = -kernels.L_block
     g_r = _two_point_kernel(rc.X_R, rc.P_R)
     eps_r = _eps_matrix(rc.size)
 
-    g_t = g_r.T.copy()
-    defect = frob(g_t - (g_r - 1j * eps_r))
+    defect = frob(g_r.T - (g_r - 1j * eps_r))
     if defect > 1e-12 * max(1.0, frob(g_r)):
         raise NumericalError(f"G^T != G - i eps beyond tolerance: {defect:.3e}")
 
-    # The small eigenvalues of (G|_R)^{-1} G^T|_R sit at (2c-1)/(2c+1); a
-    # dense eig cannot resolve them below eps * ||ratio||, so the guard uses
-    # the well-conditioned spectral gap directly.
-    gap = float(np.min(kernels.c_spectrum)) - 0.5
+    c_min = float(np.min(kernels.c_spectrum))
+    gap = c_min - 0.5
     if gap <= branch_tol:
         raise BranchCutProximity(
             f"spectral gap c - 1/2 = {gap:.3e} within {branch_tol:g} of the "
             f"principal-log branch cut (an eigenvalue of (G|_R)^-1 G^T|_R "
             f"reaches the origin as c -> 1/2)"
         )
-    ratio = np.linalg.solve(g_r, g_t)
-    evals, vecs = np.linalg.eig(ratio)
-    on_cut = (np.abs(evals) <= branch_tol) | (
-        (evals.real <= 0.0) & (np.abs(evals.imag) <= branch_tol * (1.0 + np.abs(evals)))
+    flow = ModularFlow(
+        region=rc.region, generator=-kernels.L_block, G_R=g_r, eps_R=eps_r, c_min=c_min
     )
-    if on_cut.any():
-        raise BranchCutProximity(
-            f"{int(on_cut.sum())} eigenvalue(s) of (G|_R)^-1 G^T|_R within "
-            f"{branch_tol:g} of the principal-log branch cut (c -> 1/2 "
-            f"divergence): {evals[on_cut]}"
-        )
-    log_check = (vecs * np.log(evals)) @ np.linalg.inv(vecs)
-    l_check = (-1j * log_check).real
-    residual = rel_diff(l_check, generator)
-    if residual > GENERATOR_AGREE_TOL:
+    if flow.check_residual > KMS_CHECK_TOL:
         raise NumericalError(
-            f"generator mismatch between block formula and "
-            f"-i ln(G^-1 G^T): relative residual {residual:.3e}"
+            f"block generator violates the KMS relation at t = 0: relative "
+            f"residual {flow.check_residual:.3e}"
         )
-
-    method = "pade"
-    eig_cache: tuple = ()
-    lam, v = np.linalg.eig(generator)
-    cond = np.linalg.cond(v)
-    if np.isfinite(cond) and cond < EIG_COND_LIMIT:
-        method = "eig"
-        eig_cache = (lam, v, np.linalg.inv(v))
-
-    return ModularFlow(
-        region=rc.region,
-        generator=generator,
-        G_R=g_r,
-        eps_R=eps_r,
-        method=method,
-        check_residual=residual,
-        c_min=float(np.min(kernels.c_spectrum)),
-        _eig=eig_cache,
-    )
+    return flow
 
 
 def flow_at(flow: ModularFlow, t: complex) -> np.ndarray:
@@ -191,20 +164,15 @@ def flow_at(flow: ModularFlow, t: complex) -> np.ndarray:
         raise InvalidParameter(
             f"|Im t| = {abs(t.imag):g} exceeds the strip guard {IMAG_TIME_GUARD:g}"
         )
-    if flow.method == "eig":
-        lam, v, v_inv = flow._eig
-        kernel = (v * np.exp(t * lam)) @ v_inv
-    else:
-        kernel = scipy.linalg.expm(t * flow.generator)
+    lam, v, v_inv = flow._eigensystem
+    kernel = (v * np.exp(t * lam)) @ v_inv
     norm = frob(kernel)
     if not np.isfinite(norm) or norm > OVERFLOW_NORM:
         raise FlowOverflow(
             f"flow kernel norm {norm:.3e} exceeds the overflow guard "
             f"{OVERFLOW_NORM:g} at t = {t!r}"
         )
-    if t.imag == 0.0:
-        return kernel.real if np.iscomplexobj(kernel) else kernel
-    return kernel
+    return kernel.real if t.imag == 0.0 else kernel
 
 
 def kms_residual(flow: ModularFlow, t: float) -> float:
@@ -363,6 +331,5 @@ def _kms_sweep(
         max_residual=float(max(finite)) if finite else 0.0,
         warnings=tuple(warnings_list),
         errors=tuple(errors),
-        method=flow.method,
         clipped_modes=clipped,
     )

@@ -56,6 +56,7 @@ from .kernels import (
 )
 from .lattice import GaussianState, build_harmonic_chain, vacuum_state
 from .regions import Region
+from .subspace import _verdict
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -197,7 +198,7 @@ def _scan_rows(state: GaussianState, scan: ScanConfig) -> list:
                 )
             # entropy is well defined for any proper subregion (it is
             # continuous at c = 1/2); only the full lattice is refused
-            if length >= n:
+            if _verdict(state, region, build_frame=False)[0] is not None:
                 raise NotStandard(
                     f"interval of length {length} covers the full lattice"
                 )
@@ -254,7 +255,6 @@ def _task_flow(pipeline, tol, bundle: ResultBundle):
     )
     bundle.reports["flow"] = {
         "generator_check_residual": flow.check_residual,
-        "method": flow.method,
         "c_min": flow.c_min,
     }
     return flow.check_residual <= tol.route_tol

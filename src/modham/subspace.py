@@ -50,9 +50,7 @@ from .errors import (
 from .kernels import RestrictedCorrelators, mn_block_generator, restrict_correlators
 from .lattice import GaussianState
 from .regions import (
-    CuttingProjection,
     Region,
-    cutting_projection,
     phase_space_indices,
     region_mask,
     validate_region,
@@ -60,11 +58,9 @@ from .regions import (
 
 __all__ = [
     "Region",
-    "CuttingProjection",
     "StandardnessReport",
     "ModularData",
     "QuadratureResult",
-    "cutting_projection",
     "mu_adjoint",
     "mu_spectral_function",
     "standardness_check",

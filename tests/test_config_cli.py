@@ -502,7 +502,7 @@ class TestSharedPipeline:
         config = parse_config(
             minimal_config(
                 tasks=["kms", "flow"],
-                tolerances={"clip": 1e-8},
+                tolerances={"clip": 1e-9},
                 output={"directory": str(tmp_path / "out"), "formats": ["json"]},
             )
         )
@@ -516,7 +516,7 @@ class TestSharedPipeline:
     def test_flow_task_uses_the_kms_branch_guard(self, tmp_path):
         # the shared flow is built with the guard min(1e-8, clip / 2): at
         # clip 1e-9 the 8-site half passes the gap guard and fails the
-        # generator cross-check instead of BranchCutProximity
+        # KMS check at t = 0 instead of BranchCutProximity
         config = parse_config(
             minimal_config(
                 tasks=["flow"],

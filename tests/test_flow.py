@@ -70,6 +70,48 @@ class TestBuildFlow:
             build_flow(mn_kernels(rc_reg, sing_tol=1e-12), rc_reg, branch_tol=1e-8)
 
 
+class TestKmsCertification:
+    """The block generator is certified by KMS at t = 0, ``G^T K(-i) = G``."""
+
+    @pytest.mark.parametrize("n", [32, 256])
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_raw_small_gap_intervals(self, n, size):
+        # centered m = 1 intervals with gaps 1.4e-6 and 3.3e-7, where the
+        # logarithm of (G|_R)^-1 G^T|_R loses the generator
+        state = vacuum_state(build_harmonic_chain(n, 1.0))
+        region = Region.interval((n - size) // 2, size)
+        rc = restrict_correlators(state, region)
+        assert build_flow(mn_kernels(rc), rc).check_residual <= 1e-7
+        report = run_kms_suite(state, region)
+        assert not report.errors
+        assert report.max_residual <= 1e-7
+
+    def test_separation_at_the_smallest_admitted_gap(self, chain8, rng):
+        # clip 1e-8 with the guard clip / 2: the gap sits just above the guard
+        _, state = chain8
+        rc, _ = regularize_correlators(restrict_correlators(state, Region.half(8)), 1e-8)
+        flow = build_flow(mn_kernels(rc), rc, branch_tol=5e-9)
+        assert flow.check_residual <= 1e-7
+        noise = rng.standard_normal(flow.generator.shape)
+        noise *= 1e-7 * np.linalg.norm(flow.generator) / np.linalg.norm(noise)
+        perturbed = dataclasses.replace(flow, generator=flow.generator + noise)
+        assert perturbed.check_residual > 1e-7
+
+    def test_one_eigendecomposition_per_flow(self, monkeypatch):
+        state = vacuum_state(build_harmonic_chain(16, 1.0))
+        rc = restrict_correlators(state, Region([2, 3, 10, 11]))
+        kernels = mn_kernels(rc)
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a) or eig(a))
+        flow = build_flow(kernels, rc)
+        for t in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            kms_residual(flow, t)
+            symplectic_invariance_residual(flow, t)
+            group_residual(flow, t, 0.3)
+        assert len(calls) == 1
+
+
 class TestFlowAt:
     def test_identity_at_zero(self, small_flow):
         assert_allclose(flow_at(small_flow, 0.0), np.eye(4), atol=1e-14)
@@ -107,12 +149,7 @@ class TestFlowAt:
         # a generator with modular energy 40 gives |K(-i)| ~ e^40 > 1e15
         base, _ = single_mode_flow()
         w = 40.0
-        big = dataclasses.replace(
-            base,
-            generator=np.array([[0.0, -w], [w, 0.0]]),
-            method="pade",
-            _eig=(),
-        )
+        big = dataclasses.replace(base, generator=np.array([[0.0, -w], [w, 0.0]]))
         with pytest.raises(FlowOverflow):
             flow_at(big, -1j)
 
@@ -140,9 +177,7 @@ class TestKmsResidual:
         base = kms_residual(small_flow, 0.5)
         noise = rng.standard_normal(small_flow.generator.shape)
         noise *= 0.01 * np.linalg.norm(small_flow.generator) / np.linalg.norm(noise)
-        perturbed = dataclasses.replace(
-            small_flow, generator=small_flow.generator + noise, method="pade", _eig=()
-        )
+        perturbed = dataclasses.replace(small_flow, generator=small_flow.generator + noise)
         bad = kms_residual(perturbed, 0.5)
         assert bad > 1e-4
         assert bad >= 1e3 * base
@@ -171,10 +206,10 @@ class TestKmsSuite:
         assert not report.errors
 
     def test_near_divergent_warning(self, chain8):
-        # at clip 1e-8 the flow is not representable; the report carries the
+        # at clip 1e-9 the flow is not representable; the report carries the
         # proximity warning and the construction error instead of raising
         _, state = chain8
-        report = run_kms_suite(state, Region.half(8), clip=1e-8)
+        report = run_kms_suite(state, Region.half(8), clip=1e-9)
         assert any("BranchCutProximity" in w for w in report.warnings)
         assert report.clipped_modes
         assert report.errors and report.kms_residuals == ()
@@ -182,7 +217,7 @@ class TestKmsSuite:
     def test_unbuilt_flow_reports_nan(self, chain8):
         # no flow, no measurement: the maximum residual is NaN, never 0.0
         _, state = chain8
-        report = run_kms_suite(state, Region.half(8), clip=1e-8)
+        report = run_kms_suite(state, Region.half(8), clip=1e-9)
         assert report.method == "none"
         assert report.errors and report.kms_residuals == ()
         assert np.isnan(report.max_residual)

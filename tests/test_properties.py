@@ -1,5 +1,7 @@
 """Property-based checks over random chains and regions."""
 
+import dataclasses
+
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -7,16 +9,20 @@ import numpy as np
 
 from modham import (
     Region,
+    build_flow,
     build_harmonic_chain,
     minimal_gap,
+    mn_kernels,
     purify_restriction,
     regularize_correlators,
     restrict_correlators,
     route_agreement,
+    run_kms_suite,
     vacuum_state,
 )
 
 ROUTE_TOL = 1e-7
+KMS_TOL = 1e-7
 MIN_GAP = 1e-6
 
 
@@ -69,3 +75,28 @@ def test_regularize_then_purify_round_trip(case, clip):
     back = restrict_correlators(pure, embedded)
     assert np.max(np.abs(back.X_R - rc.X_R)) <= 1e-10
     assert np.max(np.abs(back.P_R - regularized.P_R)) <= 1e-10
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(chain_and_region(min_mass=0.1))
+def test_kms_certifies_the_block_generator(case):
+    # down to the branch guard the true generator passes KMS at t = 0 and
+    # the whole sweep, and a 1% perturbation of it fails the check
+    n, mass, region = case
+    state = vacuum_state(build_harmonic_chain(n, mass))
+    assume(minimal_gap(state, region) > 1e-8)
+    rc = restrict_correlators(state, region)
+    flow = build_flow(mn_kernels(rc), rc)
+    assert flow.check_residual <= KMS_TOL
+    report = run_kms_suite(state, region)
+    assert not report.errors
+    assert report.max_residual <= KMS_TOL
+    noise = np.random.default_rng(n).standard_normal(flow.generator.shape)
+    noise *= 0.01 * np.linalg.norm(flow.generator) / np.linalg.norm(noise)
+    perturbed = dataclasses.replace(flow, generator=flow.generator + noise)
+    assert perturbed.check_residual > KMS_TOL
