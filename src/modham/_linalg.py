@@ -54,11 +54,6 @@ def _sqrt_pair(w: np.ndarray, u: np.ndarray):
     return (u * s) @ u.T, (u / s) @ u.T
 
 
-def spd_sqrt_pair(mat: np.ndarray, what: str = "matrix"):
-    """Return (mat^{1/2}, mat^{-1/2}) from a single eigendecomposition."""
-    return _sqrt_pair(*spd_eigh(mat, what))
-
-
 class SymmetrizedFrame:
     """Congruence frame of an SPD Gram matrix.
 
@@ -99,6 +94,17 @@ def product_spectrum(x_mat: np.ndarray, p_mat: np.ndarray) -> ModeData:
     lam, basis = np.linalg.eigh(sym)
     lam = np.clip(lam, 0.0, None)
     return ModeData(np.sqrt(lam), basis, x_sqrt, x_inv_sqrt, float(w.max() / w.min()))
+
+
+def product_values(x_mat: np.ndarray, p_mat: np.ndarray) -> np.ndarray:
+    """The ``c`` of :func:`product_spectrum` without a mode basis: with the
+    Cholesky factor ``P = L L^T``, X P is similar to ``L^T X L``."""
+    try:
+        chol = np.linalg.cholesky(p_mat)
+    except np.linalg.LinAlgError:
+        raise NumericalError("P correlator is not positive definite") from None
+    lam = np.linalg.eigvalsh(symmetrize(chol.T @ x_mat @ chol))
+    return np.sqrt(np.clip(lam, 0.0, None))
 
 
 # Gauss-Kronrod 15(7) nodes and weights on [-1, 1].

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import ModeData, frob, product_spectrum, symmetrize
+from ._linalg import ModeData, frob, product_spectrum, product_values, symmetrize
 from .errors import (
     EmptyRegion,
     InvalidParameter,
@@ -93,16 +93,12 @@ def _log_ratio(c: np.ndarray) -> np.ndarray:
     return np.log((2.0 * c + 1.0) / (2.0 * c - 1.0)) / (2.0 * c)
 
 
-def restrict_correlators(state: GaussianState, region: Region) -> RestrictedCorrelators:
-    """Principal submatrices of the correlators on the region's sites.
+def _checked_restriction(state: GaussianState, region: Region, spectrum):
+    """The region's correlators and their c-spectrum ``spectrum(rc)``.
 
-    Raises
-    ------
-    EmptyRegion
-        For an empty region.
-    PositivityViolation
-        If the spectrum of X_R P_R drops below 1/4 - 1e-10, which signals an
-        invalid state or numerical breakdown.
+    Raises :class:`EmptyRegion` for an empty region and
+    :class:`PositivityViolation` when the spectrum of X_R P_R drops below
+    1/4 - 1e-10, which signals an invalid state or numerical breakdown.
     """
     if len(region) == 0:
         raise EmptyRegion("cannot restrict correlators to an empty region")
@@ -116,12 +112,25 @@ def restrict_correlators(state: GaussianState, region: Region) -> RestrictedCorr
         if asym > SYMMETRY_TOL:
             raise NumericalError(f"{name} lost symmetry: {asym:.3e}")
     rc = RestrictedCorrelators(region, symmetrize(x_r), symmetrize(p_r))
-    c_min = float(rc.modes.c[0])
+    c = spectrum(rc)
+    c_min = float(c[0])
     if c_min**2 < 0.25 - POSITIVITY_TOL:
         raise PositivityViolation(
             f"spec(X_R P_R) reaches {c_min**2:.12e} < 1/4 - {POSITIVITY_TOL:g}"
         )
-    return rc
+    return rc, c
+
+
+def restrict_correlators(state: GaussianState, region: Region) -> RestrictedCorrelators:
+    """Principal submatrices of the correlators on the region's sites,
+    checked with their mode data (errors: see :func:`_checked_restriction`)."""
+    return _checked_restriction(state, region, symplectic_spectrum)[0]
+
+
+def restricted_spectrum(state: GaussianState, region: Region) -> np.ndarray:
+    """The region's ascending c-spectrum, values only, under the checks of
+    :func:`restrict_correlators` (positivity of ``L^T X_R L`` implies X_R > 0)."""
+    return _checked_restriction(state, region, lambda rc: product_values(rc.X_R, rc.P_R))[1]
 
 
 def symplectic_spectrum(rc: RestrictedCorrelators) -> np.ndarray:

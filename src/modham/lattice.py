@@ -18,19 +18,22 @@ Phase-space conventions used throughout the package:
   ``eps I = 2 diag(X, P)``, explicitly ``I = [[0, -2P], [2X, 0]]``;
 - the metric ``mu(f, g) = (1/2) f^T eps I g`` has Gram matrix ``diag(X, P)``.
 
-Only pure states with vanishing symmetric phi-pi cross correlations are
-supported.  Mixed states are reached by restricting a pure state on a larger
-lattice; see :func:`modham.kernels.purify_restriction`.
+A :class:`GaussianState` stores X and P; the 2n x 2n I and ``diag(X, P)``
+are built on first use, eps (``_eps_matrix``) where needed.  Only pure
+states with vanishing symmetric phi-pi cross correlations are supported.
+Mixed states are reached by restricting a pure state on a larger lattice;
+see :func:`modham.kernels.purify_restriction`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ._linalg import EIG_CLAMP, frob, spd_sqrt_pair, symmetrize
+from ._linalg import EIG_CLAMP, _sqrt_pair, frob, spd_eigh, symmetrize
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -104,75 +107,58 @@ class PhaseSpaceVector:
 class GaussianState:
     """Pure Gaussian state data on the full lattice.
 
-    Holds the correlators together with the symplectic matrix, the complex
-    structure and the Gram matrix of the metric ``mu``.  All arrays are
-    treated as immutable after construction.
+    Holds the correlators; the complex structure and the Gram matrix of
+    ``mu`` are built on first read.  All arrays are treated as immutable.
     """
 
     n_sites: int
     X_full: np.ndarray = field(repr=False)
     P_full: np.ndarray = field(repr=False)
-    I_mat: np.ndarray = field(repr=False)
-    epsilon: np.ndarray = field(repr=False)
-    mu_gram: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_correlators(
-        cls, x_full: np.ndarray, p_full: np.ndarray, validate: bool = True
-    ) -> "GaussianState":
-        """Build the state data from correlators of a pure state.
+    def from_correlators(cls, x_full: np.ndarray, p_full: np.ndarray) -> "GaussianState":
+        """Build the state data from the correlators X, P of a pure state.
 
-        Parameters
-        ----------
-        x_full, p_full : ndarray
-            Symmetric positive-definite field and momentum correlators
-            satisfying the purity condition ``4 X P = 1``.
-        validate : bool
-            Check the structural invariants (purity, ``I^2 = -1``,
-            positive-definite Gram) to tolerance 1e-10.
+        Checks purity, ``||4 X P - 1|| <= 1e-10 max(1, ||X|| ||P||)``, which
+        also gives ``I^2 = -diag(4 P X, 4 X P) = -1``, and that the Gram
+        matrix ``diag(X, P)`` has no eigenvalue at or below 1e-14.  I and
+        the Gram matrix themselves are built on first read.
         """
         x_full = np.asarray(x_full, dtype=float)
         p_full = np.asarray(p_full, dtype=float)
         n = x_full.shape[0]
         if x_full.shape != (n, n) or p_full.shape != (n, n):
             raise DimensionMismatch("correlators must be square and equal-sized")
-
-        i_mat = np.zeros((2 * n, 2 * n))
-        i_mat[:n, n:] = -2.0 * p_full
-        i_mat[n:, :n] = 2.0 * x_full
-
-        gram = np.zeros((2 * n, 2 * n))
-        gram[:n, :n] = x_full
-        gram[n:, n:] = p_full
-
-        state = cls(n, x_full, p_full, i_mat, _eps_matrix(n), gram)
-        if validate:
-            state._validate()
-        return state
-
-    def _validate(self):
-        n = self.n_sites
-        scale = max(1.0, frob(self.X_full) * frob(self.P_full))
-        purity = frob(4.0 * self.X_full @ self.P_full - np.eye(n)) / scale
+        scale = max(1.0, frob(x_full) * frob(p_full))
+        purity = frob(4.0 * x_full @ p_full - np.eye(n)) / scale
         if purity > INVARIANT_TOL:
             raise InvalidParameter(
                 f"state is not pure: ||4 X P - 1|| = {purity:.3e} "
                 f"(only pure states are supported; restrict a purification "
                 f"for mixed states)"
             )
-        isq = frob(self.I_mat @ self.I_mat + np.eye(2 * n)) / max(
-            1.0, frob(self.I_mat) ** 2
-        )
-        if isq > INVARIANT_TOL:
-            raise NumericalError(f"complex structure failed I^2 = -1: {isq:.3e}")
-        # the Gram matrix is diag(X, P): its spectrum is that of X and of P
-        w_min = min(
-            np.linalg.eigvalsh(symmetrize(m))[0] for m in (self.X_full, self.P_full)
-        )
-        if w_min <= EIG_CLAMP:
-            raise NumericalError(
-                f"mu Gram matrix not positive definite (min eig {w_min:.3e})"
-            )
+        # M - clamp * 1 factorizes exactly when min eig(M) lies above the clamp
+        for m in (x_full, p_full):
+            try:
+                np.linalg.cholesky(symmetrize(m) - EIG_CLAMP * np.eye(n))
+            except np.linalg.LinAlgError:
+                w_min = np.linalg.eigvalsh(symmetrize(m))[0]
+                raise NumericalError(
+                    f"mu Gram matrix not positive definite (min eig {w_min:.3e})"
+                ) from None
+        return cls(n, x_full, p_full)
+
+    @cached_property
+    def I_mat(self) -> np.ndarray:
+        """The complex structure ``I = [[0, -2P], [2X, 0]]``."""
+        zero = np.zeros_like(self.X_full)
+        return np.block([[zero, -2.0 * self.P_full], [2.0 * self.X_full, zero]])
+
+    @cached_property
+    def mu_gram(self) -> np.ndarray:
+        """The Gram matrix ``diag(X, P)`` of the metric ``mu``."""
+        zero = np.zeros_like(self.X_full)
+        return np.block([[self.X_full, zero], [zero, self.P_full]])
 
     def two_point_function(self) -> np.ndarray:
         """The complex 2n x 2n kernel G = [[X, i/2], [-i/2, P]]."""
@@ -200,6 +186,15 @@ def _laplacian(n_sites: int, boundary: Boundary) -> np.ndarray:
         lap[0, (n_sites - 1) % n_sites] -= 1.0
         lap[(n_sites - 1) % n_sites, 0] -= 1.0
     return lap
+
+
+def _lowest_eigenvalue(
+    n_sites: int, mass: float, coupling: float, boundary: Boundary
+) -> float:
+    """Smallest eigenvalue of V (periodic: the constant mode, also for n <= 2)."""
+    if boundary is Boundary.PERIODIC:
+        return mass**2
+    return mass**2 + 4.0 * coupling * np.sin(np.pi / (2.0 * (n_sites + 1))) ** 2
 
 
 def build_harmonic_chain(
@@ -236,23 +231,20 @@ def build_harmonic_chain(
         raise InvalidParameter(f"mass must be non-negative, got {mass!r}")
     boundary = Boundary(boundary)
 
-    v = mass**2 * np.eye(n_sites) + coupling * _laplacian(n_sites, boundary)
-    eigs = np.linalg.eigvalsh(v)
-    if eigs.min() <= EIG_CLAMP:
+    w_min = _lowest_eigenvalue(n_sites, mass, coupling, boundary)
+    if w_min <= EIG_CLAMP:
         raise ZeroModeError(
             f"dynamical matrix has a zero mode (min eigenvalue "
-            f"{eigs.min():.3e}); massless periodic chains are not supported"
+            f"{w_min:.3e}); massless periodic chains are not supported"
         )
+    v = mass**2 * np.eye(n_sites) + coupling * _laplacian(n_sites, boundary)
     v.flags.writeable = False
     return LatticeModel(int(n_sites), float(mass), float(coupling), boundary, v)
 
 
 def vacuum_state(model: LatticeModel) -> GaussianState:
     """Gaussian vacuum of a chain: ``X = V^{-1/2}/2``, ``P = V^{1/2}/2``."""
-    try:
-        v_sqrt, v_inv_sqrt = spd_sqrt_pair(model.dynamical_matrix, "dynamical matrix")
-    except NumericalError as exc:
-        raise NumericalError(f"vacuum construction failed: {exc}") from exc
+    v_sqrt, v_inv_sqrt = _sqrt_pair(*spd_eigh(model.dynamical_matrix, "dynamical matrix"))
     x_full = symmetrize(0.5 * v_inv_sqrt)
     p_full = symmetrize(0.5 * v_sqrt)
     return GaussianState.from_correlators(x_full, p_full)

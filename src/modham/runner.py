@@ -51,8 +51,7 @@ from .kernels import (
     entanglement_entropy,
     mn_kernels,
     purify_restriction,
-    restrict_correlators,
-    symplectic_spectrum,
+    restricted_spectrum,
 )
 from .lattice import GaussianState, build_harmonic_chain, vacuum_state
 from .regions import Region
@@ -202,15 +201,9 @@ def _scan_rows(state: GaussianState, scan: ScanConfig) -> list:
                 raise NotStandard(
                     f"interval of length {length} covers the full lattice"
                 )
-            c = symplectic_spectrum(restrict_correlators(state, region))
-            rows.append(
-                {
-                    "length": int(length),
-                    "entropy": entanglement_entropy(c),
-                    "c_min": float(c.min()),
-                    "c_max": float(c.max()),
-                }
-            )
+            c = restricted_spectrum(state, region)  # ascending
+            rows.append({"length": int(length), "entropy": entanglement_entropy(c),
+                         "c_min": float(c[0]), "c_max": float(c[-1])})
         except ModhamError as exc:
             rows.append({"length": int(length), "error": f"{type(exc).__name__}: {exc}"})
     return rows

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,33 @@ class TestRunner:
         # the crosscheck reuses the frame of the run's standardness check
         assert len(frames) == 1
 
+    def test_scan_reads_restrictions_only(self, tmp_path, monkeypatch):
+        # a scan-only run builds no 2n x 2n state field and no mode basis
+        import modham.runner as runner_module
+
+        states = []
+        original = runner_module.vacuum_state
+
+        def recorded(model):
+            states.append(original(model))
+            return states[-1]
+
+        monkeypatch.setattr(runner_module, "vacuum_state", recorded)
+        counts = count_calls(monkeypatch, ["product_spectrum"])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(minimal_config(
+            model={"n_sites": 32, "mass": 0.1},
+            tasks=["entropy_scan"],
+            scan={"lengths": [1, 2, 8, 31, 32]},
+            output={"directory": str(tmp_path / "out"), "formats": ["json"]},
+        )))
+        assert cli_main(["run", str(path)]) == 0
+        (state,) = states
+        assert not {"I_mat", "mu_gram", "epsilon"} & set(vars(state))
+        assert counts["product_spectrum"] == 0
+        rows = json.loads((tmp_path / "out" / "entropy_scan.json").read_text())["rows"]
+        assert [("error" in row) for row in rows] == [False] * 4 + [True]
+
     def test_empty_scan(self, tmp_path):
         config = parse_config(
             minimal_config(
@@ -292,6 +320,15 @@ class TestCli:
         assert cli_main(["run", path]) == 3
         assert cli_main(["run", path, "--clip", "1e-6", "--output-dir",
                          str(tmp_path / "out2")]) == 0
+
+    def test_readme_configuration_example(self, tmp_path, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"Configuration schema.*?```json\n(.*?)```", readme, re.S)
+        path = tmp_path / "config.json"
+        path.write_text(block.group(1))
+        code = cli_main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr()
+        assert (tmp_path / "out" / "entropy_scan.json").exists()
 
     def test_scan_command(self, tmp_path, capsys):
         path = self.write_config(

@@ -22,6 +22,7 @@ from modham import (
     symplectic_spectrum,
     vacuum_state,
 )
+from modham.kernels import restricted_spectrum
 
 
 def analytic_two_site_correlators(mass):
@@ -349,3 +350,25 @@ def test_purification_ancilla_mirrors_spectrum(chain8_light):
     c_ancilla = symplectic_spectrum(restrict_correlators(pure, ancilla))
     assert_allclose(c_region, c_ancilla, atol=1e-12)
     assert_allclose(c_region, symplectic_spectrum(rc), atol=1e-12)
+
+
+def test_scan_entropies_against_40_digit_eigenvalues():
+    # mpmath eigenvalues of the same double X_R P_R the scan reads
+    n = 64
+    state = vacuum_state(build_harmonic_chain(n, 0.1))
+    for length in range(2, 13):
+        region = Region.interval((n - length) // 2, length)
+        rc = restrict_correlators(state, region)
+        with mpmath.workdps(40):
+            lam = mpmath.eig(
+                mpmath.matrix(rc.X_R) * mpmath.matrix(rc.P_R), left=False, right=False
+            )
+            reference = 0
+            for v in lam:
+                c = mpmath.sqrt(mpmath.re(v))
+                reference += (c + 0.5) * mpmath.log(c + 0.5)
+                if c > 0.5:
+                    reference -= (c - 0.5) * mpmath.log(c - 0.5)
+            reference = float(reference)
+        got = entanglement_entropy(restricted_spectrum(state, region))
+        assert abs(got - reference) <= 1e-12 * reference

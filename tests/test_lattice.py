@@ -14,6 +14,7 @@ from modham import (
     symplectic_product,
     vacuum_state,
 )
+from modham.lattice import Boundary, _eps_matrix, _laplacian, _lowest_eigenvalue
 
 
 def basis_vector(n, site, block):
@@ -88,16 +89,15 @@ class TestVacuumState:
         # eps I = 2 Re G with G = [[X, i/2], [-i/2, P]]
         _, state = chain8
         g = state.two_point_function()
-        assert_allclose(state.epsilon @ state.I_mat, 2.0 * g.real, atol=1e-12)
-        assert_allclose(
-            2.0 * g, state.epsilon @ state.I_mat + 1j * state.epsilon, atol=1e-12
-        )
+        eps = _eps_matrix(8)
+        assert_allclose(eps @ state.I_mat, 2.0 * g.real, atol=1e-12)
+        assert_allclose(2.0 * g, eps @ state.I_mat + 1j * eps, atol=1e-12)
 
     def test_sigma_mu_invariance_as_matrices(self, chain8):
         _, state = chain8
         i_mat = state.I_mat
         assert np.linalg.norm(i_mat.T @ state.mu_gram @ i_mat - state.mu_gram) <= 1e-10
-        half_eps = 0.5 * state.epsilon
+        half_eps = 0.5 * _eps_matrix(8)
         assert np.linalg.norm(i_mat.T @ half_eps @ i_mat - half_eps) <= 1e-10
 
     def test_from_correlators_rejects_singular_gram(self):
@@ -106,6 +106,21 @@ class TestVacuumState:
         p = np.diag([0.5, 0.25e15])
         with pytest.raises(NumericalError, match="Gram"):
             GaussianState.from_correlators(x, p)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["X", "P"])
+    @pytest.mark.parametrize("small, passes", [(2e-14, True), (5e-15, False)])
+    def test_gram_clamp_boundary(self, small, passes, swap):
+        # pure pair with one eigenvalue of X (or P) on either side of the
+        # clamp 1e-14
+        x = np.diag([0.5, small])
+        p = np.diag([0.5, 0.25 / small])
+        if swap:
+            x, p = p, x
+        if passes:
+            assert GaussianState.from_correlators(x, p).n_sites == 2
+        else:
+            with pytest.raises(NumericalError, match="Gram"):
+                GaussianState.from_correlators(x, p)
 
     def test_from_correlators_rejects_impure(self):
         with pytest.raises(InvalidParameter):
@@ -206,4 +221,18 @@ class TestPeriodicBoundary:
 def test_mu_gram_from_symplectic_and_complex_structure(chain8):
     # the Gram matrix of mu is (1/2) eps I
     _, state = chain8
-    assert_allclose(state.mu_gram, 0.5 * state.epsilon @ state.I_mat, atol=1e-13)
+    assert_allclose(state.mu_gram, 0.5 * _eps_matrix(8) @ state.I_mat, atol=1e-13)
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_zero_mode_guard_is_the_exact_lowest_eigenvalue(n, boundary):
+    # the closed form covers the periodic fold at n <= 2 and the massless
+    # periodic zero mode
+    for mass, coupling in ((0.7, 1.3), (0.0, 1.0), (1e-3, 0.2)):
+        v = mass**2 * np.eye(n) + coupling * _laplacian(n, boundary)
+        w = np.linalg.eigvalsh(v)
+        guard = _lowest_eigenvalue(n, mass, coupling, boundary)
+        assert guard == pytest.approx(w[0], rel=1e-12, abs=1e-14 * w[-1])
+    with pytest.raises(ZeroModeError):
+        build_harmonic_chain(n, 0.0, 1.0, Boundary.PERIODIC)

@@ -11,6 +11,7 @@ from modham import (
     Region,
     build_flow,
     build_harmonic_chain,
+    entanglement_entropy,
     minimal_gap,
     mn_kernels,
     purify_restriction,
@@ -18,8 +19,10 @@ from modham import (
     restrict_correlators,
     route_agreement,
     run_kms_suite,
+    symplectic_spectrum,
     vacuum_state,
 )
+from modham.kernels import restricted_spectrum
 
 ROUTE_TOL = 1e-7
 KMS_TOL = 1e-7
@@ -41,6 +44,39 @@ def chain_and_region(draw, min_mass=0.3):
         second = start + lengths[0] + spacing
         sites += list(range(second, second + lengths[1]))
     return n, mass, Region(sites)
+
+
+@st.composite
+def chain_and_interval(draw):
+    """A Dirichlet or periodic chain and a proper interval of it.
+
+    The c-spectrum depends on ``mass / sqrt(coupling)`` only, drawn in
+    [1e-3, 1].  Heavier chains have entropies of 1e-2 and below, and there
+    the modes at machine distance from 1/2 limit both routes to about
+    1e-12 relative.
+    """
+    n = draw(st.integers(2, 48))
+    boundary = draw(st.sampled_from(["dirichlet", "periodic"]))
+    coupling = draw(st.floats(0.5, 2.0))
+    mass = draw(st.floats(1e-3, 1.0)) * coupling**0.5
+    length = draw(st.integers(1, n - 1))
+    start = draw(st.integers(0, n - length))
+    return build_harmonic_chain(n, mass, coupling, boundary), Region.interval(start, length)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(chain_and_interval())
+def test_scan_spectrum_matches_the_mode_spectrum(case):
+    # the scan's values-only c against the c of the restriction's mode data
+    model, region = case
+    state = vacuum_state(model)
+    c = restricted_spectrum(state, region)
+    c_modes = symplectic_spectrum(restrict_correlators(state, region))
+    assert c[0] >= 0.5 - 1e-10 and c_modes[0] >= 0.5 - 1e-10
+    # below a gap of 1e-10 both routes sit at the eps/gap level
+    if c_modes[0] - 0.5 >= 1e-10:
+        reference = entanglement_entropy(c_modes)
+        assert abs(entanglement_entropy(c) - reference) <= 1e-12 * reference
 
 
 @settings(
