@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     BranchCutProximity,
-    ConditioningWarning,
     DecompositionSingular,
     DimensionMismatch,
     DomainError,
@@ -21,7 +20,6 @@ from .errors import (
     InvalidParameter,
     ModhamError,
     ModularDivergence,
-    NotMuSelfAdjoint,
     NotStandard,
     NumericalError,
     PositivityViolation,
@@ -35,13 +33,10 @@ from .lattice import (
     Boundary,
     GaussianState,
     LatticeModel,
-    PhaseSpaceVector,
     build_harmonic_chain,
-    mu_product,
-    symplectic_product,
     vacuum_state,
 )
-from .regions import CuttingProjection, Region, cutting_projection
+from .regions import Region
 from .subspace import (
     ModularData,
     QuadratureResult,
@@ -49,14 +44,11 @@ from .subspace import (
     lndelta_arccot_split,
     lndelta_resolvent_quadrature,
     modular_data_full,
-    mu_adjoint,
-    mu_spectral_function,
     standardness_check,
 )
 from .kernels import (
     RegionKernels,
     RestrictedCorrelators,
-    complement_kernels,
     compute_C,
     entanglement_entropy,
     lndelta_region_via_G,

@@ -1,11 +1,14 @@
 """Internal dense linear-algebra helpers.
 
-Everything here reduces to symmetric eigenproblems or pivoted linear solves:
+Everything here reduces to symmetric eigenproblems, Cholesky factors or
+linear solves:
 
 - SPD square roots use eigendecomposition with a hard clamp threshold; an
   eigenvalue below the clamp is an error, never silently regularized.
-- Functions of the non-symmetric product X P are evaluated through the SPD
-  similarity  f(X P) = X^{1/2} f(X^{1/2} P X^{1/2}) X^{-1/2}.
+- Functions of the non-symmetric product X P are evaluated in its Williamson
+  frame: with the Cholesky factor P = L L^T and L^T X L = U diag(c^2) U^T,
+  B = L U gives P = B B^T, X = B^{-T} diag(c^2) B^{-1} and
+  f(X P) = B^{-T} f(c^2) B^T.
 - Matrix-valued integrals use an adaptive Gauss-Kronrod 15(7) rule with a
   Frobenius-norm error estimate and a hard evaluation cap.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NumericalError, QuadratureNotConverged
 
@@ -75,35 +79,39 @@ class SymmetrizedFrame:
 
 
 class ModeData(NamedTuple):
-    """Mode data of X P for SPD X, P: ``c`` are the square roots of the
-    eigenvalues of X^{1/2} P X^{1/2} in ascending order, ``basis`` their
-    orthonormal eigenvectors and ``x_cond`` the condition number of X."""
+    """Williamson frame of X P for SPD X, P: ``c`` are the square roots of the
+    eigenvalues of X P in ascending order, and ``frame`` is B with
+    ``P = B B^T`` and ``X = B^{-T} diag(c^2) B^{-1}``; ``frame_inv`` is B^{-1}."""
 
     c: np.ndarray
-    basis: np.ndarray
-    x_sqrt: np.ndarray
-    x_inv_sqrt: np.ndarray
-    x_cond: float
+    frame: np.ndarray
+    frame_inv: np.ndarray
 
 
-def product_spectrum(x_mat: np.ndarray, p_mat: np.ndarray) -> ModeData:
-    """Mode data of X P from one eigendecomposition each of X and X^{1/2} P X^{1/2}."""
-    w, u = spd_eigh(x_mat, "X correlator")
-    x_sqrt, x_inv_sqrt = _sqrt_pair(w, u)
-    sym = symmetrize(x_sqrt @ p_mat @ x_sqrt)
-    lam, basis = np.linalg.eigh(sym)
-    lam = np.clip(lam, 0.0, None)
-    return ModeData(np.sqrt(lam), basis, x_sqrt, x_inv_sqrt, float(w.max() / w.min()))
-
-
-def product_values(x_mat: np.ndarray, p_mat: np.ndarray) -> np.ndarray:
-    """The ``c`` of :func:`product_spectrum` without a mode basis: with the
-    Cholesky factor ``P = L L^T``, X P is similar to ``L^T X L``."""
+def _cholesky_similarity(x_mat: np.ndarray, p_mat: np.ndarray):
+    """The Cholesky factor ``P = L L^T`` and the symmetric ``L^T X L``, which
+    is similar to X P."""
     try:
         chol = np.linalg.cholesky(p_mat)
     except np.linalg.LinAlgError:
         raise NumericalError("P correlator is not positive definite") from None
-    lam = np.linalg.eigvalsh(symmetrize(chol.T @ x_mat @ chol))
+    return chol, symmetrize(chol.T @ x_mat @ chol)
+
+
+def product_spectrum(x_mat: np.ndarray, p_mat: np.ndarray) -> ModeData:
+    """Mode data of X P from one Cholesky factor of P and one eigendecomposition
+    ``L^T X L = U diag(c^2) U^T``; the frame is B = L U."""
+    chol, sym = _cholesky_similarity(x_mat, p_mat)
+    lam, vecs = np.linalg.eigh(sym)
+    c = np.sqrt(np.clip(lam, 0.0, None))
+    # B^{-1} = U^T L^{-1}: solve L^T B^{-T} = U
+    frame_inv_t = scipy.linalg.solve_triangular(chol, vecs, trans="T", lower=True)
+    return ModeData(c, chol @ vecs, frame_inv_t.T)
+
+
+def product_values(x_mat: np.ndarray, p_mat: np.ndarray) -> np.ndarray:
+    """The ``c`` of :func:`product_spectrum` without the frame."""
+    lam = np.linalg.eigvalsh(_cholesky_similarity(x_mat, p_mat)[1])
     return np.sqrt(np.clip(lam, 0.0, None))
 
 

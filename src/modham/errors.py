@@ -42,10 +42,6 @@ class NotStandard(ModhamError):
     """The region does not define a standard subspace."""
 
 
-class NotMuSelfAdjoint(ModhamError):
-    """An operator expected to be self-adjoint for the metric ``mu`` is not."""
-
-
 class SpectrumOutOfDomain(ModhamError):
     """Eigenvalues fall outside the domain of the requested scalar function."""
 
@@ -108,7 +104,3 @@ class SchemaError(ModhamError):
     def __init__(self, message: str, path: str = ""):
         super().__init__(f"{path}: {message}" if path else message)
         self.path = path
-
-
-class ConditioningWarning(UserWarning):
-    """Emitted when a metric or correlator is ill-conditioned."""

@@ -9,8 +9,14 @@ bound of a valid state).  Writing ``C = sqrt(X_R P_R)`` with eigenvalues
     M = P_R (2C)^{-1} ln((2C + 1)(2C - 1)^{-1}),
     N = (2C)^{-1} ln((2C + 1)(2C - 1)^{-1}) X_R ,
 
-where every function of the non-symmetric product X_R P_R is evaluated
-through the SPD similarity ``f(X P) = X^{1/2} f(X^{1/2} P X^{1/2}) X^{-1/2}``.
+where every function of the non-symmetric product X_R P_R is evaluated in
+its Williamson frame.  With the Cholesky factor ``P_R = L L^T`` and
+``L^T X_R L = U diag(c^2) U^T``, the frame ``B = L U`` gives
+``P_R = B B^T`` and ``X_R = B^{-T} diag(c^2) B^{-1}``, so that
+
+    C = B^{-T} diag(c) B^T,   M = B f(c) B^T,   N = B^{-T} diag(c^2) f(c) B^{-1}
+
+with ``f(c) = ln((2c + 1)/(2c - 1)) / (2c)``.
 
 Eigenvalues at c = 1/2 are unentangled directions where the generator
 diverges logarithmically.  By default they are a hard error; clipping the
@@ -41,7 +47,7 @@ from .regions import Region, validate_region
 POSITIVITY_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 DEFAULT_SING_TOL = 1e-10
-XR_COND_LIMIT = 1e12
+PR_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -49,9 +55,10 @@ class RestrictedCorrelators:
     """Field and momentum correlators restricted to a region.
 
     ``modes`` is the mode data of X_R P_R: the c-spectrum in ascending
-    order, its orthonormal basis, ``X_R^{1/2}``, ``X_R^{-1/2}`` and the
-    condition number of X_R.  It is computed on first access, once per
-    instance, and every spectral function of the restriction reads it.
+    order and the Williamson frame B with its inverse (``P_R = B B^T``,
+    ``X_R = B^{-T} diag(c^2) B^{-1}``).  It is computed on first access,
+    once per instance, and every spectral function of the restriction
+    reads it.
     """
 
     region: Region
@@ -139,14 +146,20 @@ def symplectic_spectrum(rc: RestrictedCorrelators) -> np.ndarray:
 
 
 def compute_C(rc: RestrictedCorrelators) -> np.ndarray:
-    """The (generally non-symmetric) square root C with C^2 = X_R P_R."""
-    c, basis, x_sqrt, x_inv_sqrt, x_cond = rc.modes
-    if x_cond > XR_COND_LIMIT:
+    """The (generally non-symmetric) square root C with C^2 = X_R P_R.
+
+    Raises :class:`NumericalError` when the condition number of P_R, whose
+    factor the frame inverts, exceeds 1e12.
+    """
+    w = np.linalg.eigvalsh(rc.P_R)
+    p_cond = float(w[-1] / w[0])
+    if p_cond > PR_COND_LIMIT:
         raise NumericalError(
-            f"X_R condition number {x_cond:.3e} exceeds {XR_COND_LIMIT:g}; "
+            f"P_R condition number {p_cond:.3e} exceeds {PR_COND_LIMIT:g}; "
             f"C = sqrt(X P) is unreliable"
         )
-    return x_sqrt @ ((basis * c) @ basis.T) @ x_inv_sqrt
+    c, frame, frame_inv = rc.modes
+    return (frame_inv.T * c) @ frame.T
 
 
 def mn_block_generator(
@@ -168,7 +181,7 @@ def mn_block_generator(
     indices (into the ascending c-spectrum ``rc.modes.c``) of the modes
     below ``1/2 + clip`` that are not mapped to zero; otherwise it is empty.
     """
-    c, basis, x_sqrt, x_inv_sqrt, _ = rc.modes
+    c, frame, frame_inv = rc.modes
     zeroed = np.zeros_like(c, dtype=bool)
     if zero_below is not None:
         zeroed = c <= zero_below
@@ -191,9 +204,8 @@ def mn_block_generator(
     vals = np.zeros_like(c)
     active = ~zeroed
     vals[active] = _log_ratio(c_eff[active])
-    f_of_product = x_sqrt @ ((basis * vals) @ basis.T) @ x_inv_sqrt
-    m_kernel = rc.P_R @ f_of_product
-    n_kernel = f_of_product @ rc.X_R
+    m_kernel = (frame * vals) @ frame.T
+    n_kernel = (frame_inv.T * (c**2 * vals)) @ frame_inv
     r = rc.size
     block = np.zeros((2 * r, 2 * r))
     block[:r, r:] = 2.0 * m_kernel
@@ -273,24 +285,6 @@ def lndelta_region_via_G(
     return result.real
 
 
-def complement_kernels(
-    state: GaussianState,
-    region: Region,
-    sing_tol: float = DEFAULT_SING_TOL,
-    clip: float | None = None,
-) -> RegionKernels:
-    """Kernels of the complement region.
-
-    The full-space generator restricted to complement indices equals *minus*
-    the returned ``L_block`` (the two invariant blocks of I ln Delta carry
-    opposite signs).
-    """
-    comp = region.complement(state.n_sites)
-    if len(comp) == 0:
-        raise EmptyRegion("complement of the full region is empty")
-    return mn_kernels(restrict_correlators(state, comp), sing_tol=sing_tol, clip=clip)
-
-
 def entanglement_entropy(kernels) -> float:
     """Von Neumann entropy of the restricted Gaussian state.
 
@@ -316,18 +310,19 @@ def regularize_correlators(
     """Push the c-spectrum away from 1/2 by adjusting the momentum correlator.
 
     Keeps X_R and rebuilds P_R so that the spectrum of X_R P_R becomes
-    ``max(c, 1/2 + min_gap)^2`` in the same mode basis.  The result is a
+    ``max(c, 1/2 + min_gap)^2`` in the same frame,
+    ``P' = B diag(max(c, 1/2 + min_gap)/c)^2 B^T``.  The result is a
     valid restricted Gaussian state within ``O(min_gap)`` of the input.
     Returns the new correlators and the indices of the adjusted modes.
     """
     if min_gap <= 0:
         raise InvalidParameter(f"min_gap must be positive, got {min_gap!r}")
-    c, basis, _, x_inv_sqrt, _ = rc.modes
+    c, frame, _ = rc.modes
     clipped = np.flatnonzero(c < 0.5 + min_gap)
     if clipped.size == 0:
         return rc, ()
     c_eff = np.maximum(c, 0.5 + min_gap)
-    p_new = x_inv_sqrt @ ((basis * c_eff**2) @ basis.T) @ x_inv_sqrt
+    p_new = (frame * (c_eff / c) ** 2) @ frame.T
     out = RestrictedCorrelators(rc.region, rc.X_R, symmetrize(p_new))
     return out, tuple(int(i) for i in clipped)
 
@@ -343,7 +338,7 @@ def purify_restriction(rc: RestrictedCorrelators) -> tuple[GaussianState, Region
     Modes must satisfy c >= 1/2; regularize first if the input contains
     machine-degenerate modes and downstream code needs a spectral gap.
     """
-    c, basis, x_sqrt, x_inv_sqrt, _ = rc.modes
+    c, frame, frame_inv = rc.modes
     if np.any(c < 0.5 - POSITIVITY_TOL):
         raise PositivityViolation(
             f"cannot purify: min c = {c.min():.12f} below 1/2"
@@ -352,9 +347,10 @@ def purify_restriction(rc: RestrictedCorrelators) -> tuple[GaussianState, Region
     r = rc.size
     squeeze = np.sqrt(c**2 - 0.25)
 
-    # Mode transformation T diag(c) T^T = X_R with T = diag(c)^{1/2} W^T X^{-1/2}.
-    t_mat = (np.sqrt(c)[:, None] * basis.T) @ x_inv_sqrt
-    t_inv = x_sqrt @ (basis / np.sqrt(c))
+    # S = B^{-T} diag(c)^{1/2} gives S diag(c) S^T = X_R and
+    # S^{-T} diag(c) S^{-1} = P_R with S^{-T} = B diag(c)^{-1/2}.
+    s_mat = frame_inv.T * np.sqrt(c)
+    s_inv_t = frame / np.sqrt(c)
 
     x_nf = np.block([
         [np.diag(c), np.diag(squeeze)],
@@ -366,8 +362,8 @@ def purify_restriction(rc: RestrictedCorrelators) -> tuple[GaussianState, Region
     ])
     zero = np.zeros((r, r))
     eye = np.eye(r)
-    s_x = np.block([[t_inv, zero], [zero, eye]])
-    s_p = np.block([[t_mat.T, zero], [zero, eye]])
+    s_x = np.block([[s_mat, zero], [zero, eye]])
+    s_p = np.block([[s_inv_t, zero], [zero, eye]])
     x_big = symmetrize(s_x @ x_nf @ s_x.T)
     p_big = symmetrize(s_p @ p_nf @ s_p.T)
     return GaussianState.from_correlators(x_big, p_big), Region(range(r))

@@ -77,33 +77,6 @@ class LatticeModel:
 
 
 @dataclass(frozen=True)
-class PhaseSpaceVector:
-    """Initial data ``(f1, f2)`` for the field and its conjugate momentum."""
-
-    f1: np.ndarray
-    f2: np.ndarray
-
-    def __post_init__(self):
-        f1 = np.asarray(self.f1, dtype=float)
-        f2 = np.asarray(self.f2, dtype=float)
-        if f1.ndim != 1 or f2.ndim != 1 or f1.shape != f2.shape:
-            raise DimensionMismatch(
-                f"f1 and f2 must be equal-length 1D vectors, got shapes "
-                f"{np.shape(self.f1)} and {np.shape(self.f2)}"
-            )
-        object.__setattr__(self, "f1", f1)
-        object.__setattr__(self, "f2", f2)
-
-    @property
-    def n_sites(self) -> int:
-        return self.f1.shape[0]
-
-    def stacked(self) -> np.ndarray:
-        """The 2n-vector [phi-block, pi-block]."""
-        return np.concatenate([self.f1, self.f2])
-
-
-@dataclass(frozen=True)
 class GaussianState:
     """Pure Gaussian state data on the full lattice.
 
@@ -248,28 +221,3 @@ def vacuum_state(model: LatticeModel) -> GaussianState:
     x_full = symmetrize(0.5 * v_inv_sqrt)
     p_full = symmetrize(0.5 * v_sqrt)
     return GaussianState.from_correlators(x_full, p_full)
-
-
-def _check_vector(state: GaussianState, vec: PhaseSpaceVector, name: str):
-    if vec.n_sites != state.n_sites:
-        raise DimensionMismatch(
-            f"{name} has {vec.n_sites} sites, state has {state.n_sites}"
-        )
-
-
-def symplectic_product(
-    state: GaussianState, f: PhaseSpaceVector, g: PhaseSpaceVector
-) -> float:
-    """Antisymmetric form ``sigma(f, g) = (1/2) sum (f1 g2 - g1 f2)``."""
-    _check_vector(state, f, "f")
-    _check_vector(state, g, "g")
-    return 0.5 * float(f.f1 @ g.f2 - g.f1 @ f.f2)
-
-
-def mu_product(
-    state: GaussianState, f: PhaseSpaceVector, g: PhaseSpaceVector
-) -> float:
-    """Symmetric positive form ``mu(f, g) = f^T diag(X, P) g``."""
-    _check_vector(state, f, "f")
-    _check_vector(state, g, "g")
-    return float(f.stacked() @ state.mu_gram @ g.stacked())

@@ -1,8 +1,8 @@
-"""Region geometry on the chain and the cutting projection."""
+"""Region geometry on the chain; ``region_mask`` is the diagonal of the cutting projection."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -45,17 +45,6 @@ class Region:
         return np.asarray(self.sites, dtype=int)
 
 
-@dataclass(frozen=True)
-class CuttingProjection:
-    """Characteristic-function projection of a region on both blocks.
-
-    Idempotent but not mu-orthogonal; its mu-adjoint is ``-I P I``.
-    """
-
-    n_sites: int
-    diag_mask: np.ndarray = field(repr=False)
-
-
 def validate_region(region: Region, n_sites: int):
     if len(region) and region.sites[-1] >= n_sites:
         raise IndexOutOfRange(
@@ -76,9 +65,3 @@ def phase_space_indices(region: Region, n_sites: int) -> np.ndarray:
     validate_region(region, n_sites)
     idx = region.indices()
     return np.concatenate([idx, n_sites + idx])
-
-
-def cutting_projection(region: Region, n_sites: int) -> CuttingProjection:
-    """Diagonal 0/1 matrix multiplying by the region's characteristic function."""
-    mask = region_mask(region, n_sites)
-    return CuttingProjection(n_sites, np.diag(mask.astype(float)))

@@ -22,10 +22,8 @@ the standardness report.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -33,16 +31,13 @@ import scipy.linalg
 from ._linalg import (
     SymmetrizedFrame,
     adaptive_matrix_quadrature,
-    frob,
     rel_diff,
     symmetrize,
 )
 from .errors import (
-    ConditioningWarning,
     DecompositionSingular,
     InvalidParameter,
     ModularDivergence,
-    NotMuSelfAdjoint,
     NotStandard,
     NumericalError,
     SpectrumOutOfDomain,
@@ -61,19 +56,15 @@ __all__ = [
     "StandardnessReport",
     "ModularData",
     "QuadratureResult",
-    "mu_adjoint",
-    "mu_spectral_function",
     "standardness_check",
     "modular_data_full",
     "lndelta_resolvent_quadrature",
     "lndelta_arccot_split",
 ]
 
-MU_SELFADJOINT_TOL = 1e-8
 STANDARD_EIG_TOL = 1e-9
 RANK_TOL = 1e-10
 CONSISTENCY_TOL = 1e-8
-GRAM_COND_WARN = 1e12
 PAIRING_TOL = 1e-8
 QUAD_MAX_EVALS = 200_000
 TRIVIAL_TOL = 1e-9
@@ -116,75 +107,6 @@ class QuadratureResult:
     lnDelta: np.ndarray = field(repr=False)
     error_bound: float = 0.0
     n_evals: int = 0
-
-
-def mu_adjoint(state: GaussianState, a_mat: np.ndarray) -> np.ndarray:
-    """Adjoint for the metric mu: ``Gram^{-1} A^T Gram``.
-
-    A :class:`ConditioningWarning` is emitted when the Gram matrix condition
-    number exceeds 1e12; the result is still returned.
-    """
-    a_mat = np.asarray(a_mat, dtype=float)
-    if a_mat.shape != state.mu_gram.shape:
-        raise NumericalError(
-            f"operator shape {a_mat.shape} does not match phase space "
-            f"{state.mu_gram.shape}"
-        )
-    w = np.linalg.eigvalsh(symmetrize(state.mu_gram))
-    cond = w.max() / w.min()
-    if cond > GRAM_COND_WARN:
-        warnings.warn(
-            f"Gram matrix condition number {cond:.3e} exceeds {GRAM_COND_WARN:g}; "
-            f"mu-adjoint accuracy is degraded",
-            ConditioningWarning,
-            stacklevel=2,
-        )
-    return np.linalg.solve(state.mu_gram, a_mat.T @ state.mu_gram)
-
-
-def mu_spectral_function(
-    state: GaussianState,
-    a_mat: np.ndarray,
-    fn: Callable[[np.ndarray], np.ndarray],
-    spectral_domain: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Apply a scalar function to a mu-self-adjoint operator.
-
-    The operator is conjugated with Gram^{1/2} (making it symmetric),
-    eigendecomposed, mapped through ``fn`` and conjugated back, so the
-    result is again mu-self-adjoint.
-
-    Parameters
-    ----------
-    fn : callable
-        Vectorized scalar function applied to the eigenvalue array.
-    spectral_domain : callable, optional
-        Predicate returning a boolean mask of admissible eigenvalues; any
-        inadmissible eigenvalue raises :class:`SpectrumOutOfDomain`.
-    """
-    a_mat = np.asarray(a_mat, dtype=float)
-    gram = state.mu_gram
-    defect = frob(gram @ a_mat - a_mat.T @ gram)
-    bound = MU_SELFADJOINT_TOL * max(frob(a_mat) * frob(gram), 1e-300)
-    if defect > bound:
-        raise NotMuSelfAdjoint(
-            f"operator is not mu-self-adjoint: ||Gram A - A^T Gram|| = "
-            f"{defect:.3e} > {bound:.3e}"
-        )
-    frame = SymmetrizedFrame(gram)
-    sym = symmetrize(frame.to_frame(a_mat))
-    eigs, vecs = np.linalg.eigh(sym)
-    if spectral_domain is not None:
-        ok = np.asarray(spectral_domain(eigs), dtype=bool)
-        if not ok.all():
-            bad = eigs[~ok]
-            raise SpectrumOutOfDomain(
-                f"{bad.size} eigenvalue(s) outside the domain of the spectral "
-                f"function: {bad}",
-                eigenvalues=bad,
-            )
-    mapped = (vecs * fn(eigs)) @ vecs.T
-    return frame.from_frame(mapped)
 
 
 class _SubspaceFrame:

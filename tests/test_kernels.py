@@ -11,7 +11,6 @@ from modham import (
     RestrictedCorrelators,
     build_flow,
     build_harmonic_chain,
-    complement_kernels,
     compute_C,
     entanglement_entropy,
     lndelta_region_via_G,
@@ -229,7 +228,7 @@ class TestComplement:
         state = vacuum_state(build_harmonic_chain(2, 1.0))
         region = Region([0])
         kernels = mn_kernels(restrict_correlators(state, region))
-        comp = complement_kernels(state, region)
+        comp = mn_kernels(restrict_correlators(state, region.complement(2)))
         assert comp.region == Region([1])
         assert_allclose(comp.L_block, kernels.L_block, atol=1e-12)
 
@@ -238,7 +237,7 @@ class TestComplement:
         state = vacuum_state(build_harmonic_chain(n, 0.1))
         region = Region.half(n)
         kernels = mn_kernels(restrict_correlators(state, region))
-        comp = complement_kernels(state, region)
+        comp = mn_kernels(restrict_correlators(state, region.complement(n)))
         r = n // 2
         flip = np.eye(r)[::-1]
         mirror = np.block([
@@ -252,7 +251,7 @@ class TestComplement:
     def test_complement_of_full_region(self, chain8):
         _, state = chain8
         with pytest.raises(EmptyRegion):
-            complement_kernels(state, Region(range(8)))
+            restrict_correlators(state, Region(range(8)).complement(8))
 
 
 class TestEntropy:
@@ -372,3 +371,27 @@ def test_scan_entropies_against_40_digit_eigenvalues():
             reference = float(reference)
         got = entanglement_entropy(restricted_spectrum(state, region))
         assert abs(got - reference) <= 1e-12 * reference
+
+
+def test_block_generator_against_40_digit_logarithm():
+    # -i ln((G|_R)^-1 G^T|_R) at 40 digits from the same double X_R, P_R; at
+    # gaps near 1e-10 the generator's error scales like eps/gap, and the
+    # Cholesky/Williamson frame keeps it below 1e-8 (X^{1/2} frame: 6e-8, 1e-7)
+    for n, mass, start, length in [(64, 0.579, 43, 6), (32, 0.0434, 8, 7)]:
+        rc = restrict_correlators(
+            vacuum_state(build_harmonic_chain(n, mass)), Region.interval(start, length)
+        )
+        assert symplectic_spectrum(rc)[0] - 0.5 < 5e-10
+        block = mn_kernels(rc).L_block
+        eye = np.eye(length)
+        g = np.block([[rc.X_R, 0.5j * eye], [-0.5j * eye, rc.P_R]])
+        with mpmath.workdps(40):
+            g_mp = mpmath.matrix(g.tolist())
+            evals, vecs = mpmath.eig(mpmath.inverse(g_mp) * g_mp.T)
+            logs = mpmath.diag([mpmath.log(e) for e in evals])
+            log_ratio = vecs * logs * mpmath.inverse(vecs)
+            reference = -np.array(
+                [[float(mpmath.im(log_ratio[i, j])) for j in range(2 * length)]
+                 for i in range(2 * length)]
+            )
+        assert np.linalg.norm(block - reference) <= 1e-8 * np.linalg.norm(reference)

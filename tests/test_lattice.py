@@ -7,21 +7,11 @@ from modham import (
     GaussianState,
     InvalidParameter,
     NumericalError,
-    PhaseSpaceVector,
     ZeroModeError,
     build_harmonic_chain,
-    mu_product,
-    symplectic_product,
     vacuum_state,
 )
 from modham.lattice import Boundary, _eps_matrix, _laplacian, _lowest_eigenvalue
-
-
-def basis_vector(n, site, block):
-    f1 = np.zeros(n)
-    f2 = np.zeros(n)
-    (f1 if block == 0 else f2)[site] = 1.0
-    return PhaseSpaceVector(f1, f2)
 
 
 class TestBuildChain:
@@ -127,66 +117,60 @@ class TestVacuumState:
             GaussianState.from_correlators(np.eye(2), np.eye(2))
 
 
-class TestBilinearForms:
-    def test_symplectic_unit_pair(self, chain8):
-        _, state = chain8
-        f = basis_vector(8, 0, 0)
-        g = basis_vector(8, 0, 1)
-        assert symplectic_product(state, f, g) == pytest.approx(0.5)
-        assert symplectic_product(state, g, f) == pytest.approx(-0.5)
+def sigma(f, g):
+    """The symplectic form (1/2) f^T eps g of stacked 2n initial data."""
+    return 0.5 * f.T @ _eps_matrix(f.shape[0] // 2) @ g
 
-    def test_symplectic_antisymmetry(self, chain8, rng):
-        _, state = chain8
-        f = PhaseSpaceVector(rng.standard_normal(8), rng.standard_normal(8))
-        assert symplectic_product(state, f, f) == pytest.approx(0.0, abs=1e-15)
+
+def mu(state, f, g):
+    """The metric f^T diag(X, P) g of stacked 2n initial data."""
+    return f.T @ state.mu_gram @ g
+
+
+class TestBilinearForms:
+    def test_symplectic_unit_pair(self):
+        f, g = np.eye(16)[0], np.eye(16)[8]
+        assert sigma(f, g) == pytest.approx(0.5)
+        assert sigma(g, f) == pytest.approx(-0.5)
+
+    def test_symplectic_antisymmetry(self, rng):
+        f, g = rng.standard_normal((2, 16))
+        assert sigma(f, f) == pytest.approx(0.0, abs=1e-15)
+        assert sigma(f, g) == pytest.approx(-sigma(g, f))
 
     def test_mu_single_site(self):
         state = vacuum_state(build_harmonic_chain(1, np.sqrt(2.0)))
-        f = basis_vector(1, 0, 0)
-        assert mu_product(state, f, f) == pytest.approx(0.25)
+        f = np.array([1.0, 0.0])
+        assert mu(state, f, f) == pytest.approx(0.25)
 
     def test_mu_symmetry(self, chain8, rng):
         _, state = chain8
-        f = PhaseSpaceVector(rng.standard_normal(8), rng.standard_normal(8))
-        g = PhaseSpaceVector(rng.standard_normal(8), rng.standard_normal(8))
-        assert mu_product(state, f, g) == pytest.approx(mu_product(state, g, f))
+        f, g = rng.standard_normal((2, 16))
+        assert mu(state, f, g) == pytest.approx(mu(state, g, f))
 
     def test_complex_structure_invariance_random(self, chain8, rng):
+        # columns are 100 random pairs; I preserves sigma and mu, and
+        # sigma(f, I g) = mu(f, g)
         _, state = chain8
         i_mat = state.I_mat
-        for _ in range(100):
-            f = PhaseSpaceVector(rng.standard_normal(8), rng.standard_normal(8))
-            g = PhaseSpaceVector(rng.standard_normal(8), rng.standard_normal(8))
-            vf, vg = f.stacked(), g.stacked()
-            jf = PhaseSpaceVector(*np.split(i_mat @ vf, 2))
-            jg = PhaseSpaceVector(*np.split(i_mat @ vg, 2))
-            scale = np.linalg.norm(vf) * np.linalg.norm(vg)
-            assert abs(
-                symplectic_product(state, jf, jg) - symplectic_product(state, f, g)
-            ) <= 1e-12 * scale
-            assert abs(mu_product(state, jf, jg) - mu_product(state, f, g)) <= 1e-10 * scale
-            # sigma(f, I g) = mu(f, g)
-            assert abs(
-                symplectic_product(state, f, jg) - mu_product(state, f, g)
-            ) <= 1e-10 * scale
+        f, g = rng.standard_normal((2, 16, 100))
+        jf, jg = i_mat @ f, i_mat @ g
+        scale = np.outer(np.linalg.norm(f, axis=0), np.linalg.norm(g, axis=0))
+        assert np.all(np.abs(sigma(jf, jg) - sigma(f, g)) <= 1e-12 * scale)
+        assert np.all(np.abs(mu(state, jf, jg) - mu(state, f, g)) <= 1e-10 * scale)
+        assert np.all(np.abs(sigma(f, jg) - mu(state, f, g)) <= 1e-10 * scale)
 
     def test_cauchy_schwarz_bound(self, chain8_light, rng):
         _, state = chain8_light
-        for _ in range(100):
-            f = PhaseSpaceVector(rng.standard_normal(8), rng.standard_normal(8))
-            g = PhaseSpaceVector(rng.standard_normal(8), rng.standard_normal(8))
-            sigma = symplectic_product(state, f, g)
-            bound = mu_product(state, f, f) * mu_product(state, g, g)
-            assert sigma**2 <= bound * (1.0 + 1e-12)
+        f, g = rng.standard_normal((2, 16, 100))
+        bound = np.outer(np.diag(mu(state, f, f)), np.diag(mu(state, g, g)))
+        assert np.all(sigma(f, g) ** 2 <= bound * (1.0 + 1e-12))
 
-    def test_dimension_mismatch(self, chain8):
-        _, state = chain8
-        f = basis_vector(8, 0, 0)
-        g = basis_vector(4, 0, 0)
+    def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            symplectic_product(state, f, g)
+            GaussianState.from_correlators(np.eye(3), np.eye(4))
         with pytest.raises(DimensionMismatch):
-            PhaseSpaceVector(np.zeros(3), np.zeros(4))
+            GaussianState.from_correlators(np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestPeriodicBoundary:

@@ -1,11 +1,18 @@
 """Property-based checks over random chains and regions."""
 
+import contextlib
+import copy
 import dataclasses
+import io
+import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
+import scipy.linalg
 
 from modham import (
     Region,
@@ -22,7 +29,16 @@ from modham import (
     symplectic_spectrum,
     vacuum_state,
 )
+from modham import errors
+from modham.cli import main as cli_main
 from modham.kernels import restricted_spectrum
+from modham.runner import (
+    _CONSTRUCTION_ERRORS,
+    EXIT_CONSTRUCTION,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_VALIDATION,
+)
 
 ROUTE_TOL = 1e-7
 KMS_TOL = 1e-7
@@ -67,16 +83,21 @@ def chain_and_interval(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(chain_and_interval())
 def test_scan_spectrum_matches_the_mode_spectrum(case):
-    # the scan's values-only c against the c of the restriction's mode data
+    # the scan's values-only c and the c of the restriction's mode frame
+    # share one Cholesky similarity; the reference, the eigenvalues of the
+    # nonsymmetric X_R P_R, shares no step with them
     model, region = case
     state = vacuum_state(model)
     c = restricted_spectrum(state, region)
-    c_modes = symplectic_spectrum(restrict_correlators(state, region))
+    rc = restrict_correlators(state, region)
+    c_modes = symplectic_spectrum(rc)
     assert c[0] >= 0.5 - 1e-10 and c_modes[0] >= 0.5 - 1e-10
-    # below a gap of 1e-10 both routes sit at the eps/gap level
+    # below a gap of 1e-10 every route sits at the eps/gap level
     if c_modes[0] - 0.5 >= 1e-10:
-        reference = entanglement_entropy(c_modes)
-        assert abs(entanglement_entropy(c) - reference) <= 1e-12 * reference
+        lam = scipy.linalg.eigvals(rc.X_R @ rc.P_R).real
+        reference = entanglement_entropy(np.sqrt(np.clip(lam, 0.25, None)))
+        for got in (c, c_modes):
+            assert abs(entanglement_entropy(got) - reference) <= 1e-12 * reference
 
 
 @settings(
@@ -136,3 +157,87 @@ def test_kms_certifies_the_block_generator(case):
     noise *= 0.01 * np.linalg.norm(flow.generator) / np.linalg.norm(noise)
     perturbed = dataclasses.replace(flow, generator=flow.generator + noise)
     assert perturbed.check_residual > KMS_TOL
+
+
+@st.composite
+def run_config(draw):
+    """A schema-valid configuration on at most 16 sites, any task mix."""
+    n = draw(st.integers(2, 16))
+    boundary = draw(st.sampled_from(["dirichlet", "periodic"]))
+    # one draw in five is massless: a periodic one has a zero mode (exit 3)
+    mass = draw(st.floats(0.05, 2.0)) if draw(st.integers(0, 4)) else 0.0
+    length = draw(st.integers(1, n))
+    region = draw(st.sampled_from([
+        {"half": {}},
+        {"interval": {"start": draw(st.integers(0, n - length)), "length": length}},
+        {"sites": draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))},
+    ]))
+    tasks = draw(st.lists(
+        st.sampled_from(["kernels", "flow", "kms", "crosscheck", "entropy_scan"]),
+        min_size=1, max_size=5, unique=True,
+    ))
+    config = {
+        "model": {"n_sites": n, "mass": mass, "coupling": 1.0, "boundary": boundary},
+        "region": region,
+        "tasks": tasks,
+        # a 1e-15 route or KMS tolerance fails its residual check (exit 2)
+        "tolerances": {
+            "clip": draw(st.none() | st.floats(1e-6, 1e-2)),
+            "route_tol": draw(st.sampled_from([1e-7, 1e-15])),
+            "kms_tol": draw(st.sampled_from([1e-7, 1e-15])),
+        },
+        "output": {"directory": "unused", "formats": ["json", "csv"]},
+    }
+    if "entropy_scan" in tasks:
+        lengths = draw(st.lists(st.integers(1, n), max_size=3, unique=True))
+        config["scan"] = {"lengths": lengths, "start": None}
+    return config
+
+
+SCHEMA_MUTATIONS = {
+    "unknown key": lambda cfg: cfg["model"].update(bogus=1),
+    "nan": lambda cfg: cfg["model"].update(mass=float("nan")),
+    "negative n_sites": lambda cfg: cfg["model"].update(n_sites=-cfg["model"]["n_sites"]),
+}
+
+
+def _cli_run(config, root: Path, name: str):
+    config = copy.deepcopy(config)
+    out = root / name
+    config["output"]["directory"] = str(out)
+    path = root / f"{name}.json"
+    path.write_text(json.dumps(config))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli_main(["run", str(path)]), out
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(run_config(), st.sampled_from(sorted(SCHEMA_MUTATIONS)))
+def test_cli_exit_code_contract(config, mutation):
+    # a valid configuration exits 0, 2 or 3; error.json is written exactly
+    # when the run aborts and names an exception the runner maps to its code
+    mapped = {
+        EXIT_VALIDATION: (errors.QuadratureNotConverged,),
+        EXIT_CONSTRUCTION: _CONSTRUCTION_ERRORS,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        code, out = _cli_run(config, root, "valid")
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_CONSTRUCTION)
+        # a run that completes writes metadata.json, one that aborts error.json
+        aborted = (out / "error.json").exists()
+        assert aborted != (out / "metadata.json").exists()
+        if aborted:
+            error = json.loads((out / "error.json").read_text())["error"]
+            assert error["exit_code"] == code
+            assert code in mapped
+            assert issubclass(getattr(errors, error["type"]), mapped[code])
+        else:
+            assert code in (EXIT_OK, EXIT_VALIDATION)
+
+        # one schema violation exits 4 before anything runs
+        broken = copy.deepcopy(config)
+        SCHEMA_MUTATIONS[mutation](broken)
+        code, out = _cli_run(broken, root, "broken")
+        assert code == EXIT_IO
+        assert not out.exists()

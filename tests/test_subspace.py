@@ -6,21 +6,17 @@ from numpy.testing import assert_allclose
 import modham
 from modham import (
     IndexOutOfRange,
-    NotMuSelfAdjoint,
     NotStandard,
     NumericalError,
     QuadratureNotConverged,
     Region,
     SpectrumOutOfDomain,
     build_harmonic_chain,
-    cutting_projection,
     lndelta_arccot_split,
     lndelta_resolvent_quadrature,
     minimal_gap,
     mn_kernels,
     modular_data_full,
-    mu_adjoint,
-    mu_spectral_function,
     region_block,
     regularized_instance,
     restrict_correlators,
@@ -33,96 +29,33 @@ from modham._linalg import SymmetrizedFrame, adaptive_matrix_quadrature, symmetr
 from modham.regions import region_mask
 
 
-def toy_state():
-    """Single site with V = 1: correlators X = P = 1/2, so mu Gram = 1/2."""
-    return vacuum_state(build_harmonic_chain(1, 0.0, 0.5))
-
-
 class TestCuttingProjection:
+    # the cutting projection is the diagonal matrix of region_mask
     def test_single_site_of_two(self):
-        proj = cutting_projection(Region([0]), 2)
-        assert_allclose(np.diag(proj.diag_mask), [1, 0, 1, 0])
+        assert_allclose(region_mask(Region([0]), 2), [True, False, True, False])
 
     def test_full_region_is_identity(self):
-        proj = cutting_projection(Region(range(3)), 3)
-        assert_allclose(proj.diag_mask, np.eye(6))
+        assert_allclose(np.diag(region_mask(Region(range(3)), 3).astype(float)), np.eye(6))
 
     def test_idempotence_random_regions(self, rng):
         for _ in range(5):
             sites = rng.choice(10, size=rng.integers(1, 9), replace=False)
-            proj = cutting_projection(Region(sites), 10)
-            assert_allclose(proj.diag_mask @ proj.diag_mask, proj.diag_mask)
+            p_cut = np.diag(region_mask(Region(sites), 10).astype(float))
+            assert_allclose(p_cut @ p_cut, p_cut)
 
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            cutting_projection(Region([5]), 4)
+            region_mask(Region([5]), 4)
 
 
 class TestMuAdjoint:
     def test_cut_projection_adjoint(self, chain8, center_region):
-        # the adjoint of the cutting projection is -I P I
+        # the mu-adjoint Gram^{-1} P^T Gram of the cutting projection is -I P I
         _, state = chain8
-        p_cut = cutting_projection(center_region, 8).diag_mask
+        p_cut = np.diag(region_mask(center_region, 8).astype(float))
         expected = -state.I_mat @ p_cut @ state.I_mat
-        got = mu_adjoint(state, p_cut)
-        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
-        # equivalent Gram-side identity
         gram = state.mu_gram
         assert np.linalg.norm(gram @ expected - p_cut.T @ gram) <= 1e-10
-
-    def test_identity(self, chain8):
-        _, state = chain8
-        assert_allclose(mu_adjoint(state, np.eye(16)), np.eye(16), atol=1e-12)
-
-    def test_involution(self, chain8, rng):
-        _, state = chain8
-        a = rng.standard_normal((16, 16))
-        assert_allclose(mu_adjoint(state, mu_adjoint(state, a)), a, atol=1e-10)
-
-
-class TestMuSpectralFunction:
-    def test_identity_function(self, chain8, center_region):
-        _, state = chain8
-        p_cut = cutting_projection(center_region, 8).diag_mask
-        a = np.eye(16) - p_cut + state.I_mat @ p_cut @ state.I_mat
-        assert_allclose(mu_spectral_function(state, a, lambda x: x), a, atol=1e-10)
-
-    def test_arcoth_on_toy_spectrum(self):
-        # diagonal operator with eigenvalues +-2 for a diagonal Gram metric
-        state = toy_state()
-        a = np.diag([2.0, -2.0])
-        got = mu_spectral_function(
-            state, a, lambda x: np.arctanh(1.0 / x), lambda x: np.abs(x) > 1
-        )
-        assert_allclose(got, np.diag([np.log(3.0) / 2.0, -np.log(3.0) / 2.0]), atol=1e-14)
-
-    def test_exp_log_roundtrip(self, chain8, rng):
-        _, state = chain8
-        sym = rng.standard_normal((16, 16))
-        sym = 0.5 * (sym + sym.T) / 8.0
-        gram_sqrt = scipy.linalg.sqrtm(state.mu_gram).real
-        a = np.linalg.solve(gram_sqrt, sym @ gram_sqrt)
-        back = mu_spectral_function(
-            state,
-            mu_spectral_function(state, a, np.exp),
-            np.log,
-            lambda x: x > 0,
-        )
-        assert np.linalg.norm(back - a) <= 1e-9 * max(1.0, np.linalg.norm(a))
-
-    def test_rejects_non_self_adjoint(self, chain8, rng):
-        _, state = chain8
-        with pytest.raises(NotMuSelfAdjoint):
-            mu_spectral_function(state, rng.standard_normal((16, 16)), np.exp)
-
-    def test_domain_violation(self):
-        state = toy_state()
-        with pytest.raises(SpectrumOutOfDomain) as info:
-            mu_spectral_function(
-                state, np.diag([2.0, 0.5]), lambda x: np.arctanh(1.0 / x),
-                lambda x: np.abs(x) > 1,
-            )
-        assert info.value.eigenvalues == [0.5]
 
 
 class TestStandardness:
@@ -414,14 +347,3 @@ class TestArccotSplit:
         kernels = mn_kernels(restrict_correlators(state, center_region))
         blk = region_block(split, center_region, 8)
         assert np.linalg.norm(blk - kernels.L_block) <= 1e-7 * np.linalg.norm(kernels.L_block)
-
-
-def test_mu_adjoint_warns_on_ill_conditioned_gram():
-    # a near-massless periodic chain pushes the Gram condition past 1e12
-    import warnings
-
-    from modham import ConditioningWarning
-
-    state = vacuum_state(build_harmonic_chain(4, 3.2e-7, 1.0, "periodic"))
-    with pytest.warns(ConditioningWarning):
-        mu_adjoint(state, np.eye(8))
