@@ -43,8 +43,13 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def spd_eigh(mat: np.ndarray, what: str = "matrix"):
-    """Eigendecomposition of an SPD matrix, rejecting clamped eigenvalues."""
-    w, u = np.linalg.eigh(symmetrize(mat))
+    """Dense eigendecomposition of an SPD matrix through :func:`require_spd`."""
+    return require_spd(*np.linalg.eigh(symmetrize(mat)), what)
+
+
+def require_spd(w: np.ndarray, u: np.ndarray, what: str = "matrix"):
+    """The eigendecomposition ``(w, u)`` of an SPD matrix, rejecting clamped
+    eigenvalues."""
     if w.min() <= EIG_CLAMP:
         raise NumericalError(
             f"{what} is not positive definite beyond the clamp threshold "

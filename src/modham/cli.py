@@ -103,14 +103,18 @@ def main(argv=None) -> int:
         if config.scan is None:
             print("error: scan command requires a 'scan' block", file=sys.stderr)
             return EXIT_IO
+        # the directory comes first, so an unusable one fails before the sweep
+        out_dir = Path(config.output.directory)
         try:
+            out_dir.mkdir(parents=True, exist_ok=True)
             rows = entropy_scan(config)
+            _write_scan_tables(out_dir, config.output.formats, rows)
         except ModhamError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONSTRUCTION
-        out_dir = Path(config.output.directory)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_scan_tables(out_dir, config.output.formats, rows)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
         print(f"wrote {len(rows)} row(s) to {out_dir}")
         return EXIT_OK
 

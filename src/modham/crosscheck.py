@@ -3,7 +3,11 @@
 Route (a) is full-space spectral calculus (``2 arcoth`` of ``1 - P + IPI``),
 route (b) the M/N block formula on the restricted correlators, route (c)
 the adaptive resolvent quadrature.  All three must produce the same region
-block of ``I ln Delta``.  Two supplementary residuals follow.  The
+block of ``I ln Delta``; that three-route comparison at the route tolerance
+is the certificate.  Route (a) evaluates ``ln Delta`` only: the Tomita
+operator S, the conjugation J, Delta itself and the ``exp(ln Delta)``
+consistency gate belong to :func:`modham.subspace.modular_data_full`, and
+no route reads them.  Two supplementary residuals follow.  The
 subspace split (region block minus complement block) is compared with the
 full-space route.  The two-point-kernel route diagonalizes ``2 eps G|_R + i``
 with a nonsymmetric complex eigensolver and applies ``-2 arccot`` to its
@@ -37,9 +41,9 @@ from .lattice import GaussianState
 from .regions import Region, phase_space_indices
 from .subspace import (
     _arccot_split,
-    _modular_data,
     _require_standard,
     _resolvent_quadrature,
+    _spectral_lndelta,
 )
 
 
@@ -108,6 +112,8 @@ def route_agreement(
     should first map the instance through :func:`regularized_instance`.
     The full-space routes share one standardness frame of (state, region),
     a deterministic input each of them would otherwise rebuild identically.
+    Route (a) evaluates ``ln Delta`` alone, without S, J, Delta or the
+    ``expm`` gate of :func:`modham.subspace.modular_data_full`.
     """
     rc = restrict_correlators(state, region)
     sub = _require_standard(state, region)
@@ -122,8 +128,8 @@ def _route_agreement(sub, rc, kernels, quad_tol, sing_tol) -> RouteAgreement:
     state, region = sub.state, sub.region
     n = state.n_sites
 
-    data = _modular_data(sub)
-    gen_spectral = region_block(state.I_mat @ data.lnDelta, region, n)
+    i_ln_delta = state.I_mat @ _spectral_lndelta(sub)[0]
+    gen_spectral = region_block(i_ln_delta, region, n)
     gen_blocks = kernels.L_block
 
     quad = _resolvent_quadrature(sub, quad_tol)
@@ -139,8 +145,7 @@ def _route_agreement(sub, rc, kernels, quad_tol, sing_tol) -> RouteAgreement:
         spectral_vs_blocks=frob(gen_spectral - gen_blocks) / norm,
         spectral_vs_quadrature=frob(gen_spectral - gen_quad) / norm,
         blocks_vs_quadrature=frob(gen_blocks - gen_quad) / norm,
-        split_vs_spectral=frob(split_full - state.I_mat @ data.lnDelta)
-        / max(frob(split_full), 1e-300),
+        split_vs_spectral=frob(split_full - i_ln_delta) / max(frob(split_full), 1e-300),
         kernel_vs_blocks=frob(gen_kernel_form - gen_blocks) / norm,
         quad_error_bound=quad.error_bound,
         quad_evals=quad.n_evals,

@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
-from ._linalg import EIG_CLAMP, _sqrt_pair, frob, spd_eigh, symmetrize
+from ._linalg import EIG_CLAMP, _sqrt_pair, frob, require_spd, spd_eigh, symmetrize
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -215,9 +216,24 @@ def build_harmonic_chain(
     return LatticeModel(int(n_sites), float(mass), float(coupling), boundary, v)
 
 
+def _dynamical_eigh(model: LatticeModel):
+    """Eigendecomposition of V with the clamp check of :func:`spd_eigh`.
+
+    A Dirichlet V is tridiagonal and goes to the tridiagonal eigensolver; a
+    periodic V has corner entries and takes the dense one.
+    """
+    v = model.dynamical_matrix
+    if model.boundary is Boundary.DIRICHLET:
+        eig = scipy.linalg.eigh_tridiagonal(np.diag(v), np.diag(v, 1))
+        return require_spd(*eig, "dynamical matrix")
+    return spd_eigh(v, "dynamical matrix")
+
+
 def vacuum_state(model: LatticeModel) -> GaussianState:
     """Gaussian vacuum of a chain: ``X = V^{-1/2}/2``, ``P = V^{1/2}/2``."""
-    v_sqrt, v_inv_sqrt = _sqrt_pair(*spd_eigh(model.dynamical_matrix, "dynamical matrix"))
+    v_sqrt, v_inv_sqrt = _sqrt_pair(*_dynamical_eigh(model))
     x_full = symmetrize(0.5 * v_inv_sqrt)
     p_full = symmetrize(0.5 * v_sqrt)
+    # the state checks run without the roots: at n = 1024 the peak is 16 MiB lower
+    del v_sqrt, v_inv_sqrt
     return GaussianState.from_correlators(x_full, p_full)

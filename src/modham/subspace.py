@@ -27,6 +27,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgesv
 
 from ._linalg import (
     SymmetrizedFrame,
@@ -204,6 +205,9 @@ def modular_data_full(state: GaussianState, region: Region) -> ModularData:
     ``A = 1 - P + I P I`` to H_L = L + I L, extended by zero on the trivial
     directions.  ``Delta`` is assembled from the independent block solve
     ``(A - 1)^{-1} (A + 1)`` and cross-checked against ``exp(ln Delta)``.
+    S, J, Delta, the projector and that ``expm`` consistency gate are built
+    here only: the route comparison of :mod:`modham.crosscheck` evaluates
+    ``ln Delta`` alone.
 
     Raises
     ------
@@ -220,10 +224,15 @@ def modular_data_full(state: GaussianState, region: Region) -> ModularData:
     return _modular_data(_require_standard(state, region))
 
 
-def _modular_data(sub: _SubspaceFrame) -> ModularData:
-    n = sub.state.n_sites
-    a_hl = sub.a_hl
-    eigs, vecs = np.linalg.eigh(a_hl)
+def _spectral_lndelta(sub: _SubspaceFrame):
+    """``ln Delta = 2 arcoth(A)`` from the ``eigh`` of A on H_L, lifted to
+    phase space and extended by zero on the trivial directions.
+
+    Returns ``(ln_delta, eigs, vecs)``; the eigenpairs of ``a_hl`` are the
+    ones :func:`_modular_data` reuses for Delta^{-1/2}.  Raises
+    :class:`SpectrumOutOfDomain` when an eigenvalue lies in [-1, 1].
+    """
+    eigs, vecs = np.linalg.eigh(sub.a_hl)
     inside = np.abs(eigs) <= 1.0
     if inside.any():
         raise SpectrumOutOfDomain(
@@ -232,11 +241,17 @@ def _modular_data(sub: _SubspaceFrame) -> ModularData:
             f"(nearly unentangled modes)",
             eigenvalues=eigs[inside],
         )
-
     q = sub.q_basis
     ln_hl = (vecs * (2.0 * np.arctanh(1.0 / eigs))) @ vecs.T
-    ln_delta = sub.frame.from_frame(q @ ln_hl @ q.T)
+    return sub.frame.from_frame(q @ ln_hl @ q.T), eigs, vecs
 
+
+def _modular_data(sub: _SubspaceFrame) -> ModularData:
+    n = sub.state.n_sites
+    a_hl = sub.a_hl
+    ln_delta, eigs, vecs = _spectral_lndelta(sub)
+
+    q = sub.q_basis
     eye_hl = np.eye(q.shape[1])
     delta_hl = np.linalg.solve(a_hl - eye_hl, a_hl + eye_hl)
     proj_sym = q @ q.T
@@ -349,7 +364,9 @@ def lndelta_resolvent_quadrature(
 
     Raises :class:`QuadratureNotConverged` when the error bound cannot be
     pushed below ``quad_tol`` within ``max_evals`` integrand evaluations;
-    regions with machine-degenerate modes stall this way.
+    regions with machine-degenerate modes stall this way.  Raises
+    :class:`NumericalError` when a resolvent ``A^2 - s^2`` is exactly
+    singular to its LU factorization.
     """
     return _resolvent_quadrature(_require_standard(state, region), quad_tol, max_evals)
 
@@ -361,11 +378,19 @@ def _resolvent_quadrature(
         raise InvalidParameter(f"quad_tol must be positive, got {quad_tol!r}")
     q = sub.q_basis
     a_hl = sub.a_hl
-    a_sq = symmetrize(a_hl @ a_hl)
-    eye = np.eye(a_hl.shape[0])
+    a_sq = np.asfortranarray(symmetrize(a_hl @ a_hl))
+    rhs = np.asfortranarray(2.0 * a_hl)
+    eye = np.eye(a_hl.shape[0], order="F")
 
     def integrand(s: float) -> np.ndarray:
-        return np.linalg.solve(a_sq - s * s * eye, 2.0 * a_hl)
+        # LU with partial pivoting, as np.linalg.solve, without its wrapper
+        _, _, sol, info = dgesv(a_sq - s * s * eye, rhs, overwrite_a=True)
+        if info > 0:
+            raise NumericalError(
+                f"resolvent A^2 - s^2 singular at s = {s!r}: zero LU pivot "
+                f"{info} of {a_hl.shape[0]}"
+            )
+        return sol
 
     integral, err, n_evals = adaptive_matrix_quadrature(
         integrand, 0.0, 1.0, abs_tol=quad_tol, max_evals=max_evals

@@ -341,6 +341,23 @@ class TestCli:
         table = (tmp_path / "out" / "entropy_scan.csv").read_text()
         assert table.startswith("length,entropy,c_min,c_max,error")
 
+    def test_scan_unusable_output_dir_exits_4_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_sweep(config):
+            raise AssertionError("the sweep ran before the output directory")
+
+        monkeypatch.setattr("modham.cli.entropy_scan", no_sweep)
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        path = self.write_config(
+            tmp_path, tasks=["entropy_scan"], scan={"lengths": [2, 4]}
+        )
+        flags = ["--output-dir", str(blocker / "sub")]
+        assert cli_main(["scan", path, *flags]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+        assert cli_main(["run", path, *flags]) == 4
+
     def test_scan_and_run_write_identical_tables(self, tmp_path):
         path = self.write_config(
             tmp_path,
@@ -384,6 +401,27 @@ class TestCrosscheckTask:
         assert code == 0
         assert bundle.reports["crosscheck"]["regularized_modes"]
         assert any("purified" in w for w in bundle.warnings)
+
+    def test_singular_resolvent_exits_3(self, tmp_path, monkeypatch):
+        # a zero LU pivot of the quadrature is a NumericalError, not a numpy
+        # LinAlgError escaping the exit-code contract
+        from modham import subspace
+
+        def singular_dgesv(a, b, **kwargs):
+            return a, None, b, 1
+
+        monkeypatch.setattr(subspace, "dgesv", singular_dgesv)
+        config = parse_config(
+            minimal_config(
+                region={"interval": {"start": 3, "length": 2}},
+                tasks=["crosscheck"],
+                output={"directory": str(tmp_path / "out"), "formats": ["json"]},
+            )
+        )
+        _, code = run(config)
+        assert code == 3
+        error = json.loads((tmp_path / "out" / "error.json").read_text())["error"]
+        assert error["type"] == "NumericalError" and "LU pivot" in error["message"]
 
 
 class TestCliFlags:
@@ -457,6 +495,10 @@ def test_bad_numbers_are_schema_errors(tmp_path, capsys, overrides, flags):
 
 
 ALL_TASKS = ["kernels", "flow", "kms", "crosscheck"]
+# route (a) evaluates ln Delta alone: no Tomita operator, conjugation or expm
+# gate of modular_data_full; route (c) runs one quadrature
+CROSSCHECK_ROUTES = {"_spectral_lndelta": 1, "_modular_data": 0, "_tomita_operator": 0,
+                     "_trivial_conjugation": 0, "_resolvent_quadrature": 1}
 
 
 class TestSharedPipeline:
@@ -470,14 +512,16 @@ class TestSharedPipeline:
                 {},
                 # the second restriction and spectrum are the complement's
                 {"restrict_correlators": 2, "product_spectrum": 2, "mn_kernels": 1,
-                 "build_flow": 1, "regularize_correlators": 0, "frames": 1},
+                 "build_flow": 1, "regularize_correlators": 0, "frames": 1,
+                 **CROSSCHECK_ROUTES},
             ),
             (
                 {"half": {}},
                 {"clip": 1e-4},
                 # raw, regularized, purified and purified complement
                 {"restrict_correlators": 3, "product_spectrum": 4, "mn_kernels": 3,
-                 "build_flow": 1, "regularize_correlators": 1, "frames": 1},
+                 "build_flow": 1, "regularize_correlators": 1, "frames": 1,
+                 **CROSSCHECK_ROUTES},
             ),
         ],
         ids=["raw-interval", "clipped-half"],
@@ -488,7 +532,7 @@ class TestSharedPipeline:
         counts = count_calls(
             monkeypatch,
             ["restrict_correlators", "product_spectrum", "mn_kernels", "build_flow",
-             "regularize_correlators"],
+             "regularize_correlators", *CROSSCHECK_ROUTES],
         )
         config = parse_config(
             minimal_config(
