@@ -64,23 +64,31 @@ def _sqrt_pair(w: np.ndarray, u: np.ndarray):
 
 
 class SymmetrizedFrame:
-    """Congruence frame of an SPD Gram matrix.
+    """Congruence frame of the block-diagonal Gram matrix ``diag(X, P)``.
 
     Conjugating a mu-self-adjoint operator A with Gram^{1/2} yields a
     symmetric matrix, so every spectral step becomes a symmetric
-    eigenproblem.  ``to_frame``/``from_frame`` move operators in and out.
+    eigenproblem.  ``root`` applies Gram^{+-1/2} to k columns in O(n^2 k)
+    through one eigendecomposition each of X and P; ``to_frame`` and
+    ``from_frame`` move operators in and out.
     """
 
-    def __init__(self, gram: np.ndarray):
-        w, u = spd_eigh(gram, "Gram matrix")
-        self.sqrt, self.inv_sqrt = _sqrt_pair(w, u)
+    def __init__(self, x_mat: np.ndarray, p_mat: np.ndarray):
+        self._blocks = [spd_eigh(m, "Gram matrix") for m in (x_mat, p_mat)]
+        w = np.concatenate([w for w, _ in self._blocks])
         self.cond = float(w.max() / w.min())
 
+    def root(self, v: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """``Gram^{1/2} v``, or ``Gram^{-1/2} v`` when ``inverse``."""
+        power = -0.5 if inverse else 0.5
+        return np.vstack([u @ (w[:, None] ** power * (u.T @ half))
+                          for (w, u), half in zip(self._blocks, np.split(v, 2))])
+
     def to_frame(self, op: np.ndarray) -> np.ndarray:
-        return self.sqrt @ op @ self.inv_sqrt
+        return self.root(self.root(op).T, inverse=True).T
 
     def from_frame(self, op: np.ndarray) -> np.ndarray:
-        return self.inv_sqrt @ op @ self.sqrt
+        return self.root(self.root(op, inverse=True).T).T
 
 
 class ModeData(NamedTuple):

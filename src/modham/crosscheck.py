@@ -7,13 +7,15 @@ block of ``I ln Delta``; that three-route comparison at the route tolerance
 is the certificate.  Route (a) evaluates ``ln Delta`` only: the Tomita
 operator S, the conjugation J, Delta itself and the ``exp(ln Delta)``
 consistency gate belong to :func:`modham.subspace.modular_data_full`, and
-no route reads them.  Two supplementary residuals follow.  The
-subspace split (region block minus complement block) is compared with the
-full-space route.  The two-point-kernel route diagonalizes ``2 eps G|_R + i``
-with a nonsymmetric complex eigensolver and applies ``-2 arccot`` to its
-eigenvalues; it shares no step with the mode data of the block route, so
-``kernel_vs_blocks`` compares two independent evaluations of the region
-block.
+no route reads them.  Routes (a) and (c) share the standardness frame of
+(state, region) and lift from H_L through its factors in O(n^2 r): route (a)
+to the full ``I ln Delta``, route (c) to its region block only.  Two
+supplementary residuals follow.  The subspace split (region block minus
+complement block) is compared with the full-space route.  The
+two-point-kernel route diagonalizes ``2 eps G|_R + i`` with a nonsymmetric
+complex eigensolver and applies ``-2 arccot`` to its eigenvalues; it shares
+no step with the mode data of the block route, so ``kernel_vs_blocks``
+compares two independent evaluations of the region block.
 
 Regions whose restricted spectrum touches c = 1/2 at double precision have
 no representable generator; for those, :func:`regularized_instance` clips
@@ -110,10 +112,6 @@ def route_agreement(
 
     All routes run without clipping; callers facing degenerate regions
     should first map the instance through :func:`regularized_instance`.
-    The full-space routes share one standardness frame of (state, region),
-    a deterministic input each of them would otherwise rebuild identically.
-    Route (a) evaluates ``ln Delta`` alone, without S, J, Delta or the
-    ``expm`` gate of :func:`modham.subspace.modular_data_full`.
     """
     rc = restrict_correlators(state, region)
     sub = _require_standard(state, region)
@@ -125,28 +123,27 @@ def _route_agreement(sub, rc, kernels, quad_tol, sing_tol) -> RouteAgreement:
     """:func:`route_agreement` from the frame ``sub`` of the region's
     standardness check, its restriction ``rc`` and the unclipped
     :class:`RegionKernels` of ``rc``."""
-    state, region = sub.state, sub.region
-    n = state.n_sites
-
-    i_ln_delta = state.I_mat @ _spectral_lndelta(sub)[0]
-    gen_spectral = region_block(i_ln_delta, region, n)
+    # I ln Delta = (I Gram^{-1/2} q) ln_hl (Gram^{1/2} q)^T, lifted in O(n^2 r)
+    i_ln_delta = sub.lift(_spectral_lndelta(sub)[0], times_i=True)
+    gen_spectral = i_ln_delta[np.ix_(sub.sel, sub.sel)]
     gen_blocks = kernels.L_block
 
-    quad = _resolvent_quadrature(sub, quad_tol)
-    gen_quad = region_block(state.I_mat @ quad.lnDelta, region, n)
+    # route (c) forms the region rows and columns of the same factors only
+    quad_hl, quad_err, quad_evals = _resolvent_quadrature(sub, quad_tol)
+    gen_quad = sub.i_inv_root_q[sub.sel] @ quad_hl @ sub.root_q[sub.sel].T
 
     split_full = _arccot_split(sub, rc)
     gen_kernel_form = lndelta_region_via_G(rc, sing_tol=sing_tol)
 
     norm = frob(gen_blocks)
     return RouteAgreement(
-        region=region,
+        region=sub.region,
         norm=norm,
         spectral_vs_blocks=frob(gen_spectral - gen_blocks) / norm,
         spectral_vs_quadrature=frob(gen_spectral - gen_quad) / norm,
         blocks_vs_quadrature=frob(gen_blocks - gen_quad) / norm,
         split_vs_spectral=frob(split_full - i_ln_delta) / max(frob(split_full), 1e-300),
         kernel_vs_blocks=frob(gen_kernel_form - gen_blocks) / norm,
-        quad_error_bound=quad.error_bound,
-        quad_evals=quad.n_evals,
+        quad_error_bound=quad_err,
+        quad_evals=quad_evals,
     )

@@ -50,10 +50,6 @@ class SpectrumOutOfDomain(ModhamError):
         self.eigenvalues = list(eigenvalues) if eigenvalues is not None else []
 
 
-class DecompositionSingular(ModhamError):
-    """The h = f + I g decomposition system is rank deficient."""
-
-
 class QuadratureNotConverged(ModhamError):
     """Adaptive quadrature hit its evaluation cap before reaching tolerance."""
 

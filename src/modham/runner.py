@@ -20,6 +20,7 @@ library versions go to ``metadata.json`` only.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +32,6 @@ from .config import RunConfig, ScanConfig, config_to_dict, resolve_region
 from .crosscheck import _route_agreement, route_agreement
 from .errors import (
     BranchCutProximity,
-    DecompositionSingular,
     EmptyRegion,
     FlowOverflow,
     IndexOutOfRange,
@@ -68,7 +68,6 @@ _CONSTRUCTION_ERRORS = (
     ModularDivergence,
     EmptyRegion,
     SpectrumOutOfDomain,
-    DecompositionSingular,
     BranchCutProximity,
     PositivityViolation,
     IndexOutOfRange,
@@ -359,16 +358,11 @@ def run(config: RunConfig, output_dir: str | Path | None = None):
 
 
 def _record_error(out_dir: Path, exc: Exception, code: int) -> int:
-    payload = {
-        "error": {
-            "type": type(exc).__name__,
-            "message": str(exc),
-            "exit_code": code,
-        }
-    }
+    error = {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
+    print(f"error: {error['type']}: {error['message']}", file=sys.stderr)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "error.json", payload)
+        _write_json(out_dir / "error.json", {"error": error})
     except OSError:
         pass
     return code

@@ -36,7 +36,6 @@ from ._linalg import (
     symmetrize,
 )
 from .errors import (
-    DecompositionSingular,
     InvalidParameter,
     ModularDivergence,
     NotStandard,
@@ -111,42 +110,58 @@ class QuadratureResult:
 
 
 class _SubspaceFrame:
-    """Shared symmetrized-frame data for one (state, region) pair."""
+    """Symmetrized-frame data of H_L = L + I L for one (state, region) pair,
+    in O(n^2 r) beyond the frame's two n x n eigendecompositions: ``q_basis``
+    spans H_L, and only :func:`modular_data_full` reads the dense ``A`` and
+    ``trivial_basis``."""
 
     def __init__(self, state: GaussianState, region: Region):
-        self.state = state
-        self.region = region
+        self.state, self.region = state, region
         n = state.n_sites
-        self.mask = region_mask(region, n)
-        self.frame = SymmetrizedFrame(state.mu_gram)
+        self.sel = phase_space_indices(region, n)
+        self.frame = SymmetrizedFrame(state.X_full, state.P_full)
 
-        i_mat = state.I_mat
-        p_cut = np.diag(self.mask.astype(float))
-        self.A = np.eye(2 * n) - p_cut + i_mat @ p_cut @ i_mat
-        self.A_sym = symmetrize(self.frame.to_frame(self.A))
-
-        cols = np.flatnonzero(self.mask)
-        basis = np.eye(2 * n)[:, cols]
-        self.w_cols = np.hstack([basis, i_mat @ basis])
-        wt = self.frame.sqrt @ self.w_cols
-        u_svd, s_svd, vt_svd = np.linalg.svd(wt, full_matrices=True)
-        self._svd = (u_svd, s_svd, vt_svd)
-        smax = float(s_svd[0]) if s_svd.size else 0.0
-        self.rank_ratio = float(s_svd[-1] / smax) if smax > 0 else 0.0
-        k = wt.shape[1]
-        self.separating = k <= 2 * n and self.rank_ratio > RANK_TOL
-        rank = k if self.separating else int(np.sum(s_svd > RANK_TOL * smax))
+        basis = np.eye(2 * n)[:, self.sel]
+        w_cols = np.hstack([basis, _apply_i(state, basis)])  # [E_R, I E_R]
+        self.w_sym = self.frame.root(w_cols)  # the system h = f + I g, in the frame
+        u_svd, s_svd, _ = np.linalg.svd(self.w_sym, full_matrices=False)
+        k = self.w_sym.shape[1]
+        self.separating = k <= 2 * n and float(s_svd[-1] / s_svd[0]) > RANK_TOL
+        rank = k if self.separating else int(np.sum(s_svd > RANK_TOL * s_svd[0]))
         self.q_basis = u_svd[:, :rank]
-        self.trivial_basis = u_svd[:, rank:]
+        self.trivial_dim = 2 * n - rank
 
-    @property
-    def trivial_dim(self) -> int:
-        return self.trivial_basis.shape[1]
+        # from_frame(q X q^T) = inv_root_q X root_q^T, and I times it
+        self.root_q = self.frame.root(self.q_basis)
+        self.inv_root_q = self.frame.root(self.q_basis, inverse=True)
+        self.i_inv_root_q = _apply_i(state, self.inv_root_q)
+        # A on H_L, q^T Gram^{1/2} A Gram^{-1/2} q, where P = E_R E_R^T makes
+        # A = 1 - E_R E_R^T + (I E_R) (E_R^T I)
+        rows = np.vstack([-self.inv_root_q[self.sel], self.i_inv_root_q[self.sel]])
+        self.a_hl = symmetrize(self.root_q.T @ (self.inv_root_q + w_cols @ rows))
+
+    def lift(self, op_hl: np.ndarray, times_i: bool = False) -> np.ndarray:
+        """``from_frame(q op_hl q^T)`` in phase space, or I times it."""
+        left = self.i_inv_root_q if times_i else self.inv_root_q
+        return left @ op_hl @ self.root_q.T
 
     @cached_property
-    def a_hl(self) -> np.ndarray:
-        """A on H_L in the orthonormal basis ``q_basis`` (symmetrized frame)."""
-        return symmetrize(self.q_basis.T @ self.A_sym @ self.q_basis)
+    def A(self) -> np.ndarray:
+        """The dense ``1 - P + I P I``."""
+        i_mat = self.state.I_mat
+        p_cut = np.diag(region_mask(self.region, self.state.n_sites).astype(float))
+        return np.eye(len(p_cut)) - p_cut + i_mat @ p_cut @ i_mat
+
+    @cached_property
+    def trivial_basis(self) -> np.ndarray:
+        """The complement of ``q_basis``, from the full SVD of ``w_sym``."""
+        return np.linalg.svd(self.w_sym)[0][:, self.q_basis.shape[1]:]
+
+
+def _apply_i(state: GaussianState, v: np.ndarray) -> np.ndarray:
+    """``I v`` for the complex structure ``I = [[0, -2P], [2X, 0]]``."""
+    n = state.n_sites
+    return np.vstack([state.P_full @ v[n:] * -2.0, state.X_full @ v[:n] * 2.0])
 
 
 def _verdict(state: GaussianState, region: Region, build_frame: bool = True):
@@ -155,6 +170,12 @@ def _verdict(state: GaussianState, region: Region, build_frame: bool = True):
     A region that is not a proper non-empty subset of the lattice fails
     without a frame.  Without ``build_frame`` only properness is decided,
     and a proper region gives ``(None, None)``.
+
+    The mu-spectrum of A is read from ``a_hl`` alone.  For a pure state I is
+    a mu-orthogonal complex structure, so H_L^perp is I-invariant.  For v in
+    it and any w, ``mu(w, P v) = mu(P I w, I v) = 0`` (P has mu-adjoint
+    ``-I P I`` and ``P I w`` lies in L), so ``P v = P I v = 0`` and
+    ``A v = v``: A adds the eigenvalue 1 exactly when ``trivial_dim > 0``.
     """
     n = state.n_sites
     if len(region) == 0:
@@ -165,7 +186,8 @@ def _verdict(state: GaussianState, region: Region, build_frame: bool = True):
     if not build_frame:
         return None, None
     sub = _SubspaceFrame(state, region)
-    min_abs = float(np.min(np.abs(np.linalg.eigvalsh(sub.A_sym))))
+    eigs = np.abs(np.linalg.eigvalsh(sub.a_hl))
+    min_abs = float(np.min(eigs, initial=1.0 if sub.trivial_dim else np.inf))
     ok = min_abs >= 1.0 - STANDARD_EIG_TOL and sub.separating
     return StandardnessReport(min_abs, ok, sub.separating, sub.trivial_dim), sub
 
@@ -218,19 +240,17 @@ def modular_data_full(state: GaussianState, region: Region) -> ModularData:
         modes are unentangled to machine precision.  Regularize the
         restricted state and purify (see :mod:`modham.kernels`) instead of
         clipping here.
-    DecompositionSingular
-        If the h = f + I g decomposition system is rank deficient.
     """
     return _modular_data(_require_standard(state, region))
 
 
 def _spectral_lndelta(sub: _SubspaceFrame):
-    """``ln Delta = 2 arcoth(A)`` from the ``eigh`` of A on H_L, lifted to
-    phase space and extended by zero on the trivial directions.
+    """``ln Delta = 2 arcoth(A)`` on H_L from the ``eigh`` of ``a_hl``.
 
-    Returns ``(ln_delta, eigs, vecs)``; the eigenpairs of ``a_hl`` are the
-    ones :func:`_modular_data` reuses for Delta^{-1/2}.  Raises
-    :class:`SpectrumOutOfDomain` when an eigenvalue lies in [-1, 1].
+    Returns ``(ln_hl, eigs, vecs)`` in the basis ``q_basis``; ``sub.lift``
+    extends ``ln_hl`` by zero.  :func:`_modular_data` reuses the eigenpairs
+    for Delta^{-1/2}.  Raises :class:`SpectrumOutOfDomain` when an
+    eigenvalue lies in [-1, 1].
     """
     eigs, vecs = np.linalg.eigh(sub.a_hl)
     inside = np.abs(eigs) <= 1.0
@@ -241,22 +261,19 @@ def _spectral_lndelta(sub: _SubspaceFrame):
             f"(nearly unentangled modes)",
             eigenvalues=eigs[inside],
         )
-    q = sub.q_basis
-    ln_hl = (vecs * (2.0 * np.arctanh(1.0 / eigs))) @ vecs.T
-    return sub.frame.from_frame(q @ ln_hl @ q.T), eigs, vecs
+    return (vecs * (2.0 * np.arctanh(1.0 / eigs))) @ vecs.T, eigs, vecs
 
 
 def _modular_data(sub: _SubspaceFrame) -> ModularData:
-    n = sub.state.n_sites
     a_hl = sub.a_hl
-    ln_delta, eigs, vecs = _spectral_lndelta(sub)
+    ln_hl, eigs, vecs = _spectral_lndelta(sub)
+    ln_delta = sub.lift(ln_hl)
 
-    q = sub.q_basis
-    eye_hl = np.eye(q.shape[1])
+    # Delta and Delta^{-1/2} are 1 on the trivial directions: 1 + lift(f - 1)
+    eye_hl = np.eye(a_hl.shape[0])
+    eye = np.eye(2 * sub.state.n_sites)
     delta_hl = np.linalg.solve(a_hl - eye_hl, a_hl + eye_hl)
-    proj_sym = q @ q.T
-    delta_sym = q @ delta_hl @ q.T + (np.eye(2 * n) - proj_sym)
-    delta = sub.frame.from_frame(delta_sym)
+    delta = eye + sub.lift(delta_hl - eye_hl)
 
     consistency = rel_diff(scipy.linalg.expm(ln_delta), delta)
     if consistency > CONSISTENCY_TOL:
@@ -269,11 +286,8 @@ def _modular_data(sub: _SubspaceFrame) -> ModularData:
     # Delta^{-1/2} assembled from the A eigenbasis: the eigenproblem of A is
     # well conditioned even when Delta's spectrum spans many decades, while
     # re-diagonalizing Delta itself loses the small eigenvalues.
-    inv_sqrt_vals = np.sqrt((eigs - 1.0) / (eigs + 1.0))
-    inv_sqrt_sym = q @ ((vecs * inv_sqrt_vals) @ vecs.T) @ q.T
-    inv_sqrt_sym += np.eye(2 * n) - proj_sym
-    j_op = s_op @ sub.frame.from_frame(inv_sqrt_sym)
-    projector = sub.frame.from_frame(proj_sym)
+    inv_sqrt_hl = (vecs * np.sqrt((eigs - 1.0) / (eigs + 1.0))) @ vecs.T
+    j_op = s_op @ (eye + sub.lift(inv_sqrt_hl - eye_hl))
 
     return ModularData(
         region=sub.region,
@@ -282,7 +296,7 @@ def _modular_data(sub: _SubspaceFrame) -> ModularData:
         Delta=delta,
         S_op=s_op,
         J_op=j_op,
-        projector=projector,
+        projector=sub.lift(eye_hl),
         trivial_dim=sub.trivial_dim,
         consistency_residual=consistency,
     )
@@ -295,23 +309,14 @@ def _tomita_operator(sub: _SubspaceFrame) -> np.ndarray:
     chosen mu-orthonormal basis {u, I u}, which keeps S^2 = 1 and the
     anticommutation with I exact there.
     """
-    u_svd, s_svd, vt_svd = sub._svd
-    k = sub.w_cols.shape[1]
-    if sub.rank_ratio <= RANK_TOL:
-        raise DecompositionSingular(
-            f"[P | I P] decomposition system rank-deficient: relative "
-            f"smallest singular value {sub.rank_ratio:.3e} <= {RANK_TOL:g}"
-        )
-    # Least-squares coefficients in the symmetrized frame: coef = V S^{-1} U^T.
-    coef = (vt_svd.T[:, :k] / s_svd) @ u_svd[:, :k].T
-    signs = np.concatenate([np.ones(k // 2), -np.ones(k // 2)])
-    w_signed = sub.w_cols * signs
-    s_main = (sub.frame.sqrt @ w_signed) @ coef
+    # least squares in the frame: a standard region's system has full rank
+    signs = np.repeat([1.0, -1.0], sub.w_sym.shape[1] // 2)
+    s_main = (sub.w_sym * signs) @ np.linalg.pinv(sub.w_sym)
 
     if sub.trivial_dim:
         i_sym = sub.frame.to_frame(sub.state.I_mat)
         s_main = s_main + _trivial_conjugation(sub.trivial_basis, i_sym)
-    return sub.frame.inv_sqrt @ s_main @ sub.frame.sqrt
+    return sub.frame.from_frame(s_main)
 
 
 def _trivial_conjugation(basis: np.ndarray, i_sym: np.ndarray) -> np.ndarray:
@@ -368,15 +373,17 @@ def lndelta_resolvent_quadrature(
     :class:`NumericalError` when a resolvent ``A^2 - s^2`` is exactly
     singular to its LU factorization.
     """
-    return _resolvent_quadrature(_require_standard(state, region), quad_tol, max_evals)
+    sub = _require_standard(state, region)
+    integral, err, n_evals = _resolvent_quadrature(sub, quad_tol, max_evals)
+    return QuadratureResult(sub.lift(integral), err, n_evals)
 
 
 def _resolvent_quadrature(
     sub: _SubspaceFrame, quad_tol: float, max_evals: int = QUAD_MAX_EVALS
-) -> QuadratureResult:
+):
+    """``(integral, error_bound, n_evals)`` in the basis ``q_basis``."""
     if quad_tol <= 0:
         raise InvalidParameter(f"quad_tol must be positive, got {quad_tol!r}")
-    q = sub.q_basis
     a_hl = sub.a_hl
     a_sq = np.asfortranarray(symmetrize(a_hl @ a_hl))
     rhs = np.asfortranarray(2.0 * a_hl)
@@ -392,11 +399,9 @@ def _resolvent_quadrature(
             )
         return sol
 
-    integral, err, n_evals = adaptive_matrix_quadrature(
+    return adaptive_matrix_quadrature(
         integrand, 0.0, 1.0, abs_tol=quad_tol, max_evals=max_evals
     )
-    ln_delta = sub.frame.from_frame(q @ integral @ q.T)
-    return QuadratureResult(ln_delta, err, n_evals)
 
 
 def lndelta_arccot_split(
@@ -429,16 +434,14 @@ def _arccot_split(
     out = np.zeros((2 * n, 2 * n))
 
     block_r, _ = mn_block_generator(rc)
-    c_region = rc.modes.c
-    if np.any(c_region - 0.5 <= trivial_tol):
-        bad = c_region[c_region - 0.5 <= trivial_tol]
+    bad = rc.modes.c[rc.modes.c - 0.5 <= trivial_tol]
+    if bad.size:
         raise ModularDivergence(
             f"{bad.size} region mode(s) within {trivial_tol:g} of c = 1/2; "
             f"the region block of I ln Delta diverges",
             eigenvalues=bad,
         )
-    sel_r = phase_space_indices(region, n)
-    out[np.ix_(sel_r, sel_r)] = block_r
+    out[np.ix_(sub.sel, sub.sel)] = block_r
 
     comp = region.complement(n)
     rc_c = restrict_correlators(state, comp)

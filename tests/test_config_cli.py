@@ -1,7 +1,11 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from modham import SchemaError, parse_config
@@ -271,6 +275,39 @@ class TestRunner:
         rows = json.loads((tmp_path / "out" / "entropy_scan.json").read_text())["rows"]
         assert [("error" in row) for row in rows] == [False] * 4 + [True]
 
+    def test_raw_run_solves_no_eigenproblem_above_n(self, tmp_path, monkeypatch):
+        # the frame diagonalizes X and P once each; everything else lives on
+        # the 4r-dimensional H_L or on restrictions, and no dense 2n x 2n
+        # state field is built
+        import modham.runner as runner_module
+
+        states = []
+        original_vacuum = runner_module.vacuum_state
+
+        def recorded(model):
+            states.append(original_vacuum(model))
+            return states[-1]
+
+        monkeypatch.setattr(runner_module, "vacuum_state", recorded)
+        sizes = []
+        for name in ("eigh", "eigvalsh"):
+            def sized(a, *args, _original=getattr(np.linalg, name), **kwargs):
+                sizes.append(a.shape[0])
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, sized)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(minimal_config(
+            model={"n_sites": 64, "mass": 0.3},
+            region={"interval": {"start": 30, "length": 3}},
+            tasks=ALL_TASKS,
+            output={"directory": str(tmp_path / "out"), "formats": ["json"]},
+        )))
+        assert cli_main(["run", str(path)]) == 0
+        (state,) = states
+        assert max(sizes) == 64 and sizes.count(64) == 2
+        assert not {"I_mat", "mu_gram"} & set(vars(state))
+
     def test_empty_scan(self, tmp_path):
         config = parse_config(
             minimal_config(
@@ -357,6 +394,29 @@ class TestCli:
         assert cli_main(["scan", path, *flags]) == 4
         assert capsys.readouterr().err.startswith("error: ")
         assert cli_main(["run", path, *flags]) == 4
+
+    def test_run_unusable_output_dir_names_the_error_on_stderr(self, tmp_path, capsys):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        path = self.write_config(tmp_path, region={"interval": {"start": 3, "length": 2}})
+        assert cli_main(["run", path, "--output-dir", str(blocker / "sub")]) == 4
+        assert "error: NotADirectoryError: " in capsys.readouterr().err
+
+    def test_python_m_modham_runs_from_the_source_tree(self, tmp_path):
+        path = self.write_config(
+            tmp_path,
+            region={"interval": {"start": 3, "length": 2}},
+            output={"directory": str(tmp_path / "out"), "formats": ["json"]},
+        )
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "modham", "run", path],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "exit 0" in proc.stdout
+        assert (tmp_path / "out" / "kernels.json").exists()
 
     def test_scan_and_run_write_identical_tables(self, tmp_path):
         path = self.write_config(

@@ -30,8 +30,11 @@ from modham import (
     vacuum_state,
 )
 from modham import errors
+from modham._linalg import rel_diff, symmetrize
 from modham.cli import main as cli_main
 from modham.kernels import restricted_spectrum
+from modham.regions import phase_space_indices, region_mask
+from modham.subspace import _spectral_lndelta, _verdict
 from modham.runner import (
     _CONSTRUCTION_ERRORS,
     EXIT_CONSTRUCTION,
@@ -116,6 +119,65 @@ def test_full_space_routes_agree(case):
     assert agreement.spectral_vs_blocks <= ROUTE_TOL
     assert agreement.blocks_vs_quadrature <= ROUTE_TOL
     assert agreement.kernel_vs_blocks <= ROUTE_TOL
+
+
+@st.composite
+def chain_and_proper_region(draw):
+    """A Dirichlet or periodic chain of 4-48 sites and a random proper region;
+    regions of more than half the chain are not separating."""
+    n = draw(st.integers(4, 48))
+    boundary = draw(st.sampled_from(["dirichlet", "periodic"]))
+    mass = draw(st.floats(0.1, 2.0))
+    sites = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    return build_harmonic_chain(n, mass, 1.0, boundary), Region(sites)
+
+
+def dense_frame_reference(state, region):
+    """The verdict and route-(a) ``I ln Delta`` in dense 2n x 2n phase space:
+    one eigh of ``diag(X, P)``, the dense symmetrized ``A`` and its
+    eigvalsh, and the dense lift.  Returns ``(min_abs, separating,
+    trivial_dim, i_ln_delta)``; ``i_ln_delta`` is None when A has an
+    eigenvalue in [-1, 1] on H_L."""
+    n = state.n_sites
+    x, p = state.X_full, state.P_full
+    w, u = np.linalg.eigh(scipy.linalg.block_diag(x, p))
+    sqrt, inv_sqrt = (u * np.sqrt(w)) @ u.T, (u / np.sqrt(w)) @ u.T
+    zero = np.zeros((n, n))
+    i_mat = np.block([[zero, -2.0 * p], [2.0 * x, zero]])
+    p_cut = np.diag(region_mask(region, n).astype(float))
+    a_sym = symmetrize(sqrt @ (np.eye(2 * n) - p_cut + i_mat @ p_cut @ i_mat) @ inv_sqrt)
+    min_abs = float(np.min(np.abs(np.linalg.eigvalsh(a_sym))))
+    basis = np.eye(2 * n)[:, phase_space_indices(region, n)]
+    u_svd, s, _ = np.linalg.svd(sqrt @ np.hstack([basis, i_mat @ basis]))
+    k = 4 * len(region)
+    separating = k <= 2 * n and s[-1] / s[0] > 1e-10
+    q = u_svd[:, :k if separating else int(np.sum(s > 1e-10 * s[0]))]
+    eigs, vecs = np.linalg.eigh(symmetrize(q.T @ a_sym @ q))
+    i_ln_delta = None
+    if np.all(np.abs(eigs) > 1.0):
+        ln_hl = (vecs * (2.0 * np.arctanh(1.0 / eigs))) @ vecs.T
+        i_ln_delta = i_mat @ inv_sqrt @ q @ ln_hl @ q.T @ sqrt
+    return min_abs, separating, 2 * n - q.shape[1], i_ln_delta
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chain_and_proper_region())
+def test_frame_matches_the_dense_reference(case):
+    # the verdict reads A on H_L only, the frame diagonalizes X and P
+    # separately and route (a) lifts through thin factors; the reference
+    # does each step densely in phase space
+    model, region = case
+    state = vacuum_state(model)
+    report, sub = _verdict(state, region)
+    min_abs, separating, trivial_dim, i_ln_delta = dense_frame_reference(state, region)
+    assert (report.is_separating, report.trivial_dim) == (separating, trivial_dim)
+    assert type(report.is_separating) is bool and type(report.is_standard) is bool
+    assert report.is_standard == (min_abs >= 1.0 - 1e-9 and separating)
+    assert abs(report.min_abs_eigenvalue - min_abs) <= 1e-10
+    # below a gap of 1e-6 both evaluations of arcoth sit at the eps/gap level
+    if report.is_standard and minimal_gap(state, region) >= MIN_GAP:
+        got = sub.lift(_spectral_lndelta(sub)[0], times_i=True)
+        assert rel_diff(got, i_ln_delta) <= 1e-10
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -202,7 +202,7 @@ class TestResolventQuadrature:
         state = vacuum_state(build_harmonic_chain(n, 0.5))
         region = Region(sites)
         sub = subspace._require_standard(state, region)
-        a_sym = sub.A_sym
+        a_sym = symmetrize(sub.frame.to_frame(sub.A))
         a_sq = symmetrize(a_sym @ a_sym)
         proj = sub.q_basis @ sub.q_basis.T
         numerator = 2.0 * proj @ a_sym @ proj
@@ -279,22 +279,27 @@ def test_kernel_route_is_measured_not_copied():
     assert 0.0 < agreement.kernel_vs_blocks <= 1e-7
 
 
-def test_symmetrized_frame_takes_cond_from_its_one_eigh(monkeypatch, chain8):
+def test_symmetrized_frame_takes_cond_from_its_two_block_eighs(monkeypatch, chain8):
     _, state = chain8
     w, _ = np.linalg.eigh(symmetrize(state.mu_gram))
     original = np.linalg.eigh
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    frame = SymmetrizedFrame(state.mu_gram)
-    assert len(calls) == 1
-    assert frame.cond == float(w.max() / w.min())
-    assert_allclose(frame.sqrt @ frame.sqrt, state.mu_gram, atol=1e-12)
-    assert_allclose(frame.sqrt @ frame.inv_sqrt, np.eye(16), atol=1e-12)
+    frame = SymmetrizedFrame(state.X_full, state.P_full)
+    assert [vecs.shape for _, vecs in calls] == [(8, 8), (8, 8)]
+    block_w = np.concatenate([vals for vals, _ in calls])
+    assert frame.cond == float(block_w.max() / block_w.min())
+    assert frame.cond == pytest.approx(float(w.max() / w.min()), rel=1e-12)
+    # the dense roots, applied to the identity block by block
+    sqrt = frame.root(np.eye(16))
+    inv_sqrt = frame.root(np.eye(16), inverse=True)
+    assert_allclose(sqrt @ sqrt, state.mu_gram, atol=1e-12)
+    assert_allclose(sqrt @ inv_sqrt, np.eye(16), atol=1e-12)
 
 
 class TestArccotSplit:
@@ -347,3 +352,22 @@ class TestArccotSplit:
         kernels = mn_kernels(restrict_correlators(state, center_region))
         blk = region_block(split, center_region, 8)
         assert np.linalg.norm(blk - kernels.L_block) <= 1e-7 * np.linalg.norm(kernels.L_block)
+
+
+@pytest.mark.parametrize(
+    "n, boundary, sites",
+    [(64, "dirichlet", range(30, 33)), (24, "dirichlet", [5, 6, 15, 16]),
+     (32, "periodic", range(10, 14))],
+    ids=["interval", "two_intervals", "periodic"],
+)
+def test_a_is_the_identity_on_the_trivial_directions(n, boundary, sites):
+    # the pure-state identity behind the verdict, which reads the spectrum
+    # of A from a_hl alone: A = 1 on the trivial directions T, and A maps
+    # them nowhere into H_L
+    state = vacuum_state(build_harmonic_chain(n, 0.3, 1.0, boundary))
+    sub = subspace._require_standard(state, Region(sites))
+    a_sym = sub.frame.to_frame(sub.A)
+    basis = sub.trivial_basis
+    assert basis.shape[1] == sub.trivial_dim > 0
+    assert np.linalg.norm(basis.T @ a_sym @ basis - np.eye(sub.trivial_dim)) <= 1e-12
+    assert np.linalg.norm(basis.T @ a_sym @ sub.q_basis) <= 1e-12
