@@ -9,13 +9,14 @@ operator S, the conjugation J, Delta itself and the ``exp(ln Delta)``
 consistency gate belong to :func:`modham.subspace.modular_data_full`, and
 no route reads them.  Routes (a) and (c) share the standardness frame of
 (state, region) and lift from H_L through its factors in O(n^2 r): route (a)
-to the full ``I ln Delta``, route (c) to its region block only.  Two
-supplementary residuals follow.  The subspace split (region block minus
-complement block) is compared with the full-space route.  The
-two-point-kernel route diagonalizes ``2 eps G|_R + i`` with a nonsymmetric
-complex eigensolver and applies ``-2 arccot`` to its eigenvalues; it shares
-no step with the mode data of the block route, so ``kernel_vs_blocks``
-compares two independent evaluations of the region block.
+to the full ``I ln Delta``, route (c) to its region block from the region
+columns alone, which are all it integrates, so ``quad_error_bound`` bounds
+the compared block.  Two supplementary residuals follow.  The subspace split
+(region block minus complement block) is compared with the full-space
+route.  The two-point-kernel route diagonalizes ``2 eps G|_R + i`` with a
+nonsymmetric complex eigensolver and applies ``-2 arccot`` to its
+eigenvalues; it shares no step with the mode data of the block route, so
+``kernel_vs_blocks`` compares two independent evaluations of the region block.
 
 Regions whose restricted spectrum touches c = 1/2 at double precision have
 no representable generator; for those, :func:`regularized_instance` clips
@@ -62,6 +63,8 @@ class RouteAgreement:
     kernel_vs_blocks: float
     quad_error_bound: float
     quad_evals: int
+    gram_cond: float  # cond of the Gram matrix mu, from the standardness frame
+    a_gap: float  # min |eig A on H_L| - 1, which sets the quadrature's cost
 
     @property
     def max_residual(self) -> float:
@@ -124,13 +127,14 @@ def _route_agreement(sub, rc, kernels, quad_tol, sing_tol) -> RouteAgreement:
     standardness check, its restriction ``rc`` and the unclipped
     :class:`RegionKernels` of ``rc``."""
     # I ln Delta = (I Gram^{-1/2} q) ln_hl (Gram^{1/2} q)^T, lifted in O(n^2 r)
-    i_ln_delta = sub.lift(_spectral_lndelta(sub)[0], times_i=True)
+    ln_hl, eigs, _ = _spectral_lndelta(sub)
+    i_ln_delta = sub.lift(ln_hl, times_i=True)
     gen_spectral = i_ln_delta[np.ix_(sub.sel, sub.sel)]
     gen_blocks = kernels.L_block
 
-    # route (c) forms the region rows and columns of the same factors only
-    quad_hl, quad_err, quad_evals = _resolvent_quadrature(sub, quad_tol)
-    gen_quad = sub.i_inv_root_q[sub.sel] @ quad_hl @ sub.root_q[sub.sel].T
+    quad_cols, quad_err, quad_evals = _resolvent_quadrature(
+        sub, quad_tol, columns=sub.root_q[sub.sel].T)
+    gen_quad = sub.i_inv_root_q[sub.sel] @ quad_cols
 
     split_full = _arccot_split(sub, rc)
     gen_kernel_form = lndelta_region_via_G(rc, sing_tol=sing_tol)
@@ -146,4 +150,6 @@ def _route_agreement(sub, rc, kernels, quad_tol, sing_tol) -> RouteAgreement:
         kernel_vs_blocks=frob(gen_kernel_form - gen_blocks) / norm,
         quad_error_bound=quad_err,
         quad_evals=quad_evals,
+        gram_cond=sub.frame.cond,
+        a_gap=float(np.min(np.abs(eigs))) - 1.0,
     )

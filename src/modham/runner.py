@@ -297,6 +297,7 @@ def _task_crosscheck(pipeline, tol, bundle: ResultBundle):
         "quad_evals": agreement.quad_evals,
         "regularized_modes": list(clipped),
     }
+    bundle.metadata["crosscheck"] = {"gram_cond": agreement.gram_cond, "a_gap": agreement.a_gap}
     return agreement.max_residual <= tol.route_tol
 
 

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgesv
+from scipy.linalg.lapack import dposv
 
 from ._linalg import (
     SymmetrizedFrame,
@@ -249,8 +249,8 @@ def _spectral_lndelta(sub: _SubspaceFrame):
 
     Returns ``(ln_hl, eigs, vecs)`` in the basis ``q_basis``; ``sub.lift``
     extends ``ln_hl`` by zero.  :func:`_modular_data` reuses the eigenpairs
-    for Delta^{-1/2}.  Raises :class:`SpectrumOutOfDomain` when an
-    eigenvalue lies in [-1, 1].
+    for Delta^{-1/2} and the crosscheck ``eigs`` for its ``a_gap``.  Raises
+    :class:`SpectrumOutOfDomain` when an eigenvalue lies in [-1, 1].
     """
     eigs, vecs = np.linalg.eigh(sub.a_hl)
     inside = np.abs(eigs) <= 1.0
@@ -358,20 +358,21 @@ def lndelta_resolvent_quadrature(
     """ln Delta from the resolvent integral, no spectral calculus involved.
 
     Integrates ``2 A (A^2 - s^2)^{-1}`` over s in (0, 1] (the substitution
-    t = 1/s of the arcoth resolvent integral over t in [1, inf)) using
-    adaptive Gauss-Kronrod panels and dense linear solves.  Both H_L and its
-    mu-orthogonal complement are invariant under A, and ln Delta vanishes on
-    the complement, so the solves run in the 4r-dimensional orthonormal
-    basis of H_L (r region sites) and the integral is lifted to phase space
-    once at the end.  The lift is an isometry, so the Frobenius error
-    estimate, the adaptive panels and ``n_evals`` are those of the
-    full-space integrand.
+    t = 1/s of the arcoth resolvent integral over t in [1, inf)), graded by
+    s = 1 - u^2 towards the steep end, using adaptive Gauss-Kronrod panels
+    and Cholesky solves.  Both H_L and its mu-orthogonal complement are
+    invariant under A, and ln Delta vanishes on the complement, so the
+    solves run in the 4r-dimensional orthonormal basis of H_L (r region
+    sites) and the integral is lifted to phase space once at the end.  The
+    lift is an isometry, so the Frobenius error estimate, the adaptive panels
+    and ``n_evals`` are those of the full-space integrand; ``quad_tol`` is an
+    absolute bound on that estimate for the whole ln Delta.
 
     Raises :class:`QuadratureNotConverged` when the error bound cannot be
     pushed below ``quad_tol`` within ``max_evals`` integrand evaluations;
     regions with machine-degenerate modes stall this way.  Raises
-    :class:`NumericalError` when a resolvent ``A^2 - s^2`` is exactly
-    singular to its LU factorization.
+    :class:`NumericalError` when a resolvent ``A^2 - s^2`` is not positive
+    definite to its Cholesky factorization.
     """
     sub = _require_standard(state, region)
     integral, err, n_evals = _resolvent_quadrature(sub, quad_tol, max_evals)
@@ -379,25 +380,27 @@ def lndelta_resolvent_quadrature(
 
 
 def _resolvent_quadrature(
-    sub: _SubspaceFrame, quad_tol: float, max_evals: int = QUAD_MAX_EVALS
+    sub: _SubspaceFrame, quad_tol: float, max_evals: int = QUAD_MAX_EVALS, columns=None
 ):
-    """``(integral, error_bound, n_evals)`` in the basis ``q_basis``."""
+    """``(integral, error_bound, n_evals)`` in the basis ``q_basis``, or the
+    integral times ``columns``; the bound is the absolute Frobenius estimate of
+    what is returned.  With s = 1 - u^2, ``A^2 - s^2 = (A^2 - 1) + u^2 (2 - u^2)``
+    is SPD when every |eig a_hl| > 1, and ``A^2 - (1 - u^2)^2`` would cancel."""
     if quad_tol <= 0:
         raise InvalidParameter(f"quad_tol must be positive, got {quad_tol!r}")
     a_hl = sub.a_hl
-    a_sq = np.asfortranarray(symmetrize(a_hl @ a_hl))
-    rhs = np.asfortranarray(2.0 * a_hl)
     eye = np.eye(a_hl.shape[0], order="F")
+    a_sq_m1 = np.asfortranarray(symmetrize(a_hl @ a_hl)) - eye
+    rhs = np.asfortranarray(2.0 * (a_hl if columns is None else a_hl @ columns))
 
-    def integrand(s: float) -> np.ndarray:
-        # LU with partial pivoting, as np.linalg.solve, without its wrapper
-        _, _, sol, info = dgesv(a_sq - s * s * eye, rhs, overwrite_a=True)
+    def integrand(u: float) -> np.ndarray:
+        _, sol, info = dposv(a_sq_m1 + u * u * (2.0 - u * u) * eye, rhs, overwrite_a=True)
         if info > 0:
             raise NumericalError(
-                f"resolvent A^2 - s^2 singular at s = {s!r}: zero LU pivot "
-                f"{info} of {a_hl.shape[0]}"
+                f"resolvent A^2 - s^2 not positive definite at s = {1.0 - u * u!r}: "
+                f"Cholesky pivot {info} of {a_hl.shape[0]}"
             )
-        return sol
+        return 2.0 * u * sol
 
     return adaptive_matrix_quadrature(
         integrand, 0.0, 1.0, abs_tol=quad_tol, max_evals=max_evals

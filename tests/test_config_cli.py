@@ -449,6 +449,27 @@ class TestCrosscheckTask:
         assert report["blocks_vs_quadrature"] <= 1e-7
         assert report["regularized_modes"] == []
 
+    def test_gram_cond_and_a_gap_go_to_metadata_only(self, tmp_path):
+        out = tmp_path / "out"
+        config = parse_config(
+            minimal_config(
+                region={"interval": {"start": 3, "length": 2}},
+                tasks=["crosscheck"],
+                output={"directory": str(out), "formats": ["json"]},
+            )
+        )
+        assert run(config)[1] == 0
+        trace = json.loads((out / "metadata.json").read_text())["crosscheck"]
+        assert set(trace) == {"gram_cond", "a_gap"}
+        assert all(isinstance(v, float) and np.isfinite(v) for v in trace.values())
+        assert trace["gram_cond"] >= 1.0 and trace["a_gap"] > 0.0
+        report = json.loads((out / "residuals.json").read_text())["reports"]["crosscheck"]
+        assert set(report) == {
+            "generator_norm", "spectral_vs_blocks", "spectral_vs_quadrature",
+            "blocks_vs_quadrature", "split_vs_spectral", "kernel_vs_blocks",
+            "quad_error_bound", "quad_evals", "regularized_modes",
+        }
+
     def test_clipped_crosscheck_on_degenerate_half(self, tmp_path):
         config = parse_config(
             minimal_config(
@@ -463,14 +484,14 @@ class TestCrosscheckTask:
         assert any("purified" in w for w in bundle.warnings)
 
     def test_singular_resolvent_exits_3(self, tmp_path, monkeypatch):
-        # a zero LU pivot of the quadrature is a NumericalError, not a numpy
-        # LinAlgError escaping the exit-code contract
+        # a failed Cholesky pivot of the quadrature is a NumericalError, not
+        # a numpy LinAlgError escaping the exit-code contract
         from modham import subspace
 
-        def singular_dgesv(a, b, **kwargs):
-            return a, None, b, 1
+        def indefinite_dposv(a, b, **kwargs):
+            return a, b, 1
 
-        monkeypatch.setattr(subspace, "dgesv", singular_dgesv)
+        monkeypatch.setattr(subspace, "dposv", indefinite_dposv)
         config = parse_config(
             minimal_config(
                 region={"interval": {"start": 3, "length": 2}},
@@ -481,7 +502,7 @@ class TestCrosscheckTask:
         _, code = run(config)
         assert code == 3
         error = json.loads((tmp_path / "out" / "error.json").read_text())["error"]
-        assert error["type"] == "NumericalError" and "LU pivot" in error["message"]
+        assert error["type"] == "NumericalError" and "Cholesky pivot 1" in error["message"]
 
 
 class TestCliFlags:

@@ -25,7 +25,12 @@ from modham import (
     vacuum_state,
 )
 from modham import subspace
-from modham._linalg import SymmetrizedFrame, adaptive_matrix_quadrature, symmetrize
+from modham._linalg import (
+    SymmetrizedFrame,
+    adaptive_matrix_quadrature,
+    rel_diff,
+    symmetrize,
+)
 from modham.regions import region_mask
 
 
@@ -196,20 +201,22 @@ class TestResolventQuadrature:
         ids=["interval3", "two_intervals"],
     )
     def test_reduced_basis_matches_full_space_integrand(self, n, sites):
-        # the full-space integrand proj (A^2 - s^2)^-1 2 proj A proj, solved
-        # with 2n x 2n systems, against the route's solves in the H_L basis
+        # the full-space integrand, graded by s = 1 - u^2 as the route is,
+        # 2u proj ((A^2 - 1) + u^2 (2 - u^2))^-1 2 proj A proj, solved with
+        # 2n x 2n systems, against the route's solves in the H_L basis
         quad_tol = 1e-10
         state = vacuum_state(build_harmonic_chain(n, 0.5))
         region = Region(sites)
         sub = subspace._require_standard(state, region)
         a_sym = symmetrize(sub.frame.to_frame(sub.A))
-        a_sq = symmetrize(a_sym @ a_sym)
+        eye = np.eye(2 * n)
+        a_sq_m1 = symmetrize(a_sym @ a_sym) - eye
         proj = sub.q_basis @ sub.q_basis.T
         numerator = 2.0 * proj @ a_sym @ proj
-        eye = np.eye(2 * n)
 
-        def full_integrand(s):
-            return proj @ np.linalg.solve(a_sq - s * s * eye, numerator)
+        def full_integrand(u):
+            shift = u * u * (2.0 - u * u)
+            return 2.0 * u * proj @ np.linalg.solve(a_sq_m1 + shift * eye, numerator)
 
         full, full_err, full_evals = adaptive_matrix_quadrature(
             full_integrand, 0.0, 1.0, abs_tol=quad_tol
@@ -219,6 +226,39 @@ class TestResolventQuadrature:
         assert quad.n_evals == full_evals
         assert np.linalg.norm(sub.frame.to_frame(quad.lnDelta) - full) <= 10 * quad_tol
         assert quad.error_bound == pytest.approx(full_err, rel=1e-6)
+
+    @pytest.mark.parametrize("clip", [1e-2, 1e-4, 1e-6, 1e-8, 1e-9])
+    @pytest.mark.parametrize("mass", [0.1, 0.5])
+    def test_graded_rule_matches_plain_rule_in_fewer_evaluations(self, mass, clip):
+        # the plain integrand 2 A (A^2 - s^2)^-1 over s, built here only, against
+        # the route's graded s = 1 - u^2 on purified halves with gaps down to 1e-9
+        quad_tol = 1e-10
+        state = vacuum_state(build_harmonic_chain(8, mass))
+        pure, region, _ = regularized_instance(state, Region.half(8), clip)
+        sub = subspace._require_standard(pure, region)
+        a_hl = sub.a_hl
+        a_sq = symmetrize(a_hl @ a_hl)
+        eye = np.eye(a_hl.shape[0])
+
+        def plain(s):
+            return np.linalg.solve(a_sq - s * s * eye, 2.0 * a_hl)
+
+        plain_hl, _, plain_evals = adaptive_matrix_quadrature(plain, 0.0, 1.0, quad_tol)
+        graded_hl, graded_err, graded_evals = subspace._resolvent_quadrature(sub, quad_tol)
+        spectral_hl = subspace._spectral_lndelta(sub)[0]
+        assert graded_err <= quad_tol
+        assert rel_diff(graded_hl, plain_hl) <= 1e-10
+        assert rel_diff(graded_hl, spectral_hl) <= 1e-7
+        assert rel_diff(plain_hl, spectral_hl) <= 1e-7
+        assert graded_evals < plain_evals
+
+        # the crosscheck's region columns are those of the public full integral
+        root_r = sub.root_q[sub.sel].T
+        cols, cols_err, _ = subspace._resolvent_quadrature(sub, quad_tol, columns=root_r)
+        full = lndelta_resolvent_quadrature(pure, region, quad_tol=quad_tol).lnDelta
+        full_cols = sub.q_basis.T @ sub.frame.root(full[:, sub.sel])
+        assert cols_err <= quad_tol
+        assert np.linalg.norm(cols - full_cols) <= 10 * quad_tol
 
     def test_evaluation_cap(self):
         # a spike the 15-point rule cannot resolve within one refinement
@@ -269,6 +309,20 @@ def test_route_agreement_builds_one_frame(monkeypatch, chain8, center_region):
     agreement = route_agreement(state, center_region)
     assert len(builds) == 1
     assert agreement.spectral_vs_quadrature <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "region, clip, cap",
+    [(Region.half(64), 1e-4, 400), (Region.interval(30, 3), None, 300)],
+    ids=["clipped_half", "centered3"],
+)
+def test_route_agreement_evaluation_count_is_pinned(region, clip, cap):
+    # integrand evaluations are deterministic: the graded rule takes 345 and
+    # 285 here, the plain s-rule took 675 and 615
+    state = vacuum_state(build_harmonic_chain(64, 0.3))
+    if clip is not None:
+        state, region, _ = regularized_instance(state, region, clip)
+    assert route_agreement(state, region).quad_evals <= cap
 
 
 def test_kernel_route_is_measured_not_copied():
