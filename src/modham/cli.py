@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
             type=float,
             default=None,
             metavar="EPS",
-            help="clip the restricted spectrum at 1/2 + EPS (explicit, reported)",
+            help="regularize the restricted state to a gap c - 1/2 >= EPS (reported)",
         )
         cmd.add_argument(
             "--output-dir", default=None, help="override the output directory"

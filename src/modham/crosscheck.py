@@ -13,16 +13,18 @@ to the full ``I ln Delta``, route (c) to its region block from the region
 columns alone, which are all it integrates, so ``quad_error_bound`` bounds
 the compared block.  Two supplementary residuals follow.  The subspace split
 (region block minus complement block) is compared with the full-space
-route.  The two-point-kernel route diagonalizes ``2 eps G|_R + i`` with a
+route; its region block is route (b)'s ``mn_block_generator(rc)``, so the
+new information in ``split_vs_spectral`` is the complement block.  The
+two-point-kernel route diagonalizes ``2 eps G|_R + i`` with a
 nonsymmetric complex eigensolver and applies ``-2 arccot`` to its
 eigenvalues; it shares no step with the mode data of the block route, so
 ``kernel_vs_blocks`` compares two independent evaluations of the region block.
 
 Regions whose restricted spectrum touches c = 1/2 at double precision have
-no representable generator; for those, :func:`regularized_instance` clips
-the spectrum by an explicit gap, purifies the result onto a doubled region,
-and the routes are compared raw on that nearby instance.  The clip strength
-is always reported, never implicit.
+no representable generator; for those, :func:`regularized_instance` moves
+the spectrum off 1/2 by an explicit gap with ``regularize_correlators``,
+purifies that nearby state onto a doubled region, and the routes are
+compared raw on it.  The gap is always reported, never implicit.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def minimal_gap(state: GaussianState, region: Region) -> float:
 def regularized_instance(
     state: GaussianState, region: Region, clip: float
 ) -> tuple[GaussianState, Region, tuple]:
-    """Clip the restricted spectrum and purify onto a doubled region.
+    """Regularize the restricted state to a gap and purify onto a doubled region.
 
     Returns ``(pure_state, embedded_region, clipped_modes)``.  The embedded
     region occupies the first half of the purified lattice, so every
@@ -124,7 +126,7 @@ def route_agreement(
 
 def _route_agreement(sub, rc, kernels, quad_tol, sing_tol) -> RouteAgreement:
     """:func:`route_agreement` from the frame ``sub`` of the region's
-    standardness check, its restriction ``rc`` and the unclipped
+    standardness check, its restriction ``rc`` and the
     :class:`RegionKernels` of ``rc``."""
     # I ln Delta = (I Gram^{-1/2} q) ln_hl (Gram^{1/2} q)^T, lifted in O(n^2 r)
     ln_hl, eigs, _ = _spectral_lndelta(sub)

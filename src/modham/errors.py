@@ -66,7 +66,7 @@ class ModularDivergence(ModhamError):
     """Symplectic eigenvalues too close to 1/2; the generator diverges.
 
     Carries the offending eigenvalues and their count so callers can report
-    per-mode detail or decide to clip explicitly.
+    per-mode detail or regularize the restriction explicitly.
     """
 
     def __init__(self, message: str, eigenvalues=None):

@@ -58,6 +58,9 @@ BRANCH_TOL = 1e-8
 OVERFLOW_NORM = 1e15
 IMAG_TIME_GUARD = 2.0
 NEAR_DIVERGENT_GAP = 1e-6
+KMS_T_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
+GROUP_SAMPLES = 5  # random (s, t) pairs of the group-law check
+GROUP_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -204,8 +207,8 @@ class _RegionPipeline:
     Construction checks the region (under a clip it only has to be proper)
     and keeps the check's ``frame``, None under a clip.  ``rc`` is the
     restriction; ``rc_flow`` is ``rc`` regularized at the clip, with the
-    indices of its ``clipped`` modes.  ``kernels`` (unclipped, of
-    ``rc_flow``) and ``flow`` are built on first use; ``flow`` holds the
+    indices of its ``clipped`` modes.  ``kernels`` (of ``rc_flow``) and
+    ``flow`` are built on first use; ``flow`` holds the
     construction error when the flow cannot be built.
     """
 
@@ -234,34 +237,30 @@ class _RegionPipeline:
 def run_kms_suite(
     state: GaussianState,
     region: Region,
-    t_grid: Sequence[float] = (-1.0, -0.5, 0.0, 0.5, 1.0),
+    t_grid: Sequence[float] = KMS_T_GRID,
     clip: float | None = None,
     sing_tol: float = 1e-10,
-    group_samples: int = 5,
-    seed: int = 7,
 ) -> KmsReport:
     """Sweep KMS, group-law and symplectic residuals over a time grid.
 
     With ``clip`` set, the restricted state is regularized so its spectral
     gap is at least ``clip`` before the flow is built; the adjusted modes
     are reported and the (possibly unresolvable) raw standardness check is
-    skipped, since the flow acts on the regularized restriction only.
-    Per-point failures are recorded without aborting the sweep, and
-    near-divergent regions (gap below 1e-6) carry a warning.  When the flow
-    cannot be built, the report has ``method="none"``, the construction
-    error, no residuals and ``max_residual`` NaN: nothing was measured.  An
-    empty ``t_grid`` measures nothing either and reports 0.0.
+    skipped, since the flow acts on the regularized restriction only; a
+    clip that is not finite and positive raises :class:`InvalidParameter`.
+    The group law is sampled at ``GROUP_SAMPLES`` pairs (s, t) drawn with
+    the fixed seed ``GROUP_SEED``.  Per-point failures are recorded without
+    aborting the sweep, and near-divergent regions (gap below 1e-6) carry a
+    warning.  When the flow cannot be built, the report has
+    ``method="none"``, the construction error, no residuals and
+    ``max_residual`` NaN: nothing was measured.  An empty ``t_grid``
+    measures nothing either and reports 0.0.
     """
     pipeline = _RegionPipeline(state, region, clip, sing_tol)
-    return _kms_sweep(pipeline, t_grid, group_samples, seed)
+    return _kms_sweep(pipeline, t_grid)
 
 
-def _kms_sweep(
-    pipeline: _RegionPipeline,
-    t_grid: Sequence[float] = (-1.0, -0.5, 0.0, 0.5, 1.0),
-    group_samples: int = 5,
-    seed: int = 7,
-) -> KmsReport:
+def _kms_sweep(pipeline: _RegionPipeline, t_grid: Sequence[float] = KMS_T_GRID) -> KmsReport:
     """The sweep of :func:`run_kms_suite` over the flow of a checked region."""
     kernels, flow, clipped = pipeline.kernels, pipeline.flow, pipeline.clipped
     warnings_list = []
@@ -308,9 +307,9 @@ def _kms_sweep(
             symp_vals.append(float("nan"))
             errors.append(f"symplectic t={t}: {exc}")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(GROUP_SEED)
     group_vals = []
-    for _ in range(group_samples if len(t_grid) else 0):
+    for _ in range(GROUP_SAMPLES if len(t_grid) else 0):
         s, t = rng.uniform(-2.0, 2.0, size=2)
         try:
             group_vals.append(group_residual(flow, s, t))

@@ -19,11 +19,12 @@ its Williamson frame.  With the Cholesky factor ``P_R = L L^T`` and
 with ``f(c) = ln((2c + 1)/(2c - 1)) / (2c)``.
 
 Eigenvalues at c = 1/2 are unentangled directions where the generator
-diverges logarithmically.  By default they are a hard error; clipping the
-spectrum away from 1/2 is possible but always explicit and reported, and
-:func:`purify_restriction` turns any (possibly regularized) restricted
-state into a pure two-block state on a doubled region, which is the clean
-way to study degenerate regions with the full-space machinery.
+diverges logarithmically; they are a hard error.  The one way off 1/2 is
+:func:`regularize_correlators`, which rebuilds P_R into a nearby valid
+state whose spectrum keeps an explicit gap, so every generator is the
+generator of a state.  :func:`purify_restriction` turns a restricted state
+into a pure two-block state on a doubled region, which is the clean way to
+study degenerate regions with the full-space machinery.
 """
 
 from __future__ import annotations
@@ -79,10 +80,8 @@ class RegionKernels:
     """The region-restricted generator data.
 
     ``L_block`` is the 2r x 2r block matrix [[0, 2M], [-2N, 0]] equal to the
-    region block of ``I ln Delta``.  ``c_spectrum`` holds the unclipped
-    eigenvalues of C in ascending order; when clipping was requested,
-    ``clipped_modes`` lists the indices whose logarithm was evaluated at the
-    clipped value ``1/2 + clip`` instead.
+    region block of ``I ln Delta``.  ``c_spectrum`` holds the eigenvalues of
+    C in ascending order.
     """
 
     region: Region
@@ -91,8 +90,6 @@ class RegionKernels:
     N: np.ndarray = field(repr=False)
     L_block: np.ndarray = field(repr=False)
     c_spectrum: np.ndarray = field(repr=False)
-    clip: float | None = None
-    clipped_modes: tuple = ()
 
 
 def _log_ratio(c: np.ndarray) -> np.ndarray:
@@ -166,71 +163,43 @@ def mn_block_generator(
     rc: RestrictedCorrelators,
     divergence_tol: float = 0.0,
     zero_below: float | None = None,
-    clip: float | None = None,
-):
+) -> np.ndarray:
     """Assemble [[0, 2M], [-2N, 0]] from the mode data of a restriction.
 
     Low-level routine shared by the kernel and subspace modules.  Modes with
     ``c <= zero_below`` contribute zero (the trivial-direction convention of
     the full-space machinery); modes with ``c - 1/2 <= divergence_tol`` that
-    are not mapped to zero raise :class:`ModularDivergence` unless ``clip``
-    is given, in which case the logarithm of every mode below
-    ``1/2 + clip`` is evaluated there.
-
-    Returns ``(block, clipped)``: with ``clip`` given, ``clipped`` lists the
-    indices (into the ascending c-spectrum ``rc.modes.c``) of the modes
-    below ``1/2 + clip`` that are not mapped to zero; otherwise it is empty.
+    are not mapped to zero raise :class:`ModularDivergence`.
     """
     c, frame, frame_inv = rc.modes
-    zeroed = np.zeros_like(c, dtype=bool)
-    if zero_below is not None:
-        zeroed = c <= zero_below
-    clipped: tuple = ()
-    c_eff = c
-    if clip is not None:
-        if not clip > 0:
-            raise InvalidParameter(f"clip must be positive, got {clip!r}")
-        clipped = tuple(int(i) for i in np.flatnonzero((c < 0.5 + clip) & ~zeroed))
-        c_eff = np.maximum(c, 0.5 + clip)
-    else:
-        offending = (c - 0.5 <= divergence_tol) & ~zeroed
-        if offending.any():
-            raise ModularDivergence(
-                f"{int(offending.sum())} mode(s) within {divergence_tol:g} of "
-                f"c = 1/2; the modular generator diverges on nearly "
-                f"unentangled modes (pass clip=... to regularize explicitly)",
-                eigenvalues=c[offending],
-            )
+    active = np.ones_like(c, dtype=bool) if zero_below is None else c > zero_below
+    offending = (c - 0.5 <= divergence_tol) & active
+    if offending.any():
+        raise ModularDivergence(
+            f"{int(offending.sum())} mode(s) within {divergence_tol:g} of "
+            f"c = 1/2; the modular generator diverges on nearly "
+            f"unentangled modes (regularize_correlators moves them off 1/2)",
+            eigenvalues=c[offending],
+        )
     vals = np.zeros_like(c)
-    active = ~zeroed
-    vals[active] = _log_ratio(c_eff[active])
+    vals[active] = _log_ratio(c[active])
     m_kernel = (frame * vals) @ frame.T
     n_kernel = (frame_inv.T * (c**2 * vals)) @ frame_inv
     r = rc.size
     block = np.zeros((2 * r, 2 * r))
     block[:r, r:] = 2.0 * m_kernel
     block[r:, :r] = -2.0 * n_kernel
-    return block, clipped
+    return block
 
 
-def mn_kernels(
-    rc: RestrictedCorrelators,
-    sing_tol: float = DEFAULT_SING_TOL,
-    clip: float | None = None,
-) -> RegionKernels:
+def mn_kernels(rc: RestrictedCorrelators, sing_tol: float = DEFAULT_SING_TOL) -> RegionKernels:
     """M and N kernels and the block generator of a restricted state.
 
-    Parameters
-    ----------
-    sing_tol : float
-        Modes with ``c - 1/2 <= sing_tol`` trigger :class:`ModularDivergence`
-        unless ``clip`` is given.
-    clip : float, optional
-        Evaluate the logarithm at ``c = 1/2 + clip`` for all modes below
-        that value; the affected modes are reported in the result.  A clip
-        that is not a positive number raises :class:`InvalidParameter`.
+    Modes with ``c - 1/2 <= sing_tol`` raise :class:`ModularDivergence`;
+    :func:`regularize_correlators` gives the nearby state whose generator
+    exists.
     """
-    block, clipped = mn_block_generator(rc, divergence_tol=sing_tol, clip=clip)
+    block = mn_block_generator(rc, divergence_tol=sing_tol)
     r = rc.size
     return RegionKernels(
         region=rc.region,
@@ -239,8 +208,6 @@ def mn_kernels(
         N=-0.5 * block[r:, :r],
         L_block=block,
         c_spectrum=rc.modes.c,
-        clip=clip,
-        clipped_modes=clipped,
     )
 
 
@@ -314,9 +281,11 @@ def regularize_correlators(
     ``P' = B diag(max(c, 1/2 + min_gap)/c)^2 B^T``.  The result is a
     valid restricted Gaussian state within ``O(min_gap)`` of the input.
     Returns the new correlators and the indices of the adjusted modes.
+    A ``min_gap`` that is not finite and positive raises
+    :class:`InvalidParameter`.
     """
-    if min_gap <= 0:
-        raise InvalidParameter(f"min_gap must be positive, got {min_gap!r}")
+    if not 0 < min_gap < np.inf:
+        raise InvalidParameter(f"min_gap must be finite and positive, got {min_gap!r}")
     c, frame, _ = rc.modes
     clipped = np.flatnonzero(c < 0.5 + min_gap)
     if clipped.size == 0:

@@ -10,7 +10,8 @@ run aborts.
 A run builds each object once and passes it to the tasks: the vacuum and,
 for the region tasks, one :class:`modham.flow._RegionPipeline` (the
 standardness check and its frame, the restriction, its regularization
-under a clip, the unclipped kernels and the flow).
+under a clip, the kernels of that regularized restriction and the flow).
+Every matrix a run writes belongs to that one restricted state.
 
 Data files are deterministic: floats are rendered with 17 significant
 digits, keys are sorted, and no timestamps enter them.  Wall-clock and
@@ -47,12 +48,7 @@ from .errors import (
     ZeroModeError,
 )
 from .flow import _RegionPipeline, _kms_sweep
-from .kernels import (
-    entanglement_entropy,
-    mn_kernels,
-    purify_restriction,
-    restricted_spectrum,
-)
+from .kernels import entanglement_entropy, purify_restriction, restricted_spectrum
 from .lattice import GaussianState, build_harmonic_chain, vacuum_state
 from .regions import Region
 from .subspace import _verdict
@@ -209,27 +205,23 @@ def _scan_rows(state: GaussianState, scan: ScanConfig) -> list:
 
 
 def _task_kernels(pipeline, tol, bundle: ResultBundle):
-    rc = pipeline.rc
-    if tol.clip is None:
-        kernels = pipeline.kernels
-    else:  # the kernels task clips the logarithm on the raw restriction
-        kernels = mn_kernels(rc, sing_tol=tol.sing_tol, clip=tol.clip)
+    rc, kernels, clipped = pipeline.rc_flow, pipeline.kernels, pipeline.clipped
     sites = list(rc.region.sites)
     bundle.matrices["X_R"] = matrix_payload(rc.X_R, sites)
     bundle.matrices["P_R"] = matrix_payload(rc.P_R, sites)
     bundle.matrices["M"] = matrix_payload(kernels.M, sites)
     bundle.matrices["N"] = matrix_payload(kernels.N, sites)
     bundle.matrices["L_block"] = matrix_payload(kernels.L_block, sites)
+    c_raw = pipeline.rc.modes.c  # the spectrum before regularization
     bundle.reports["kernels"] = {
-        "c_spectrum": [float(c) for c in kernels.c_spectrum],
-        "entropy": entanglement_entropy(kernels),
-        "clip": kernels.clip,
-        "clipped_modes": list(kernels.clipped_modes),
+        "c_spectrum": [float(c) for c in c_raw],
+        "entropy": entanglement_entropy(c_raw),
+        "clip": tol.clip,
+        "clipped_modes": list(clipped),
     }
-    if kernels.clipped_modes:
+    if clipped:
         bundle.warnings.append(
-            f"kernels: {len(kernels.clipped_modes)} mode(s) clipped at "
-            f"1/2 + {kernels.clip:g}"
+            f"kernels: {len(clipped)} mode(s) regularized to gap {tol.clip:g}"
         )
     return True
 

@@ -37,7 +37,6 @@ from ._linalg import (
 )
 from .errors import (
     InvalidParameter,
-    ModularDivergence,
     NotStandard,
     NumericalError,
     SpectrumOutOfDomain,
@@ -208,7 +207,7 @@ def _require_standard(state: GaussianState, region: Region, regularized: bool = 
     """Raise :class:`NotStandard` unless :func:`standardness_check` passes.
 
     Returns the frame of the check.  A ``regularized`` caller acts on a
-    clipped restriction, so the region only has to be a proper non-empty
+    regularized restriction, so the region only has to be a proper non-empty
     subset of the lattice; no frame is built and None is returned.
     """
     report, sub = _verdict(state, region, build_frame=not regularized)
@@ -407,18 +406,14 @@ def _resolvent_quadrature(
     )
 
 
-def lndelta_arccot_split(
-    state: GaussianState,
-    region: Region,
-    trivial_tol: float = TRIVIAL_TOL,
-) -> np.ndarray:
+def lndelta_arccot_split(state: GaussianState, region: Region) -> np.ndarray:
     """I ln Delta assembled from the two invariant subspace blocks.
 
     The generator splits into an arccot of the complex structure cut to the
     region (giving the region block) minus the same construction on the
     complement (giving the complement block); both blocks are evaluated by
     spectral calculus on the restricted correlators.  Complement modes that
-    are unentangled within ``trivial_tol`` carry ln Delta = 0 and are mapped
+    are unentangled within ``TRIVIAL_TOL`` carry ln Delta = 0 and are mapped
     accordingly; unentangled *region* modes raise
     :class:`ModularDivergence`.
 
@@ -426,29 +421,18 @@ def lndelta_arccot_split(
     :func:`modular_data_full`.
     """
     sub = _require_standard(state, region)
-    return _arccot_split(sub, restrict_correlators(state, region), trivial_tol)
+    return _arccot_split(sub, restrict_correlators(state, region))
 
 
-def _arccot_split(
-    sub: _SubspaceFrame, rc: RestrictedCorrelators, trivial_tol: float = TRIVIAL_TOL
-) -> np.ndarray:
+def _arccot_split(sub: _SubspaceFrame, rc: RestrictedCorrelators) -> np.ndarray:
     state, region = sub.state, sub.region
     n = state.n_sites
     out = np.zeros((2 * n, 2 * n))
-
-    block_r, _ = mn_block_generator(rc)
-    bad = rc.modes.c[rc.modes.c - 0.5 <= trivial_tol]
-    if bad.size:
-        raise ModularDivergence(
-            f"{bad.size} region mode(s) within {trivial_tol:g} of c = 1/2; "
-            f"the region block of I ln Delta diverges",
-            eigenvalues=bad,
-        )
-    out[np.ix_(sub.sel, sub.sel)] = block_r
+    out[np.ix_(sub.sel, sub.sel)] = mn_block_generator(rc, divergence_tol=TRIVIAL_TOL)
 
     comp = region.complement(n)
     rc_c = restrict_correlators(state, comp)
-    block_c, _ = mn_block_generator(rc_c, zero_below=0.5 + trivial_tol)
+    block_c = mn_block_generator(rc_c, zero_below=0.5 + TRIVIAL_TOL)
     sel_c = phase_space_indices(comp, n)
     out[np.ix_(sel_c, sel_c)] = -block_c
     return out

@@ -599,8 +599,9 @@ class TestSharedPipeline:
             (
                 {"half": {}},
                 {"clip": 1e-4},
-                # raw, regularized, purified and purified complement
-                {"restrict_correlators": 3, "product_spectrum": 4, "mn_kernels": 3,
+                # raw, regularized, purified and purified complement; the
+                # kernels and flow tasks share the regularized kernels
+                {"restrict_correlators": 3, "product_spectrum": 4, "mn_kernels": 2,
                  "build_flow": 1, "regularize_correlators": 1, "frames": 1,
                  **CROSSCHECK_ROUTES},
             ),
@@ -657,6 +658,18 @@ class TestSharedPipeline:
                 assert reports[task] == task_reports[task]
                 assert {name: matrices[name] for name in task_matrices} == task_matrices
         assert set(matrices) == {"X_R", "P_R", "M", "N", "L_block", "flow_generator"}
+        arrays = {
+            name: np.array(m["data_row_major"]).reshape(m["rows"], m["cols"])
+            for name, m in matrices.items()
+        }
+        # one state: the written kernels and flow are the generator of it
+        assert np.array_equal(arrays["L_block"], -arrays["flow_generator"])
+        # under a clip that state is the regularized one: spec(X_R P_R),
+        # read through the Cholesky similarity L^T X_R L, keeps the gap
+        clip = tolerances.get("clip", 0.0)
+        chol = np.linalg.cholesky(arrays["P_R"])
+        c_sq = np.linalg.eigvalsh(chol.T @ arrays["X_R"] @ chol)
+        assert c_sq.min() >= (0.5 + clip) ** 2 * (1.0 - 1e-12)
 
     def test_unbuilt_shared_flow_fails_kms_entry_and_flow_task(self, tmp_path):
         # kms records the construction error of the one flow; the flow task
