@@ -144,6 +144,34 @@ class TestMnKernels:
             mn_kernels(rc)
         assert info.value.count == 8
 
+    def test_explicit_clip_reports_modes(self, chain8):
+        # the pure full-region state has no generator until it is regularized
+        _, state = chain8
+        rc = restrict_correlators(state, Region(range(8)))
+        regularized, clipped_modes = regularize_correlators(rc, 1e-8)
+        assert len(clipped_modes) == 8
+        kernels = mn_kernels(regularized)
+        assert np.all(np.isfinite(kernels.L_block))
+        assert_allclose(kernels.c_spectrum, 0.5 + 1e-8, rtol=1e-12)
+
+    def test_clip_reaches_modes_above_sing_tol(self, chain8_light):
+        # gap 3.4e-5 lies between sing_tol and the clip: the raw kernels
+        # exist, a sing_tol at the clip flags the mode, and the clip moves it
+        # to 1/2 + clip
+        _, state = chain8_light
+        rc = restrict_correlators(state, Region([2, 3, 4]))
+        gap = float(symplectic_spectrum(rc)[0]) - 0.5
+        assert 1e-10 < gap < 1e-4
+        with pytest.raises(ModularDivergence):
+            mn_kernels(rc, sing_tol=1e-4)
+        regularized, clipped_modes = regularize_correlators(rc, 1e-4)
+        assert clipped_modes == (0,)
+        clipped = mn_kernels(regularized)
+        raw = mn_kernels(rc)
+        assert_allclose(clipped.c_spectrum[0], 0.5 + 1e-4, rtol=1e-12)
+        change = np.linalg.norm(clipped.L_block - raw.L_block)
+        assert change > 1e-2 * np.linalg.norm(raw.L_block)
+
     def test_c_spectrum_invariant(self, chain8_light):
         _, state = chain8_light
         kernels = mn_kernels(restrict_correlators(state, Region([2, 3])))
