@@ -101,31 +101,19 @@ class ModeData(NamedTuple):
     frame_inv: np.ndarray
 
 
-def _cholesky_similarity(x_mat: np.ndarray, p_mat: np.ndarray):
-    """The Cholesky factor ``P = L L^T`` and the symmetric ``L^T X L``, which
-    is similar to X P."""
+def product_spectrum(x_mat: np.ndarray, p_mat: np.ndarray) -> ModeData:
+    """Mode data of X P from one Cholesky factor ``P = L L^T`` and one
+    eigendecomposition of the symmetric ``L^T X L = U diag(c^2) U^T``, which
+    is similar to X P; the frame is B = L U."""
     try:
         chol = np.linalg.cholesky(p_mat)
     except np.linalg.LinAlgError:
         raise NumericalError("P correlator is not positive definite") from None
-    return chol, symmetrize(chol.T @ x_mat @ chol)
-
-
-def product_spectrum(x_mat: np.ndarray, p_mat: np.ndarray) -> ModeData:
-    """Mode data of X P from one Cholesky factor of P and one eigendecomposition
-    ``L^T X L = U diag(c^2) U^T``; the frame is B = L U."""
-    chol, sym = _cholesky_similarity(x_mat, p_mat)
-    lam, vecs = np.linalg.eigh(sym)
+    lam, vecs = np.linalg.eigh(symmetrize(chol.T @ x_mat @ chol))
     c = np.sqrt(np.clip(lam, 0.0, None))
     # B^{-1} = U^T L^{-1}: solve L^T B^{-T} = U
     frame_inv_t = scipy.linalg.solve_triangular(chol, vecs, trans="T", lower=True)
     return ModeData(c, chol @ vecs, frame_inv_t.T)
-
-
-def product_values(x_mat: np.ndarray, p_mat: np.ndarray) -> np.ndarray:
-    """The ``c`` of :func:`product_spectrum` without the frame."""
-    lam = np.linalg.eigvalsh(_cholesky_similarity(x_mat, p_mat)[1])
-    return np.sqrt(np.clip(lam, 0.0, None))
 
 
 # Gauss-Kronrod 15(7) nodes and weights on [-1, 1].

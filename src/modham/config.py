@@ -202,6 +202,9 @@ def _parse_tolerances(raw, lenient: bool) -> Tolerances:
         )
     clip = _get_number(raw, "clip", "tolerances", minimum=0.0, strict_min=True,
                        required=False, default=None, allow_none=True)
+    if clip is not None and clip <= values["sing_tol"]:  # no kernels at that gap
+        raise SchemaError(f"must be > sing_tol = {values['sing_tol']!r}, got {clip!r}",
+                          "tolerances.clip")
     return Tolerances(clip=clip, **values)
 
 

@@ -33,11 +33,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.blas import dsyr2k
+from scipy.linalg.lapack import dpotrf
 
-from ._linalg import ModeData, frob, product_spectrum, product_values, symmetrize
+from ._linalg import ModeData, frob, product_spectrum, symmetrize
 from .errors import (
     EmptyRegion,
     InvalidParameter,
+    ModhamError,
     ModularDivergence,
     NumericalError,
     PositivityViolation,
@@ -97,8 +100,30 @@ def _log_ratio(c: np.ndarray) -> np.ndarray:
     return np.log((2.0 * c + 1.0) / (2.0 * c - 1.0)) / (2.0 * c)
 
 
-def _checked_restriction(state: GaussianState, region: Region, spectrum):
-    """The region's correlators and their c-spectrum ``spectrum(rc)``.
+def _asymmetry(mat: np.ndarray) -> np.ndarray:
+    """``||B - B^T|| / ||B||`` (Frobenius) of every leading block B of mat."""
+    norms = [np.sqrt(np.cumsum(np.cumsum(sq, 0), 1).diagonal())
+             for sq in ((mat - mat.T) ** 2, mat**2)]
+    return norms[0] / np.maximum(norms[1], 1e-300)
+
+
+def _require_symmetric(x_asym: float, p_asym: float) -> None:
+    for name, asym in (("X_R", x_asym), ("P_R", p_asym)):
+        if asym > SYMMETRY_TOL:
+            raise NumericalError(f"{name} lost symmetry: {asym:.3e}")
+
+
+def _require_positive(c: np.ndarray) -> np.ndarray:
+    if c[0] ** 2 < 0.25 - POSITIVITY_TOL:
+        raise PositivityViolation(
+            f"spec(X_R P_R) reaches {c[0]**2:.12e} < 1/4 - {POSITIVITY_TOL:g}"
+        )
+    return c
+
+
+def restrict_correlators(state: GaussianState, region: Region) -> RestrictedCorrelators:
+    """Principal submatrices of the correlators on the region's sites,
+    checked with their mode data.
 
     Raises :class:`EmptyRegion` for an empty region and
     :class:`PositivityViolation` when the spectrum of X_R P_R drops below
@@ -111,30 +136,54 @@ def _checked_restriction(state: GaussianState, region: Region, spectrum):
     grid = np.ix_(idx, idx)
     x_r = np.asarray(state.X_full[grid])
     p_r = np.asarray(state.P_full[grid])
-    for name, mat in (("X_R", x_r), ("P_R", p_r)):
-        asym = frob(mat - mat.T) / max(frob(mat), 1e-300)
-        if asym > SYMMETRY_TOL:
-            raise NumericalError(f"{name} lost symmetry: {asym:.3e}")
+    # the last entry of _asymmetry, at a fraction of its cost
+    _require_symmetric(*(frob(m - m.T) / max(frob(m), 1e-300) for m in (x_r, p_r)))
     rc = RestrictedCorrelators(region, symmetrize(x_r), symmetrize(p_r))
-    c = spectrum(rc)
-    c_min = float(c[0])
-    if c_min**2 < 0.25 - POSITIVITY_TOL:
-        raise PositivityViolation(
-            f"spec(X_R P_R) reaches {c_min**2:.12e} < 1/4 - {POSITIVITY_TOL:g}"
-        )
-    return rc, c
+    _require_positive(symplectic_spectrum(rc))
+    return rc
 
 
-def restrict_correlators(state: GaussianState, region: Region) -> RestrictedCorrelators:
-    """Principal submatrices of the correlators on the region's sites,
-    checked with their mode data (errors: see :func:`_checked_restriction`)."""
-    return _checked_restriction(state, region, symplectic_spectrum)[0]
+def nested_spectra(state: GaussianState, site_sets) -> list:
+    """The c-spectrum of each of a family of nested, non-empty sets of
+    sites (sequences such as ``range(start, stop)`` or ``Region.sites``), or
+    the error :func:`restrict_correlators` raises for it, in the given order.
 
-
-def restricted_spectrum(state: GaussianState, region: Region) -> np.ndarray:
-    """The region's ascending c-spectrum, values only, under the checks of
-    :func:`restrict_correlators` (positivity of ``L^T X_R L`` implies X_R > 0)."""
-    return _checked_restriction(state, region, lambda rc: product_values(rc.X_R, rc.P_R))[1]
+    Every set is a leading block of one window, its sites ordered by the
+    smallest set that contains them.  The window's ``P = L L^T`` is
+    factored once, and ``M_k = L_k^T X_k L_k`` grows by bordering: with the
+    new rows ``[L_b, L_c]`` of L, columns ``[X_b; X_c]`` of X and
+    ``A = L_k^T X_b``, its blocks are ``M_k + A L_b + L_b^T A^T + L_b^T X_c L_b``,
+    ``(A + L_b^T X_c) L_c`` and ``L_c^T X_c L_c``.
+    """
+    window = []
+    for sites in sorted(site_sets, key=len):
+        window += sorted(set(sites).difference(window))
+        if len(window) != len(sites):
+            raise InvalidParameter("the site sets of a sweep must be nested")
+    x_w, p_w = (mat[np.ix_(window, window)] for mat in (state.X_full, state.P_full))
+    x_asym, p_asym = _asymmetry(x_w), _asymmetry(p_w)
+    x_w = symmetrize(x_w)
+    chol, info = dpotrf(symmetrize(p_w), lower=True)
+    m_w = np.zeros_like(x_w, order="F")  # lower triangle only, as eigvalsh reads it
+    done, spectra = 0, {}
+    for k in sorted({len(sites) for sites in site_sets}):
+        try:
+            _require_symmetric(x_asym[k - 1], p_asym[k - 1])
+            if 0 < info <= k:
+                raise NumericalError("P correlator is not positive definite")
+            l_b, l_c = chol[done:k, :done], chol[done:k, done:k]
+            a, y = chol[:done, :done].T @ x_w[:done, done:k], l_b.T @ x_w[done:k, done:k]
+            if done:  # the top-left update is (A + Y/2) L_b + its transpose, Y = L_b^T X_c
+                m_w[:done, :done] = dsyr2k(1.0, a + 0.5 * y, l_b.T, beta=1.0,
+                                           c=m_w[:done, :done], lower=True)
+            m_w[done:k, :done] = ((a + y) @ l_c).T
+            m_w[done:k, done:k] = l_c.T @ x_w[done:k, done:k] @ l_c
+            done = k
+            lam = np.linalg.eigvalsh(m_w[:k, :k])
+            spectra[k] = _require_positive(np.sqrt(np.clip(lam, 0.0, None)))
+        except ModhamError as exc:
+            spectra[k] = exc
+    return [spectra[len(sites)] for sites in site_sets]
 
 
 def symplectic_spectrum(rc: RestrictedCorrelators) -> np.ndarray:

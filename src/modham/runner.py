@@ -48,10 +48,9 @@ from .errors import (
     ZeroModeError,
 )
 from .flow import _RegionPipeline, _kms_sweep
-from .kernels import entanglement_entropy, purify_restriction, restricted_spectrum
+from .kernels import entanglement_entropy, nested_spectra, purify_restriction
 from .lattice import GaussianState, build_harmonic_chain, vacuum_state
 from .regions import Region
-from .subspace import _verdict
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -176,14 +175,17 @@ def entropy_scan(config: RunConfig):
     Rows keep the order of the configured lengths; failures are recorded in
     the row and do not abort the sweep.
     """
-    return _scan_rows(_vacuum(config), config.scan)
+    return _scan_rows(_vacuum(config), config.scan)[0]
 
 
-def _scan_rows(state: GaussianState, scan: ScanConfig) -> list:
+def _scan_rows(state: GaussianState, scan: ScanConfig) -> tuple[list, dict]:
+    """The scan's rows and the sweep's trace; the intervals are nested, so
+    one :func:`modham.kernels.nested_spectra` serves every length."""
     n = state.n_sites
-    rows = []
+    rows, swept, intervals = [], [], []
     for length in scan.lengths:
         start = scan.start if scan.start is not None else (n - length) // 2
+        rows.append({"length": int(length)})
         try:
             region = Region.interval(start, min(length, n - start))
             if len(region) != length:
@@ -192,16 +194,27 @@ def _scan_rows(state: GaussianState, scan: ScanConfig) -> list:
                 )
             # entropy is well defined for any proper subregion (it is
             # continuous at c = 1/2); only the full lattice is refused
-            if _verdict(state, region, build_frame=False)[0] is not None:
+            if not 0 < length < n:
                 raise NotStandard(
                     f"interval of length {length} covers the full lattice"
                 )
-            c = restricted_spectrum(state, region)  # ascending
-            rows.append({"length": int(length), "entropy": entanglement_entropy(c),
-                         "c_min": float(c[0]), "c_max": float(c[-1])})
+            # every row's sites stay alive until the sweep: as a range, since
+            # Regions (tuples of ints) of a 256-length scan hold MiBs
+            swept.append(rows[-1])
+            intervals.append(range(start, start + length))
         except ModhamError as exc:
-            rows.append({"length": int(length), "error": f"{type(exc).__name__}: {exc}"})
-    return rows
+            rows[-1]["error"] = f"{type(exc).__name__}: {exc}"
+    started = time.perf_counter()
+    spectra = nested_spectra(state, intervals)
+    trace = {"sweep_seconds": time.perf_counter() - started,
+             "window_sites": max(map(len, intervals), default=0)}
+    for row, c in zip(swept, spectra):  # c ascending
+        if isinstance(c, ModhamError):
+            row["error"] = f"{type(c).__name__}: {c}"
+        else:
+            row.update(entropy=entanglement_entropy(c), c_min=float(c[0]), c_max=float(c[-1]))
+    trace["error_rows"] = sum("error" in row for row in rows)
+    return rows, trace
 
 
 def _task_kernels(pipeline, tol, bundle: ResultBundle):
@@ -323,7 +336,9 @@ def run(config: RunConfig, output_dir: str | Path | None = None):
         all_pass = True
         for task in config.tasks:
             if task == "entropy_scan":
-                bundle.scan_rows = _scan_rows(state, config.scan)
+                bundle.scan_rows, bundle.metadata["entropy_scan"] = _scan_rows(
+                    state, config.scan
+                )
                 bundle.reports["entropy_scan"] = {"rows": len(bundle.scan_rows)}
                 continue
             runner = {

@@ -216,6 +216,33 @@ class TestRunner:
         assert "error" in rows[-1] and "NotStandard" in rows[-1]["error"]
         assert (tmp_path / "out" / "entropy_scan.csv").exists()
 
+    def test_scan_trace_goes_to_metadata_only(self, tmp_path):
+        # the sweep's window, error rows and time go to metadata.json; the
+        # scan tables keep their columns and stay byte-identical on a rerun
+        config = parse_config(
+            minimal_config(
+                tasks=["entropy_scan"],
+                scan={"lengths": [3, 6, 2, 8, 6], "start": 1},
+                output={"directory": str(tmp_path / "out"), "formats": ["csv", "json"]},
+            )
+        )
+        tables = ("entropy_scan.json", "entropy_scan.csv")
+        blobs = []
+        for _ in range(2):
+            assert run(config)[1] == 0
+            blobs.append([(tmp_path / "out" / name).read_bytes() for name in tables])
+        assert blobs[0] == blobs[1]
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())["entropy_scan"]
+        assert set(meta) == {"window_sites", "error_rows", "sweep_seconds"}
+        assert (meta["window_sites"], meta["error_rows"]) == (6, 1)
+        assert meta["sweep_seconds"] > 0.0
+        rows = json.loads(blobs[0][0])["rows"]
+        assert set(rows[3]) == {"length", "error"}
+        assert all(set(row) == {"length", "entropy", "c_min", "c_max"}
+                   for row in rows[:3] + rows[4:])
+        assert blobs[0][1].decode().splitlines()[0] == "length,entropy,c_min,c_max,error"
+        assert b"sweep" not in blobs[0][0] + blobs[0][1]
+
     def test_one_vacuum_and_one_standardness_check_per_run(self, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, ["vacuum_state"])
         frames = counted_frames(monkeypatch)
@@ -573,6 +600,42 @@ def test_bad_numbers_are_schema_errors(tmp_path, capsys, overrides, flags):
     assert cli_main(["run", str(path), *flags]) == 4
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "tolerances, flags",
+    [
+        ({"clip": 1e-10}, ()),
+        ({"clip": 1e-11}, ()),
+        ({"clip": 1e-6, "sing_tol": 1e-6}, ()),
+        ({}, ("--clip", "1e-10")),
+        ({"sing_tol": 1e-5}, ("--clip", "1e-6")),
+    ],
+    ids=["clip-at-default", "clip-below-default", "clip-at-sing_tol",
+         "flag-at-default", "flag-below-sing_tol"],
+)
+def test_clip_at_or_below_sing_tol_is_a_schema_error(tmp_path, capsys, tolerances, flags):
+    # a state regularized to a gap <= sing_tol has no generator: the config
+    # key and the --clip flag are refused before anything runs
+    cfg = minimal_config(tolerances=tolerances,
+                         output={"directory": str(tmp_path / "out"), "formats": ["json"]})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    clip = float(flags[1]) if flags else tolerances["clip"]
+    sing_tol = tolerances.get("sing_tol", 1e-10)
+    message = f"tolerances.clip: must be > sing_tol = {sing_tol!r}, got {clip!r}"
+    if not flags:
+        with pytest.raises(SchemaError) as info:
+            parse_config(path)
+        assert str(info.value) == message and info.value.path == "tolerances.clip"
+    assert cli_main(["run", str(path), *flags]) == 4
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_clip_above_sing_tol_is_accepted():
+    config = parse_config(minimal_config(tolerances={"clip": 2e-10}))
+    assert (config.tolerances.clip, config.tolerances.sing_tol) == (2e-10, 1e-10)
 
 
 ALL_TASKS = ["kernels", "flow", "kms", "crosscheck"]

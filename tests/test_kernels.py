@@ -23,7 +23,8 @@ from modham import (
     symplectic_spectrum,
     vacuum_state,
 )
-from modham.kernels import restricted_spectrum
+from modham.config import ScanConfig
+from modham.runner import _scan_rows
 
 
 def analytic_two_site_correlators(mass):
@@ -359,10 +360,14 @@ def test_purification_ancilla_mirrors_spectrum(chain8_light):
 
 
 def test_scan_entropies_against_40_digit_eigenvalues():
-    # mpmath eigenvalues of the same double X_R P_R the scan reads
+    # mpmath eigenvalues of the same double X_R P_R the scan reads; the
+    # lengths 2..12 run as one nested sweep
     n = 64
     state = vacuum_state(build_harmonic_chain(n, 0.1))
-    for length in range(2, 13):
+    rows, _ = _scan_rows(state, ScanConfig(tuple(range(2, 13))))
+    assert [row["length"] for row in rows] == list(range(2, 13))
+    for row in rows:
+        length = row["length"]
         region = Region.interval((n - length) // 2, length)
         rc = restrict_correlators(state, region)
         with mpmath.workdps(40):
@@ -376,8 +381,7 @@ def test_scan_entropies_against_40_digit_eigenvalues():
                 if c > 0.5:
                     reference -= (c - 0.5) * mpmath.log(c - 0.5)
             reference = float(reference)
-        got = entanglement_entropy(restricted_spectrum(state, region))
-        assert abs(got - reference) <= 1e-12 * reference
+        assert abs(row["entropy"] - reference) <= 1e-12 * reference
 
 
 def test_block_generator_against_40_digit_logarithm():
@@ -402,3 +406,46 @@ def test_block_generator_against_40_digit_logarithm():
                  for i in range(2 * length)]
             )
         assert np.linalg.norm(block - reference) <= 1e-8 * np.linalg.norm(reference)
+
+
+def test_bordered_sweep_does_not_accumulate_rounding():
+    # 121 bordered steps on one 128-site window against a factorization of
+    # every interval on its own
+    n = 512
+    state = vacuum_state(build_harmonic_chain(n, 1e-3))
+    lengths = tuple(range(8, 129))
+    rows, trace = _scan_rows(state, ScanConfig(lengths))
+    assert trace == {"window_sites": 128, "error_rows": 0,
+                     "sweep_seconds": trace["sweep_seconds"]}
+    for row in rows:
+        length = row["length"]
+        c = symplectic_spectrum(
+            restrict_correlators(state, Region.interval((n - length) // 2, length))
+        )
+        reference = entanglement_entropy(c)
+        assert abs(row["entropy"] - reference) <= 1e-12 * reference
+
+
+def test_cholesky_pivot_fails_the_rows_that_contain_it(monkeypatch):
+    # dpotrf stopping at pivot j leaves the leading j - 1 columns of the
+    # factor: shorter rows keep their values, the others carry the error
+    import modham.kernels as kernels_module
+
+    n, pivot = 32, 9
+    state = vacuum_state(build_harmonic_chain(n, 0.1))
+    scan = ScanConfig((12, 4, 8, 9, 16, 8), start=3)
+    clean, _ = _scan_rows(state, scan)
+    original = kernels_module.dpotrf
+
+    def stops_at_pivot(*args, **kwargs):
+        return original(*args, **kwargs)[0], pivot
+
+    monkeypatch.setattr(kernels_module, "dpotrf", stops_at_pivot)
+    rows, trace = _scan_rows(state, scan)
+    for row, before in zip(rows, clean):
+        if row["length"] >= pivot:
+            assert row == {"length": row["length"],
+                           "error": "NumericalError: P correlator is not positive definite"}
+        else:
+            assert row == before
+    assert trace["error_rows"] == 3 and trace["window_sites"] == 16

@@ -32,7 +32,8 @@ from modham import (
 from modham import errors
 from modham._linalg import rel_diff, symmetrize
 from modham.cli import main as cli_main
-from modham.kernels import restricted_spectrum
+from modham.config import ScanConfig
+from modham.kernels import nested_spectra
 from modham.regions import phase_space_indices, region_mask
 from modham.subspace import _spectral_lndelta, _verdict
 from modham.runner import (
@@ -41,6 +42,7 @@ from modham.runner import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
+    _scan_rows,
 )
 
 ROUTE_TOL = 1e-7
@@ -86,12 +88,15 @@ def chain_and_interval(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(chain_and_interval())
 def test_scan_spectrum_matches_the_mode_spectrum(case):
-    # the scan's values-only c and the c of the restriction's mode frame
-    # share one Cholesky similarity; the reference, the eigenvalues of the
-    # nonsymmetric X_R P_R, shares no step with them
+    # the scan's values-only c, here the last of a sweep that borders the
+    # interval up one site at a time, and the c of the restriction's mode
+    # frame share one Cholesky similarity; the reference, the eigenvalues
+    # of the nonsymmetric X_R P_R, shares no step with them
     model, region = case
     state = vacuum_state(model)
-    c = restricted_spectrum(state, region)
+    start = region.sites[0]
+    prefixes = [range(start, start + k) for k in range(1, len(region) + 1)]
+    c = nested_spectra(state, prefixes)[-1]
     rc = restrict_correlators(state, region)
     c_modes = symplectic_spectrum(rc)
     assert c[0] >= 0.5 - 1e-10 and c_modes[0] >= 0.5 - 1e-10
@@ -101,6 +106,63 @@ def test_scan_spectrum_matches_the_mode_spectrum(case):
         reference = entanglement_entropy(np.sqrt(np.clip(lam, 0.25, None)))
         for got in (c, c_modes):
             assert abs(entanglement_entropy(got) - reference) <= 1e-12 * reference
+
+
+@st.composite
+def chain_and_scan(draw):
+    """A Dirichlet or periodic chain of 2-64 sites and a centered or
+    fixed-start scan: unsorted lengths with gaps and duplicates, plus one
+    length that covers the chain and one that does not fit (at times no
+    row reaches the sweep)."""
+    n = draw(st.integers(2, 64))
+    boundary = draw(st.sampled_from(["dirichlet", "periodic"]))
+    coupling = draw(st.floats(0.5, 2.0))
+    mass = draw(st.floats(1e-3, 1.0)) * coupling**0.5
+    start = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    lengths = draw(st.lists(st.integers(1, max(1, n - 1)), max_size=12))
+    lengths = draw(st.permutations(lengths + lengths[:1] + [n, n + 1]))
+    return build_harmonic_chain(n, mass, coupling, boundary), ScanConfig(tuple(lengths), start)
+
+
+def expected_scan_error(n, length, start):
+    """The error string of a scan row that never reaches a restriction."""
+    start = (n - length) // 2 if start is None else start
+    try:
+        Region.interval(start, min(length, n - start))
+    except errors.ModhamError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if start + length > n:
+        return f"IndexOutOfRange: interval of length {length} does not fit at start {start}"
+    if length >= n:
+        return f"NotStandard: interval of length {length} covers the full lattice"
+    return None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(chain_and_scan())
+def test_nested_sweep_matches_every_interval_on_its_own(case):
+    # every row of the one bordered sweep against its own restriction and
+    # mode frame; rows keep the configured order, duplicates included
+    model, scan = case
+    state = vacuum_state(model)
+    n = state.n_sites
+    rows, trace = _scan_rows(state, scan)
+    assert [row["length"] for row in rows] == list(scan.lengths)
+    for row in rows:
+        length = row["length"]
+        error = expected_scan_error(n, length, scan.start)
+        if error is not None:
+            assert row == {"length": length, "error": error}
+            continue
+        start = (n - length) // 2 if scan.start is None else scan.start
+        c = symplectic_spectrum(restrict_correlators(state, Region.interval(start, length)))
+        assert set(row) == {"length", "entropy", "c_min", "c_max"}
+        if c[0] - 0.5 >= 1e-10:
+            reference = entanglement_entropy(c)
+            assert abs(row["entropy"] - reference) <= 1e-12 * reference
+    fitting = [row["length"] for row in rows if "error" not in row]
+    assert trace["window_sites"] == max(fitting, default=0)
+    assert trace["error_rows"] == len(rows) - len(fitting)
 
 
 @settings(
