@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``run`` executes the configured tasks, ``check`` validates a
-configuration without running anything, ``scan`` runs only the entropy
-sweep.  Exit codes follow the contract in :mod:`modham.runner`.
+configuration without running anything, ``scan`` is ``run`` with the tasks
+replaced by ``["entropy_scan"]``.  Exit codes follow the contract in
+:mod:`modham.runner`.
 """
 
 from __future__ import annotations
@@ -10,18 +11,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
 
 from .config import RunConfig, config_to_dict, parse_config
-from .errors import ModhamError, SchemaError
-from .runner import (
-    EXIT_CONSTRUCTION,
-    EXIT_IO,
-    EXIT_OK,
-    _write_scan_tables,
-    entropy_scan,
-    run,
-)
+from .errors import SchemaError
+from .runner import EXIT_IO, EXIT_OK, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("run", "execute the tasks declared in the config"),
         ("check", "validate a config without running"),
-        ("scan", "run only the entropy length sweep"),
+        ("scan", "run with the tasks replaced by the entropy sweep"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("config", help="path to a JSON config file ('-' for stdin)")
@@ -69,10 +62,14 @@ def _load_config(args) -> RunConfig:
     if source == "-":
         source = sys.stdin.read()
     config = parse_config(source, lenient=args.lenient)
-    if args.clip is not None:
-        # the flag overrides tolerances.clip and passes the schema's checks
+    if args.clip is not None or args.command == "scan":
+        # the overrides pass the schema's checks: the clip its bounds, the
+        # scan task its 'scan' block
         raw = config_to_dict(config)
-        raw["tolerances"]["clip"] = args.clip
+        if args.clip is not None:
+            raw["tolerances"]["clip"] = args.clip
+        if args.command == "scan":
+            raw["tasks"] = ["entropy_scan"]
         config = parse_config(raw)
     if args.output_dir is not None:
         config = dataclasses.replace(
@@ -97,25 +94,6 @@ def main(argv=None) -> int:
 
     if args.command == "check":
         print("config ok")
-        return EXIT_OK
-
-    if args.command == "scan":
-        if config.scan is None:
-            print("error: scan command requires a 'scan' block", file=sys.stderr)
-            return EXIT_IO
-        # the directory comes first, so an unusable one fails before the sweep
-        out_dir = Path(config.output.directory)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            rows = entropy_scan(config)
-            _write_scan_tables(out_dir, config.output.formats, rows)
-        except ModhamError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONSTRUCTION
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        print(f"wrote {len(rows)} row(s) to {out_dir}")
         return EXIT_OK
 
     bundle, code = run(config)

@@ -24,7 +24,10 @@ Regions whose restricted spectrum touches c = 1/2 at double precision have
 no representable generator; for those, :func:`regularized_instance` moves
 the spectrum off 1/2 by an explicit gap with ``regularize_correlators``,
 purifies that nearby state onto a doubled region, and the routes are
-compared raw on it.  The gap is always reported, never implicit.
+compared raw on it.  The gap is always reported, never implicit.  A run
+under a clip compares the block it writes: routes (b) and the kernel form
+read the run's regularized restriction and its kernels, and only the
+standardness frame of routes (a) and (c) is read on the purification.
 """
 
 from __future__ import annotations

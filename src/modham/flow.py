@@ -204,11 +204,12 @@ def group_residual(flow: ModularFlow, s: float, t: float) -> float:
 class _RegionPipeline:
     """The objects one (state, region) pair fixes, each built once.
 
-    Construction checks the region (under a clip it only has to be proper)
-    and keeps the check's ``frame``, None under a clip.  ``rc`` is the
-    restriction; ``rc_flow`` is ``rc`` regularized at the clip, with the
-    indices of its ``clipped`` modes.  ``kernels`` (of ``rc_flow``) and
-    ``flow`` are built on first use; ``flow`` holds the
+    Construction checks the region and keeps the check's ``frame``.  Under a
+    clip the flow acts on the regularized restriction, so a proper region
+    skips the check (``frame`` is None); an empty or full one still fails
+    it.  ``rc`` is the restriction; ``rc_flow`` is ``rc`` regularized at the
+    clip, with the indices of its ``clipped`` modes.  ``kernels`` (of
+    ``rc_flow``) and ``flow`` are built on first use; ``flow`` holds the
     construction error when the flow cannot be built.
     """
 
@@ -216,7 +217,9 @@ class _RegionPipeline:
         self.clip, self.sing_tol = clip, sing_tol
         # an explicit clip fixes the gap; the branch guard must sit below it
         self.branch_tol = BRANCH_TOL if clip is None else min(BRANCH_TOL, 0.5 * clip)
-        self.frame = _require_standard(state, region, regularized=clip is not None)
+        self.frame = None
+        if clip is None or not 0 < len(region) < state.n_sites:
+            self.frame = _require_standard(state, region)
         self.rc = restrict_correlators(state, region)
         self.rc_flow, self.clipped = self.rc, ()
         if clip is not None:

@@ -1,17 +1,20 @@
 """Task execution, result serialization and the exit-code contract.
 
-Exit codes: 0 when every residual check passes its configured tolerance,
-2 on a validation failure (a residual exceeded its tolerance, including
-quadrature that cannot reach its target), 3 on a construction error
-(non-standard region, zero mode, modular divergence and kin), 4 on I/O or
-schema problems.  A machine-readable ``error.json`` is written whenever a
-run aborts.
+Exit codes follow the error class: 0 when every residual check passes its
+configured tolerance, 2 on a validation failure (a residual exceeded its
+tolerance, or :class:`~modham.errors.QuadratureNotConverged`), 4 on I/O or
+schema problems (``OSError``, :class:`~modham.errors.SchemaError`), and 3
+on any other :class:`~modham.errors.ModhamError`, a construction error
+(non-standard region, zero mode, modular divergence and kin).  A
+machine-readable ``error.json`` is written whenever a run aborts.
 
 A run builds each object once and passes it to the tasks: the vacuum and,
 for the region tasks, one :class:`modham.flow._RegionPipeline` (the
 standardness check and its frame, the restriction, its regularization
 under a clip, the kernels of that regularized restriction and the flow).
-Every matrix a run writes belongs to that one restricted state.
+Every matrix a run writes belongs to that one restricted state, and the
+crosscheck compares its routes on that restriction and those kernels; under
+a clip its full-space routes read the frame of the purified restriction.
 
 Data files are deterministic: floats are rendered with 17 significant
 digits, keys are sorted, and no timestamps enter them.  Wall-clock and
@@ -30,46 +33,24 @@ import numpy as np
 
 from . import __version__ as _version
 from .config import RunConfig, ScanConfig, config_to_dict, resolve_region
-from .crosscheck import _route_agreement, route_agreement
+from .crosscheck import _route_agreement
 from .errors import (
-    BranchCutProximity,
-    EmptyRegion,
-    FlowOverflow,
     IndexOutOfRange,
-    InvalidParameter,
     ModhamError,
-    ModularDivergence,
     NotStandard,
-    NumericalError,
-    PositivityViolation,
     QuadratureNotConverged,
     SchemaError,
-    SpectrumOutOfDomain,
-    ZeroModeError,
 )
 from .flow import _RegionPipeline, _kms_sweep
 from .kernels import entanglement_entropy, nested_spectra, purify_restriction
 from .lattice import GaussianState, build_harmonic_chain, vacuum_state
 from .regions import Region
+from .subspace import _require_standard
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CONSTRUCTION = 3
 EXIT_IO = 4
-
-_CONSTRUCTION_ERRORS = (
-    NotStandard,
-    ZeroModeError,
-    ModularDivergence,
-    EmptyRegion,
-    SpectrumOutOfDomain,
-    BranchCutProximity,
-    PositivityViolation,
-    IndexOutOfRange,
-    InvalidParameter,
-    FlowOverflow,
-    NumericalError,
-)
 
 
 @dataclass
@@ -173,7 +154,8 @@ def entropy_scan(config: RunConfig):
     """Entropy of centered (or fixed-start) intervals over a length sweep.
 
     Rows keep the order of the configured lengths; failures are recorded in
-    the row and do not abort the sweep.
+    the row and do not abort the sweep.  These are the rows of the
+    ``entropy_scan`` task of :func:`run`, which ``modham scan`` runs.
     """
     return _scan_rows(_vacuum(config), config.scan)[0]
 
@@ -276,21 +258,18 @@ def _task_kms(pipeline, tol, bundle: ResultBundle):
 
 
 def _task_crosscheck(pipeline, tol, bundle: ResultBundle):
-    clipped = pipeline.clipped
-    if tol.clip is None:
-        agreement = _route_agreement(
-            pipeline.frame, pipeline.rc, pipeline.kernels, tol.quad_tol, tol.sing_tol
-        )
-    else:
+    clipped, frame = pipeline.clipped, pipeline.frame
+    if tol.clip is not None:
         if clipped:
             bundle.warnings.append(
                 f"crosscheck: {len(clipped)} mode(s) regularized and purified "
                 f"at gap {tol.clip:g}"
             )
-        pure_state, embedded = purify_restriction(pipeline.rc_flow)
-        agreement = route_agreement(
-            pure_state, embedded, quad_tol=tol.quad_tol, sing_tol=tol.sing_tol
-        )
+        # the full-space routes run on the purified regularized state
+        frame = _require_standard(*purify_restriction(pipeline.rc_flow))
+    agreement = _route_agreement(
+        frame, pipeline.rc_flow, pipeline.kernels, tol.quad_tol, tol.sing_tol
+    )
     bundle.reports["crosscheck"] = {
         "generator_norm": agreement.norm,
         "spectral_vs_blocks": agreement.spectral_vs_blocks,
@@ -309,8 +288,7 @@ def _task_crosscheck(pipeline, tol, bundle: ResultBundle):
 def run(config: RunConfig, output_dir: str | Path | None = None):
     """Execute the configured tasks and write result files.
 
-    Returns ``(bundle, exit_code)``.  Residual failures yield exit code 2,
-    construction errors 3, I/O errors 4.
+    Returns ``(bundle, exit_code)``, the code as in the module docstring.
     """
     out_dir = Path(output_dir if output_dir is not None else config.output.directory)
     started = time.time()
@@ -350,12 +328,10 @@ def run(config: RunConfig, output_dir: str | Path | None = None):
             all_pass = runner(pipeline, tol, bundle) and all_pass
     except QuadratureNotConverged as exc:
         return bundle, _record_error(out_dir, exc, EXIT_VALIDATION)
-    except _CONSTRUCTION_ERRORS as exc:
+    except (SchemaError, OSError) as exc:
+        return bundle, _record_error(out_dir, exc, EXIT_IO)
+    except ModhamError as exc:
         return bundle, _record_error(out_dir, exc, EXIT_CONSTRUCTION)
-    except SchemaError as exc:
-        return bundle, _record_error(out_dir, exc, EXIT_IO)
-    except OSError as exc:
-        return bundle, _record_error(out_dir, exc, EXIT_IO)
 
     bundle.metadata["elapsed_seconds"] = time.time() - started
     try:

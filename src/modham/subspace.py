@@ -65,7 +65,6 @@ STANDARD_EIG_TOL = 1e-9
 RANK_TOL = 1e-10
 CONSISTENCY_TOL = 1e-8
 PAIRING_TOL = 1e-8
-QUAD_MAX_EVALS = 200_000
 TRIVIAL_TOL = 1e-9
 
 
@@ -163,12 +162,11 @@ def _apply_i(state: GaussianState, v: np.ndarray) -> np.ndarray:
     return np.vstack([state.P_full @ v[n:] * -2.0, state.X_full @ v[:n] * 2.0])
 
 
-def _verdict(state: GaussianState, region: Region, build_frame: bool = True):
+def _verdict(state: GaussianState, region: Region):
     """The standardness report of a region and the frame it was read from.
 
     A region that is not a proper non-empty subset of the lattice fails
-    without a frame.  Without ``build_frame`` only properness is decided,
-    and a proper region gives ``(None, None)``.
+    without a frame.
 
     The mu-spectrum of A is read from ``a_hl`` alone.  For a pure state I is
     a mu-orthogonal complex structure, so H_L^perp is I-invariant.  For v in
@@ -182,8 +180,6 @@ def _verdict(state: GaussianState, region: Region, build_frame: bool = True):
     validate_region(region, n)
     if len(region) >= n:
         return StandardnessReport(1.0, False, False, 0), None
-    if not build_frame:
-        return None, None
     sub = _SubspaceFrame(state, region)
     eigs = np.abs(np.linalg.eigvalsh(sub.a_hl))
     min_abs = float(np.min(eigs, initial=1.0 if sub.trivial_dim else np.inf))
@@ -203,15 +199,11 @@ def standardness_check(state: GaussianState, region: Region) -> StandardnessRepo
     return _verdict(state, region)[0]
 
 
-def _require_standard(state: GaussianState, region: Region, regularized: bool = False):
-    """Raise :class:`NotStandard` unless :func:`standardness_check` passes.
-
-    Returns the frame of the check.  A ``regularized`` caller acts on a
-    regularized restriction, so the region only has to be a proper non-empty
-    subset of the lattice; no frame is built and None is returned.
-    """
-    report, sub = _verdict(state, region, build_frame=not regularized)
-    if report is not None and not report.is_standard:
+def _require_standard(state: GaussianState, region: Region):
+    """Raise :class:`NotStandard` unless :func:`standardness_check` passes;
+    returns the frame of the check."""
+    report, sub = _verdict(state, region)
+    if not report.is_standard:
         raise NotStandard(
             f"region {list(region.sites)} of the {state.n_sites}-site chain is "
             f"not standard ({report}); a clip regularizes a proper region"
@@ -352,7 +344,6 @@ def lndelta_resolvent_quadrature(
     state: GaussianState,
     region: Region,
     quad_tol: float = 1e-10,
-    max_evals: int = QUAD_MAX_EVALS,
 ) -> QuadratureResult:
     """ln Delta from the resolvent integral, no spectral calculus involved.
 
@@ -368,19 +359,18 @@ def lndelta_resolvent_quadrature(
     absolute bound on that estimate for the whole ln Delta.
 
     Raises :class:`QuadratureNotConverged` when the error bound cannot be
-    pushed below ``quad_tol`` within ``max_evals`` integrand evaluations;
+    pushed below ``quad_tol`` within the 200 000-evaluation cap of
+    :func:`modham._linalg.adaptive_matrix_quadrature`;
     regions with machine-degenerate modes stall this way.  Raises
     :class:`NumericalError` when a resolvent ``A^2 - s^2`` is not positive
     definite to its Cholesky factorization.
     """
     sub = _require_standard(state, region)
-    integral, err, n_evals = _resolvent_quadrature(sub, quad_tol, max_evals)
+    integral, err, n_evals = _resolvent_quadrature(sub, quad_tol)
     return QuadratureResult(sub.lift(integral), err, n_evals)
 
 
-def _resolvent_quadrature(
-    sub: _SubspaceFrame, quad_tol: float, max_evals: int = QUAD_MAX_EVALS, columns=None
-):
+def _resolvent_quadrature(sub: _SubspaceFrame, quad_tol: float, columns=None):
     """``(integral, error_bound, n_evals)`` in the basis ``q_basis``, or the
     integral times ``columns``; the bound is the absolute Frobenius estimate of
     what is returned.  With s = 1 - u^2, ``A^2 - s^2 = (A^2 - 1) + u^2 (2 - u^2)``
@@ -401,9 +391,7 @@ def _resolvent_quadrature(
             )
         return 2.0 * u * sol
 
-    return adaptive_matrix_quadrature(
-        integrand, 0.0, 1.0, abs_tol=quad_tol, max_evals=max_evals
-    )
+    return adaptive_matrix_quadrature(integrand, 0.0, 1.0, abs_tol=quad_tol)
 
 
 def lndelta_arccot_split(state: GaussianState, region: Region) -> np.ndarray:

@@ -243,6 +243,22 @@ class TestRunner:
         assert blobs[0][1].decode().splitlines()[0] == "length,entropy,c_min,c_max,error"
         assert b"sweep" not in blobs[0][0] + blobs[0][1]
 
+    def test_any_other_modham_error_exits_3(self, tmp_path, monkeypatch):
+        # the exit code follows the error class: a modham error that is
+        # neither a validation nor a schema error is a construction error
+        from modham import runner
+        from modham.errors import DimensionMismatch
+
+        def mismatched(model):
+            raise DimensionMismatch("stage failed")
+
+        monkeypatch.setattr(runner, "vacuum_state", mismatched)
+        config = parse_config(minimal_config(output={"directory": str(tmp_path / "out")}))
+        assert run(config)[1] == 3
+        error = json.loads((tmp_path / "out" / "error.json").read_text())["error"]
+        assert error == {"type": "DimensionMismatch", "message": "stage failed",
+                         "exit_code": 3}
+
     def test_one_vacuum_and_one_standardness_check_per_run(self, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, ["vacuum_state"])
         frames = counted_frames(monkeypatch)
@@ -395,23 +411,34 @@ class TestCli:
         assert (tmp_path / "out" / "entropy_scan.json").exists()
 
     def test_scan_command(self, tmp_path, capsys):
+        # scan runs the entropy_scan task in place of the configured tasks
+        out = tmp_path / "out"
         path = self.write_config(
             tmp_path,
-            tasks=["entropy_scan"],
+            tasks=["kernels"],
             scan={"lengths": [2, 4]},
-            output={"directory": str(tmp_path / "out"), "formats": ["csv"]},
+            output={"directory": str(out), "formats": ["csv"]},
         )
         assert cli_main(["scan", path]) == 0
-        table = (tmp_path / "out" / "entropy_scan.csv").read_text()
+        assert "exit 0: ok" in capsys.readouterr().out
+        table = (out / "entropy_scan.csv").read_text()
         assert table.startswith("length,entropy,c_min,c_max,error")
+        assert not (out / "kernels.json").exists()
+        # without a 'scan' block the replaced task list fails the schema
+        path = self.write_config(tmp_path, tasks=["kernels"])
+        assert cli_main(["scan", path, "--output-dir", str(tmp_path / "none")]) == 4
+        assert capsys.readouterr().err.startswith(
+            "error: scan: the entropy_scan task requires a 'scan' block"
+        )
+        assert not (tmp_path / "none").exists()
 
     def test_scan_unusable_output_dir_exits_4_before_the_sweep(
         self, tmp_path, capsys, monkeypatch
     ):
-        def no_sweep(config):
+        def no_sweep(*args):
             raise AssertionError("the sweep ran before the output directory")
 
-        monkeypatch.setattr("modham.cli.entropy_scan", no_sweep)
+        monkeypatch.setattr("modham.runner._scan_rows", no_sweep)
         blocker = tmp_path / "a_file"
         blocker.write_text("")
         path = self.write_config(
@@ -459,6 +486,12 @@ class TestCli:
             scanned = (tmp_path / "scan" / name).read_bytes()
             assert scanned == (tmp_path / "run" / name).read_bytes()
         assert b"NotStandard" in scanned  # the 8-site row covers the chain
+        # scan is run: it writes the same metadata, the sweep's trace too
+        for command in ("scan", "run"):
+            meta = json.loads((tmp_path / command / "metadata.json").read_text())
+            assert meta["config"]["tasks"] == ["entropy_scan"]
+            assert set(meta["entropy_scan"]) == {"window_sites", "error_rows",
+                                                 "sweep_seconds"}
 
 
 class TestCrosscheckTask:
@@ -509,6 +542,24 @@ class TestCrosscheckTask:
         assert code == 0
         assert bundle.reports["crosscheck"]["regularized_modes"]
         assert any("purified" in w for w in bundle.warnings)
+
+    def test_clipped_crosscheck_compares_the_written_block(self, tmp_path):
+        # under a clip the routes meet on the L_block that kernels.json holds,
+        # not on a block re-derived from the purified state
+        out = tmp_path / "out"
+        config = parse_config(
+            minimal_config(
+                model={"n_sites": 64, "mass": 0.3},
+                tasks=["kernels", "crosscheck"],
+                tolerances={"clip": 1e-4},
+                output={"directory": str(out), "formats": ["json"]},
+            )
+        )
+        assert run(config)[1] == 0
+        block = json.loads((out / "kernels.json").read_text())["matrices"]["L_block"]
+        norm = np.linalg.norm(block["data_row_major"])
+        report = json.loads((out / "residuals.json").read_text())["reports"]["crosscheck"]
+        assert report["generator_norm"] == pytest.approx(norm, rel=1e-15, abs=0.0)
 
     def test_singular_resolvent_exits_3(self, tmp_path, monkeypatch):
         # a failed Cholesky pivot of the quadrature is a NumericalError, not
@@ -662,9 +713,10 @@ class TestSharedPipeline:
             (
                 {"half": {}},
                 {"clip": 1e-4},
-                # raw, regularized, purified and purified complement; the
-                # kernels and flow tasks share the regularized kernels
-                {"restrict_correlators": 3, "product_spectrum": 4, "mn_kernels": 2,
+                # restrictions: raw and purified complement; spectra: raw,
+                # regularized and that complement; the kernels, flow and
+                # crosscheck tasks share the regularized kernels
+                {"restrict_correlators": 2, "product_spectrum": 3, "mn_kernels": 1,
                  "build_flow": 1, "regularize_correlators": 1, "frames": 1,
                  **CROSSCHECK_ROUTES},
             ),

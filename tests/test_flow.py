@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from modham import (
     BranchCutProximity,
     FlowOverflow,
+    IndexOutOfRange,
     InvalidParameter,
     NotStandard,
     Region,
@@ -235,6 +236,17 @@ class TestKmsSuite:
         assert report.kms_residuals == ()
         assert report.group_residuals == ()
         assert report.max_residual == 0.0
+
+    @pytest.mark.parametrize(
+        "sites, error",
+        [([], NotStandard), (range(8), NotStandard), ([3, 8], IndexOutOfRange)],
+        ids=["empty", "full", "out-of-range"],
+    )
+    def test_clip_still_checks_the_region(self, chain8, sites, error):
+        # a clip skips the standardness frame of a proper region only
+        _, state = chain8
+        with pytest.raises(error):
+            run_kms_suite(state, Region(sites), clip=1e-4)
 
     def test_not_standard_without_clip(self, chain8):
         _, state = chain8
