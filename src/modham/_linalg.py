@@ -42,27 +42,6 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def spd_eigh(mat: np.ndarray, what: str = "matrix"):
-    """Dense eigendecomposition of an SPD matrix through :func:`require_spd`."""
-    return require_spd(*np.linalg.eigh(symmetrize(mat)), what)
-
-
-def require_spd(w: np.ndarray, u: np.ndarray, what: str = "matrix"):
-    """The eigendecomposition ``(w, u)`` of an SPD matrix, rejecting clamped
-    eigenvalues."""
-    if w.min() <= EIG_CLAMP:
-        raise NumericalError(
-            f"{what} is not positive definite beyond the clamp threshold "
-            f"{EIG_CLAMP:g} (min eigenvalue {w.min():.3e})"
-        )
-    return w, u
-
-
-def _sqrt_pair(w: np.ndarray, u: np.ndarray):
-    s = np.sqrt(w)
-    return (u * s) @ u.T, (u / s) @ u.T
-
-
 class SymmetrizedFrame:
     """Congruence frame of the block-diagonal Gram matrix ``diag(X, P)``.
 
@@ -74,8 +53,13 @@ class SymmetrizedFrame:
     """
 
     def __init__(self, x_mat: np.ndarray, p_mat: np.ndarray):
-        self._blocks = [spd_eigh(m, "Gram matrix") for m in (x_mat, p_mat)]
+        self._blocks = [np.linalg.eigh(symmetrize(m)) for m in (x_mat, p_mat)]
         w = np.concatenate([w for w, _ in self._blocks])
+        if w.min() <= EIG_CLAMP:
+            raise NumericalError(
+                f"Gram matrix is not positive definite beyond the clamp threshold "
+                f"{EIG_CLAMP:g} (min eigenvalue {w.min():.3e})"
+            )
         self.cond = float(w.max() / w.min())
 
     def root(self, v: np.ndarray, inverse: bool = False) -> np.ndarray:

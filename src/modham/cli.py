@@ -84,12 +84,18 @@ def _load_config(args) -> RunConfig:
     return config
 
 
+_STATUS = {0: "ok", 2: "validation failure", 3: "construction error", 4: "io error"}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-    except (SchemaError, FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SchemaError, OSError) as exc:
+        # a config that fails to load reports like an aborted run, without
+        # error.json: there is no output directory yet
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"exit {EXIT_IO}: {_STATUS[EXIT_IO]}")
         return EXIT_IO
 
     if args.command == "check":
@@ -97,8 +103,7 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     bundle, code = run(config)
-    status = {0: "ok", 2: "validation failure", 3: "construction error", 4: "io error"}
-    print(f"exit {code}: {status.get(code, 'unknown')}")
+    print(f"exit {code}: {_STATUS.get(code, 'unknown')}")
     for warning in bundle.warnings:
         print(f"warning: {warning}")
     return code

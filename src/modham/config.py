@@ -313,12 +313,7 @@ def resolve_region(config: RunConfig) -> Region:
 def config_to_dict(config: RunConfig) -> dict:
     """Plain-dict form of a config; ``parse_config`` round-trips it."""
     out: dict = {
-        "model": {
-            "n_sites": config.model.n_sites,
-            "mass": config.model.mass,
-            "coupling": config.model.coupling,
-            "boundary": config.model.boundary,
-        },
+        "model": asdict(config.model),
         "tasks": list(config.tasks),
         "tolerances": asdict(config.tolerances),
         "output": {

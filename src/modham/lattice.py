@@ -18,6 +18,10 @@ Phase-space conventions used throughout the package:
   ``eps I = 2 diag(X, P)``, explicitly ``I = [[0, -2P], [2X, 0]]``;
 - the metric ``mu(f, g) = (1/2) f^T eps I g`` has Gram matrix ``diag(X, P)``.
 
+V is diagonal in sine modes (Dirichlet) or plane waves (periodic) with
+closed-form frequencies, so the vacuum X and P are each one real FFT of
+their mode values (Toeplitz minus Hankel, or circulant): no eigensolver.
+
 A :class:`GaussianState` stores X and P; the 2n x 2n I and ``diag(X, P)``
 are built on first use, eps (``_eps_matrix``) where needed.  Only pure
 states with vanishing symmetric phi-pi cross correlations are supported.
@@ -32,9 +36,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ._linalg import EIG_CLAMP, _sqrt_pair, frob, require_spd, spd_eigh, symmetrize
+from ._linalg import EIG_CLAMP, frob, symmetrize
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -162,13 +166,16 @@ def _laplacian(n_sites: int, boundary: Boundary) -> np.ndarray:
     return lap
 
 
-def _lowest_eigenvalue(
+def _mode_eigenvalues(
     n_sites: int, mass: float, coupling: float, boundary: Boundary
-) -> float:
-    """Smallest eigenvalue of V (periodic: the constant mode, also for n <= 2)."""
+) -> np.ndarray:
+    """The eigenvalues ``omega_k^2`` of V: sine modes k = 1..n (Dirichlet) or
+    plane waves k = 0..n-1 (periodic, also for the folded n <= 2)."""
     if boundary is Boundary.PERIODIC:
-        return mass**2
-    return mass**2 + 4.0 * coupling * np.sin(np.pi / (2.0 * (n_sites + 1))) ** 2
+        angles = np.pi * np.arange(n_sites) / n_sites
+    else:
+        angles = np.pi * np.arange(1, n_sites + 1) / (2.0 * (n_sites + 1))
+    return mass**2 + 4.0 * coupling * np.sin(angles) ** 2
 
 
 def build_harmonic_chain(
@@ -205,7 +212,7 @@ def build_harmonic_chain(
         raise InvalidParameter(f"mass must be non-negative, got {mass!r}")
     boundary = Boundary(boundary)
 
-    w_min = _lowest_eigenvalue(n_sites, mass, coupling, boundary)
+    w_min = _mode_eigenvalues(n_sites, mass, coupling, boundary).min()
     if w_min <= EIG_CLAMP:
         raise ZeroModeError(
             f"dynamical matrix has a zero mode (min eigenvalue "
@@ -216,24 +223,34 @@ def build_harmonic_chain(
     return LatticeModel(int(n_sites), float(mass), float(coupling), boundary, v)
 
 
-def _dynamical_eigh(model: LatticeModel):
-    """Eigendecomposition of V with the clamp check of :func:`spd_eigh`.
+def _function_of_v(model: LatticeModel, values: np.ndarray) -> np.ndarray:
+    """The matrix f(V) from ``values = f(omega_k^2)`` in the order of
+    :func:`_mode_eigenvalues`, through one real FFT of the mode values.
 
-    A Dirichlet V is tridiagonal and goes to the tridiagonal eigensolver; a
-    periodic V has corner entries and takes the dense one.
+    A periodic f(V) is the circulant ``phi(|i - j|)``.  A Dirichlet f(V) is
+    ``phi(|i - j|) - phi(i + j + 2)``, Toeplitz minus Hankel, where phi is the
+    DCT-I of the modes: the real FFT of the even, zero-padded sequence
+    ``[0, f_1..f_n, 0, f_n..f_1]`` over 2(n + 1), even about n + 1.  f is
+    never evaluated at k = 0 or n + 1.  Every entry is gathered from phi, so
+    the result is exactly symmetric.
     """
-    v = model.dynamical_matrix
-    if model.boundary is Boundary.DIRICHLET:
-        eig = scipy.linalg.eigh_tridiagonal(np.diag(v), np.diag(v, 1))
-        return require_spd(*eig, "dynamical matrix")
-    return spd_eigh(v, "dynamical matrix")
+    n = model.n_sites
+    periodic = model.boundary is Boundary.PERIODIC
+    even = values if periodic else np.concatenate([[0.0], values, [0.0], values[::-1]])
+    half = np.fft.rfft(even).real / even.size
+    phi = np.concatenate([half, half[even.size - half.size:0:-1]])  # phi(size - d) = phi(d)
+    toeplitz = sliding_window_view(np.concatenate([phi[n - 1:0:-1], phi[:n]]), n)[::-1]
+    if periodic:
+        return np.ascontiguousarray(toeplitz)
+    return toeplitz - sliding_window_view(phi[2:2 * n + 1], n)
 
 
 def vacuum_state(model: LatticeModel) -> GaussianState:
-    """Gaussian vacuum of a chain: ``X = V^{-1/2}/2``, ``P = V^{1/2}/2``."""
-    v_sqrt, v_inv_sqrt = _sqrt_pair(*_dynamical_eigh(model))
-    x_full = symmetrize(0.5 * v_inv_sqrt)
-    p_full = symmetrize(0.5 * v_sqrt)
-    # the state checks run without the roots: at n = 1024 the peak is 16 MiB lower
-    del v_sqrt, v_inv_sqrt
-    return GaussianState.from_correlators(x_full, p_full)
+    """Gaussian vacuum of a chain: ``X = V^{-1/2}/2``, ``P = V^{1/2}/2`` in
+    closed form (:func:`_function_of_v`), checked by
+    :meth:`GaussianState.from_correlators`."""
+    omega = np.sqrt(_mode_eigenvalues(
+        model.n_sites, model.mass, model.coupling, model.boundary))
+    return GaussianState.from_correlators(
+        _function_of_v(model, 0.5 / omega), _function_of_v(model, 0.5 * omega)
+    )

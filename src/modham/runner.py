@@ -66,13 +66,7 @@ class ResultBundle:
 
 def format_float(value: float) -> str:
     """Fixed 17-significant-digit rendering used in every data file."""
-    if value != value:
-        return '"nan"'
-    if value == float("inf"):
-        return '"inf"'
-    if value == float("-inf"):
-        return '"-inf"'
-    return f"{value:.17g}"
+    return f"{value:.17g}" if np.isfinite(value) else f'"{value}"'  # "nan", "inf", "-inf"
 
 
 def to_json_text(obj, indent: int = 0) -> str:
@@ -169,8 +163,10 @@ def _scan_rows(state: GaussianState, scan: ScanConfig) -> tuple[list, dict]:
         start = scan.start if scan.start is not None else (n - length) // 2
         rows.append({"length": int(length)})
         try:
-            region = Region.interval(start, min(length, n - start))
-            if len(region) != length:
+            if min(start, length, n - start) < 0:
+                # the Region constructor names a negative start or length
+                Region.interval(start, min(length, n - start))
+            if start + length > n:
                 raise IndexOutOfRange(
                     f"interval of length {length} does not fit at start {start}"
                 )

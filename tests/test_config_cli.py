@@ -428,9 +428,27 @@ class TestCli:
         path = self.write_config(tmp_path, tasks=["kernels"])
         assert cli_main(["scan", path, "--output-dir", str(tmp_path / "none")]) == 4
         assert capsys.readouterr().err.startswith(
-            "error: scan: the entropy_scan task requires a 'scan' block"
+            "error: SchemaError: scan: the entropy_scan task requires a 'scan' block"
         )
         assert not (tmp_path / "none").exists()
+
+    @pytest.mark.parametrize("command", ["run", "check", "scan"])
+    def test_missing_config_file_reports_like_an_aborted_run(
+        self, tmp_path, capsys, command
+    ):
+        path = tmp_path / "absent.json"
+        assert cli_main([command, str(path), "--output-dir", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"error: FileNotFoundError: config file not found: {path}\n"
+        assert captured.out == "exit 4: io error\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_config_key_names_the_schema_error(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, model={"n_sites": 8, "mass": 1.0, "bogus": 1})
+        assert cli_main(["run", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: SchemaError: model: unknown key(s) ['bogus']")
+        assert captured.out == "exit 4: io error\n"
 
     def test_scan_unusable_output_dir_exits_4_before_the_sweep(
         self, tmp_path, capsys, monkeypatch

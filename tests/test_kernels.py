@@ -449,3 +449,33 @@ def test_cholesky_pivot_fails_the_rows_that_contain_it(monkeypatch):
         else:
             assert row == before
     assert trace["error_rows"] == 3 and trace["window_sites"] == 16
+
+
+def test_fixed_start_scan_rows_that_overhang_or_cover_the_chain():
+    # a row fits when start + length <= n; a length-n row is refused as the
+    # full lattice, and a negative start or a start past the chain keeps the
+    # Region constructor's error
+    n = 10
+    state = vacuum_state(build_harmonic_chain(n, 0.5))
+    rows, trace = _scan_rows(state, ScanConfig((3, 4, 5, 10, 12), start=6))
+    assert [set(row) for row in rows[:2]] == [{"length", "entropy", "c_min", "c_max"}] * 2
+    assert rows[2:] == [
+        {"length": length,
+         "error": f"IndexOutOfRange: interval of length {length} does not fit at start 6"}
+        for length in (5, 10, 12)
+    ]
+    assert trace["window_sites"] == 4 and trace["error_rows"] == 3
+    rows, _ = _scan_rows(state, ScanConfig((9, 10, 11), start=0))
+    assert "entropy" in rows[0]
+    assert rows[1:] == [
+        {"length": 10, "error": "NotStandard: interval of length 10 covers the full lattice"},
+        {"length": 11, "error": "IndexOutOfRange: interval of length 11 does not fit at start 0"},
+    ]
+    for start, length, error in [
+        (-1, 2, "InvalidParameter: negative site index in region: (-1, 0)"),
+        (10, 1, "IndexOutOfRange: interval of length 1 does not fit at start 10"),
+        (11, 1, "InvalidParameter: interval length must be non-negative: -1"),
+    ]:
+        rows, trace = _scan_rows(state, ScanConfig((length,), start=start))
+        assert rows == [{"length": length, "error": error}]
+        assert trace["window_sites"] == 0 and trace["error_rows"] == 1

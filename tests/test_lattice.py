@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from modham import (
@@ -11,7 +14,7 @@ from modham import (
     build_harmonic_chain,
     vacuum_state,
 )
-from modham.lattice import Boundary, _eps_matrix, _laplacian, _lowest_eigenvalue
+from modham.lattice import Boundary, _eps_matrix, _laplacian, _mode_eigenvalues
 
 
 class TestBuildChain:
@@ -89,6 +92,47 @@ class TestVacuumState:
         assert np.linalg.norm(i_mat.T @ state.mu_gram @ i_mat - state.mu_gram) <= 1e-10
         half_eps = 0.5 * _eps_matrix(8)
         assert np.linalg.norm(i_mat.T @ half_eps @ i_mat - half_eps) <= 1e-10
+
+    @pytest.mark.parametrize("n, mass", [
+        (16, 1e-3), (16, 1e-2), (16, 1.0), (32, 1e-3), (32, 1e-2), (32, 1.0), (64, 1e-3),
+    ])
+    def test_closed_form_against_40_digit_sine_modes(self, n, mass):
+        # X_ij = sum_k u_ik u_jk / (2 omega_k) and P_ij = sum_k u_ik u_jk omega_k / 2
+        # over the Dirichlet sine modes u_ik = sqrt(2/(n+1)) sin(pi k (i+1)/(n+1)),
+        # summed at 40 digits; the eigensolver route it replaced was off by up to 4e-14
+        x_ref, p_ref = np.empty((n, n)), np.empty((n, n))
+        with mpmath.workdps(40):
+            size = n + 1
+            omega = [mpmath.sqrt(mpmath.mpf(mass) ** 2
+                                 + 4 * mpmath.sin(mpmath.pi * k / (2 * size)) ** 2)
+                     for k in range(1, size)]
+            modes = [[mpmath.sqrt(mpmath.mpf(2) / size) * mpmath.sin(mpmath.pi * k * i / size)
+                      for k in range(1, size)] for i in range(1, size)]
+            for i in range(n):
+                for j in range(i + 1):
+                    pairs = [a * b for a, b in zip(modes[i], modes[j])]
+                    x_ref[i, j] = x_ref[j, i] = mpmath.fsum(
+                        c / w for c, w in zip(pairs, omega)) / 2
+                    p_ref[i, j] = p_ref[j, i] = mpmath.fsum(
+                        c * w for c, w in zip(pairs, omega)) / 2
+        state = vacuum_state(build_harmonic_chain(n, mass))
+        assert np.linalg.norm(state.X_full - x_ref) <= 1e-15 * np.linalg.norm(x_ref)
+        assert np.linalg.norm(state.P_full - p_ref) <= 1e-15 * np.linalg.norm(p_ref)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 40), mass=st.one_of(st.just(0.0), st.floats(0.2, 3.0)),
+           coupling=st.floats(0.1, 4.0), boundary=st.sampled_from(list(Boundary)))
+    def test_closed_form_matches_dense_roots_of_v(self, n, mass, coupling, boundary):
+        # against 0.5 V^{-+1/2} from a dense eigh of V; the masses keep V's
+        # condition number, and with it the reference's error, small
+        assume(not (mass == 0.0 and boundary is Boundary.PERIODIC))  # zero mode
+        model = build_harmonic_chain(n, mass, coupling, boundary)
+        state = vacuum_state(model)
+        w, u = np.linalg.eigh(model.dynamical_matrix)
+        for got, power in ((state.X_full, -0.5), (state.P_full, 0.5)):
+            expected = 0.5 * (u * w**power) @ u.T
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+            assert np.array_equal(got, got.T)
 
     def test_from_correlators_rejects_singular_gram(self):
         # pure (4 X P = 1) but X has an eigenvalue below the clamp
@@ -216,7 +260,7 @@ def test_zero_mode_guard_is_the_exact_lowest_eigenvalue(n, boundary):
     for mass, coupling in ((0.7, 1.3), (0.0, 1.0), (1e-3, 0.2)):
         v = mass**2 * np.eye(n) + coupling * _laplacian(n, boundary)
         w = np.linalg.eigvalsh(v)
-        guard = _lowest_eigenvalue(n, mass, coupling, boundary)
+        guard = _mode_eigenvalues(n, mass, coupling, boundary).min()
         assert guard == pytest.approx(w[0], rel=1e-12, abs=1e-14 * w[-1])
     with pytest.raises(ZeroModeError):
         build_harmonic_chain(n, 0.0, 1.0, Boundary.PERIODIC)
