@@ -2,14 +2,14 @@
 
 Subcommands: ``run`` executes the configured tasks, ``check`` validates a
 configuration without running anything, ``scan`` is ``run`` with the tasks
-replaced by ``["entropy_scan"]``.  Exit codes follow the contract in
+replaced by ``["entropy_scan"]``.  Overrides, that task list included, are
+validated like the values of a file.  Exit codes follow the contract in
 :mod:`modham.runner`.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .config import RunConfig, config_to_dict, parse_config
@@ -61,27 +61,16 @@ def _load_config(args) -> RunConfig:
     source = args.config
     if source == "-":
         source = sys.stdin.read()
-    config = parse_config(source, lenient=args.lenient)
-    if args.clip is not None or args.command == "scan":
-        # the overrides pass the schema's checks: the clip its bounds, the
-        # scan task its 'scan' block
-        raw = config_to_dict(config)
-        if args.clip is not None:
-            raw["tolerances"]["clip"] = args.clip
-        if args.command == "scan":
-            raw["tasks"] = ["entropy_scan"]
-        config = parse_config(raw)
+    raw = config_to_dict(parse_config(source, lenient=args.lenient))
+    if args.clip is not None:
+        raw["tolerances"]["clip"] = args.clip
+    if args.command == "scan":
+        raw["tasks"] = ["entropy_scan"]
     if args.output_dir is not None:
-        config = dataclasses.replace(
-            config,
-            output=dataclasses.replace(config.output, directory=args.output_dir),
-        )
+        raw["output"]["directory"] = args.output_dir
     if args.format is not None:
-        config = dataclasses.replace(
-            config,
-            output=dataclasses.replace(config.output, formats=(args.format,)),
-        )
-    return config
+        raw["output"]["formats"] = [args.format]
+    return parse_config(raw)
 
 
 _STATUS = {0: "ok", 2: "validation failure", 3: "construction error", 4: "io error"}

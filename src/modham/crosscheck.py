@@ -24,10 +24,11 @@ Regions whose restricted spectrum touches c = 1/2 at double precision have
 no representable generator; for those, :func:`regularized_instance` moves
 the spectrum off 1/2 by an explicit gap with ``regularize_correlators``,
 purifies that nearby state onto a doubled region, and the routes are
-compared raw on it.  The gap is always reported, never implicit.  A run
-under a clip compares the block it writes: routes (b) and the kernel form
-read the run's regularized restriction and its kernels, and only the
-standardness frame of routes (a) and (c) is read on the purification.
+compared raw on it.  The gap is always reported, never implicit.  The
+routes read the frame, restriction and kernels of a run's
+:class:`modham.flow._RegionPipeline`, which :func:`route_agreement` builds
+raw.  Under a clip that is the regularized restriction, whose block the run
+writes, and the frame of the pure state that contains it.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import frob
+from .flow import _RegionPipeline
 from .kernels import (
     lndelta_region_via_G,
-    mn_kernels,
     purify_restriction,
     regularize_correlators,
     restrict_correlators,
@@ -49,7 +50,6 @@ from .lattice import GaussianState
 from .regions import Region, phase_space_indices
 from .subspace import (
     _arccot_split,
-    _require_standard,
     _resolvent_quadrature,
     _spectral_lndelta,
 )
@@ -116,21 +116,19 @@ def route_agreement(
     quad_tol: float = 1e-10,
     sing_tol: float = 1e-10,
 ) -> RouteAgreement:
-    """Compute the generator along every route and compare pairwise.
-
-    All routes run without clipping; callers facing degenerate regions
-    should first map the instance through :func:`regularized_instance`.
+    """Compute the generator along every route and compare pairwise, on the
+    pipeline a run without a clip builds: a region that is not standard,
+    an empty one too, raises :class:`NotStandard`.  Callers facing
+    degenerate regions should first map the instance through
+    :func:`regularized_instance`.
     """
-    rc = restrict_correlators(state, region)
-    sub = _require_standard(state, region)
-    kernels = mn_kernels(rc, sing_tol=sing_tol)
-    return _route_agreement(sub, rc, kernels, quad_tol, sing_tol)
+    return _route_agreement(_RegionPipeline(state, region, sing_tol=sing_tol), quad_tol)
 
 
-def _route_agreement(sub, rc, kernels, quad_tol, sing_tol) -> RouteAgreement:
-    """:func:`route_agreement` from the frame ``sub`` of the region's
-    standardness check, its restriction ``rc`` and the
-    :class:`RegionKernels` of ``rc``."""
+def _route_agreement(pipeline: _RegionPipeline, quad_tol: float) -> RouteAgreement:
+    """:func:`route_agreement` on a pipeline's standardness ``frame``, its
+    restriction ``rc_flow`` and the kernels of that restriction."""
+    sub, rc, kernels = pipeline.frame, pipeline.rc_flow, pipeline.kernels
     # I ln Delta = (I Gram^{-1/2} q) ln_hl (Gram^{1/2} q)^T, lifted in O(n^2 r)
     ln_hl, eigs, _ = _spectral_lndelta(sub)
     i_ln_delta = sub.lift(ln_hl, times_i=True)
@@ -142,7 +140,7 @@ def _route_agreement(sub, rc, kernels, quad_tol, sing_tol) -> RouteAgreement:
     gen_quad = sub.i_inv_root_q[sub.sel] @ quad_cols
 
     split_full = _arccot_split(sub, rc)
-    gen_kernel_form = lndelta_region_via_G(rc, sing_tol=sing_tol)
+    gen_kernel_form = lndelta_region_via_G(rc, sing_tol=pipeline.sing_tol)
 
     norm = frob(gen_blocks)
     return RouteAgreement(

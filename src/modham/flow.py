@@ -46,6 +46,7 @@ from .kernels import (
     RegionKernels,
     RestrictedCorrelators,
     mn_kernels,
+    purify_restriction,
     regularize_correlators,
     restrict_correlators,
 )
@@ -202,28 +203,34 @@ def group_residual(flow: ModularFlow, s: float, t: float) -> float:
 
 
 class _RegionPipeline:
-    """The objects one (state, region) pair fixes, each built once.
+    """The objects one (state, region) pair fixes, each built once here only.
 
-    Construction checks the region and keeps the check's ``frame``.  Under a
-    clip the flow acts on the regularized restriction, so a proper region
-    skips the check (``frame`` is None); an empty or full one still fails
-    it.  ``rc`` is the restriction; ``rc_flow`` is ``rc`` regularized at the
-    clip, with the indices of its ``clipped`` modes.  ``kernels`` (of
-    ``rc_flow``) and ``flow`` are built on first use; ``flow`` holds the
-    construction error when the flow cannot be built.
+    ``rc`` is the restriction; ``rc_flow`` is ``rc`` regularized at the
+    clip, with the indices of its ``clipped`` modes.  ``frame`` is the
+    standardness frame the full-space routes read: a raw pipeline checks
+    the region at construction and keeps the check's frame; under a clip it
+    is the frame of the pure state that contains ``rc_flow``, built on first
+    use, and only an empty or full region fails at construction.
+    ``kernels`` (of ``rc_flow``) and ``flow`` are built on first use;
+    ``flow`` holds the construction error when the flow cannot be built.
     """
 
     def __init__(self, state: GaussianState, region: Region, clip=None, sing_tol=1e-10):
         self.clip, self.sing_tol = clip, sing_tol
         # an explicit clip fixes the gap; the branch guard must sit below it
         self.branch_tol = BRANCH_TOL if clip is None else min(BRANCH_TOL, 0.5 * clip)
-        self.frame = None
         if clip is None or not 0 < len(region) < state.n_sites:
+            # an empty or full region raises here, clip or not
             self.frame = _require_standard(state, region)
         self.rc = restrict_correlators(state, region)
         self.rc_flow, self.clipped = self.rc, ()
         if clip is not None:
             self.rc_flow, self.clipped = regularize_correlators(self.rc, clip)
+
+    @cached_property
+    def frame(self):
+        """Under a clip, the frame of the pure state that contains ``rc_flow``."""
+        return _require_standard(*purify_restriction(self.rc_flow))
 
     @cached_property
     def kernels(self) -> RegionKernels:

@@ -88,7 +88,6 @@ class RegionKernels:
     """
 
     region: Region
-    C: np.ndarray = field(repr=False)
     M: np.ndarray = field(repr=False)
     N: np.ndarray = field(repr=False)
     L_block: np.ndarray = field(repr=False)
@@ -252,7 +251,6 @@ def mn_kernels(rc: RestrictedCorrelators, sing_tol: float = DEFAULT_SING_TOL) ->
     r = rc.size
     return RegionKernels(
         region=rc.region,
-        C=compute_C(rc),
         M=0.5 * block[:r, r:],
         N=-0.5 * block[r:, :r],
         L_block=block,

@@ -21,6 +21,8 @@ Phase-space conventions used throughout the package:
 V is diagonal in sine modes (Dirichlet) or plane waves (periodic) with
 closed-form frequencies, so the vacuum X and P are each one real FFT of
 their mode values (Toeplitz minus Hankel, or circulant): no eigensolver.
+A :class:`LatticeModel` holds only ``(n_sites, mass, coupling, boundary)``
+and derives V from them on first read; a vacuum never forms V.
 
 A :class:`GaussianState` stores X and P; the 2n x 2n I and ``diag(X, P)``
 are built on first use, eps (``_eps_matrix``) where needed.  Only pure
@@ -58,7 +60,7 @@ class Boundary(str, enum.Enum):
 
 @dataclass(frozen=True)
 class LatticeModel:
-    """A discretized free scalar on a 1D chain.
+    """A discretized free scalar on a 1D chain, checked at construction.
 
     Attributes
     ----------
@@ -69,16 +71,48 @@ class LatticeModel:
     coupling : float
         Nearest-neighbour spring constant (positive).
     boundary : Boundary
-        Dirichlet or periodic chain ends.
-    dynamical_matrix : ndarray
-        The SPD matrix ``V = mass^2 * 1 + coupling * Laplacian``.
+        Dirichlet or periodic chain ends (a string is coerced).
+
+    Raises
+    ------
+    InvalidParameter
+        For non-positive coupling, negative mass, or ``n_sites < 1``.
+    ZeroModeError
+        If the dynamical matrix is singular, e.g. a periodic massless chain.
     """
 
     n_sites: int
     mass: float
     coupling: float
     boundary: Boundary
-    dynamical_matrix: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        n_sites, mass, coupling = self.n_sites, self.mass, self.coupling
+        if not isinstance(n_sites, (int, np.integer)) or n_sites < 1:
+            raise InvalidParameter(f"n_sites must be a positive integer, got {n_sites!r}")
+        if coupling <= 0.0:
+            raise InvalidParameter(f"coupling must be positive, got {coupling!r}")
+        if mass < 0.0:
+            raise InvalidParameter(f"mass must be non-negative, got {mass!r}")
+        boundary = Boundary(self.boundary)
+        w_min = _mode_eigenvalues(n_sites, mass, coupling, boundary).min()
+        if w_min <= EIG_CLAMP:
+            raise ZeroModeError(
+                f"dynamical matrix has a zero mode (min eigenvalue "
+                f"{w_min:.3e}); massless periodic chains are not supported"
+            )
+        for name, value in (("n_sites", int(n_sites)), ("mass", float(mass)),
+                            ("coupling", float(coupling)), ("boundary", boundary)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def dynamical_matrix(self) -> np.ndarray:
+        """The SPD matrix ``V = mass^2 * 1 + coupling * Laplacian``, read-only;
+        derived on first read, which a vacuum never needs."""
+        v = self.mass**2 * np.eye(self.n_sites) + self.coupling * _laplacian(
+            self.n_sites, self.boundary)
+        v.flags.writeable = False
+        return v
 
 
 @dataclass(frozen=True)
@@ -184,43 +218,11 @@ def build_harmonic_chain(
     coupling: float = 1.0,
     boundary: Boundary | str = Boundary.DIRICHLET,
 ) -> LatticeModel:
-    """Construct a harmonic chain model.
-
-    Parameters
-    ----------
-    n_sites : int
-        Number of sites, at least 1.
-    mass : float
-        Field mass, non-negative.
-    coupling : float
-        Nearest-neighbour coupling, strictly positive.
-    boundary : Boundary or str
-        ``"dirichlet"`` or ``"periodic"``.
-
-    Raises
-    ------
-    InvalidParameter
-        For non-positive coupling, negative mass, or ``n_sites < 1``.
-    ZeroModeError
-        If the dynamical matrix is singular, e.g. a periodic massless chain.
+    """Construct a harmonic chain model: the :class:`LatticeModel` of the
+    parameters, with unit coupling and Dirichlet ends by default.  It raises
+    what the model's checks raise.
     """
-    if not isinstance(n_sites, (int, np.integer)) or n_sites < 1:
-        raise InvalidParameter(f"n_sites must be a positive integer, got {n_sites!r}")
-    if coupling <= 0.0:
-        raise InvalidParameter(f"coupling must be positive, got {coupling!r}")
-    if mass < 0.0:
-        raise InvalidParameter(f"mass must be non-negative, got {mass!r}")
-    boundary = Boundary(boundary)
-
-    w_min = _mode_eigenvalues(n_sites, mass, coupling, boundary).min()
-    if w_min <= EIG_CLAMP:
-        raise ZeroModeError(
-            f"dynamical matrix has a zero mode (min eigenvalue "
-            f"{w_min:.3e}); massless periodic chains are not supported"
-        )
-    v = mass**2 * np.eye(n_sites) + coupling * _laplacian(n_sites, boundary)
-    v.flags.writeable = False
-    return LatticeModel(int(n_sites), float(mass), float(coupling), boundary, v)
+    return LatticeModel(n_sites, mass, coupling, boundary)
 
 
 def _function_of_v(model: LatticeModel, values: np.ndarray) -> np.ndarray:

@@ -13,8 +13,9 @@ for the region tasks, one :class:`modham.flow._RegionPipeline` (the
 standardness check and its frame, the restriction, its regularization
 under a clip, the kernels of that regularized restriction and the flow).
 Every matrix a run writes belongs to that one restricted state, and the
-crosscheck compares its routes on that restriction and those kernels; under
-a clip its full-space routes read the frame of the purified restriction.
+crosscheck compares its routes on that restriction, those kernels and the
+pipeline's frame (under a clip that of the purified restriction), as
+:func:`modham.crosscheck.route_agreement` does on a raw pipeline.
 
 Data files are deterministic: floats are rendered with 17 significant
 digits, keys are sorted, and no timestamps enter them.  Wall-clock and
@@ -42,10 +43,9 @@ from .errors import (
     SchemaError,
 )
 from .flow import _RegionPipeline, _kms_sweep
-from .kernels import entanglement_entropy, nested_spectra, purify_restriction
+from .kernels import entanglement_entropy, nested_spectra
 from .lattice import GaussianState, build_harmonic_chain, vacuum_state
 from .regions import Region
-from .subspace import _require_standard
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -254,18 +254,13 @@ def _task_kms(pipeline, tol, bundle: ResultBundle):
 
 
 def _task_crosscheck(pipeline, tol, bundle: ResultBundle):
-    clipped, frame = pipeline.clipped, pipeline.frame
-    if tol.clip is not None:
-        if clipped:
-            bundle.warnings.append(
-                f"crosscheck: {len(clipped)} mode(s) regularized and purified "
-                f"at gap {tol.clip:g}"
-            )
-        # the full-space routes run on the purified regularized state
-        frame = _require_standard(*purify_restriction(pipeline.rc_flow))
-    agreement = _route_agreement(
-        frame, pipeline.rc_flow, pipeline.kernels, tol.quad_tol, tol.sing_tol
-    )
+    clipped = pipeline.clipped
+    if clipped:
+        bundle.warnings.append(
+            f"crosscheck: {len(clipped)} mode(s) regularized and purified "
+            f"at gap {tol.clip:g}"
+        )
+    agreement = _route_agreement(pipeline, tol.quad_tol)
     bundle.reports["crosscheck"] = {
         "generator_norm": agreement.norm,
         "spectral_vs_blocks": agreement.spectral_vs_blocks,

@@ -633,6 +633,44 @@ class TestCliFlags:
         assert (tmp_path / "out" / "entropy_scan.csv").exists()
         assert not (tmp_path / "out" / "entropy_scan.json").exists()
 
+    def test_empty_output_dir_flag_is_a_schema_error(self, tmp_path, capsys, monkeypatch):
+        # the flag passes the schema's check of output.directory: an empty
+        # directory would write into the working directory
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(minimal_config(
+            region={"interval": {"start": 3, "length": 2}})))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert cli_main(["run", str(path), "--output-dir", ""]) == 4
+        assert capsys.readouterr().err == (
+            "error: SchemaError: output.directory: expected a non-empty string\n"
+        )
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, flags, in_file",
+        [
+            ("run", ("--clip", "1e-4"), {"tolerances": {"clip": 1e-4}}),
+            ("scan", (), {"tasks": ["entropy_scan"]}),
+            ("run", ("--output-dir", "elsewhere"), {"output": {"directory": "elsewhere"}}),
+            ("run", ("--format", "csv"), {"output": {"formats": ["csv"]}}),
+        ],
+        ids=["clip", "scan-tasks", "output-dir", "format"],
+    )
+    def test_override_equals_the_file_value(self, tmp_path, command, flags, in_file):
+        from modham.cli import _build_parser, _load_config
+
+        base = minimal_config(tolerances={}, scan={"lengths": [2, 4]},
+                              output={"directory": "out", "formats": ["json"]})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base))
+        args = _build_parser().parse_args([command, str(path), *flags])
+        written = {**base}
+        for key, value in in_file.items():
+            written[key] = {**base[key], **value} if isinstance(value, dict) else value
+        assert _load_config(args) == parse_config(written)
+
 
 NAN, INF = float("nan"), float("inf")
 
@@ -835,3 +873,48 @@ class TestSharedPipeline:
         assert run(config)[1] == 3
         error = json.loads((tmp_path / "out" / "error.json").read_text())["error"]
         assert error["type"] == "NumericalError"
+
+
+class TestRouteAgreementPipeline:
+    """route_agreement runs the region pipeline of a raw run."""
+
+    def test_route_agreement_reports_the_run_crosscheck(self, tmp_path):
+        from modham import build_harmonic_chain, route_agreement, vacuum_state
+
+        out = tmp_path / "out"
+        config = parse_config(
+            minimal_config(
+                model={"n_sites": 64, "mass": 0.3},
+                region={"interval": {"start": 30, "length": 3}},
+                tasks=["crosscheck"],
+                output={"directory": str(out), "formats": ["json"]},
+            )
+        )
+        assert run(config)[1] == 0
+        report = json.loads((out / "residuals.json").read_text())["reports"]["crosscheck"]
+        state = vacuum_state(build_harmonic_chain(64, 0.3))
+        agreement = route_agreement(state, Region.interval(30, 3))
+        assert report.pop("generator_norm") == agreement.norm
+        assert report.pop("regularized_modes") == []
+        assert report == {name: getattr(agreement, name) for name in report}
+
+    def test_empty_region_is_not_standard_on_every_route(self):
+        from modham import (
+            NotStandard, build_harmonic_chain, route_agreement, run_kms_suite, vacuum_state,
+        )
+
+        state = vacuum_state(build_harmonic_chain(8, 1.0))
+        for check in (route_agreement, run_kms_suite):
+            with pytest.raises(NotStandard):
+                check(state, Region([]))
+
+    def test_call_counts(self, monkeypatch, chain8, center_region):
+        from modham import route_agreement
+
+        _, state = chain8
+        frames = counted_frames(monkeypatch)
+        counts = count_calls(monkeypatch, ["restrict_correlators", "mn_kernels"])
+        route_agreement(state, center_region)
+        # the second restriction is the complement's, in the subspace split
+        assert {**counts, "frames": len(frames)} == {
+            "restrict_correlators": 2, "mn_kernels": 1, "frames": 1}

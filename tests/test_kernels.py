@@ -180,7 +180,8 @@ class TestMnKernels:
         # C^2 = X P within 1e-9 relative
         rc = restrict_correlators(state, Region([2, 3]))
         xp = rc.X_R @ rc.P_R
-        assert np.linalg.norm(kernels.C @ kernels.C - xp) <= 1e-9 * np.linalg.norm(xp)
+        c_mat = compute_C(rc)
+        assert np.linalg.norm(c_mat @ c_mat - xp) <= 1e-9 * np.linalg.norm(xp)
 
 
 class TestViaG:

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import mpmath
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from modham import (
     DimensionMismatch,
     GaussianState,
     InvalidParameter,
+    LatticeModel,
     NumericalError,
     ZeroModeError,
     build_harmonic_chain,
@@ -46,6 +49,31 @@ class TestBuildChain:
         j = np.arange(1, n + 1)
         expected = np.sort(m**2 + 2.0 * k * (1.0 - np.cos(j * np.pi / (n + 1))))
         assert_allclose(got, expected, atol=1e-12)
+
+
+class TestLatticeModel:
+    def test_periodic_massless_zero_mode(self):
+        with pytest.raises(ZeroModeError):
+            LatticeModel(3, 0.0, 1.0, Boundary.PERIODIC)
+
+    def test_equals_the_built_chain(self):
+        model = LatticeModel(4, 1.0, 1.0, "periodic")
+        built = build_harmonic_chain(4, 1.0, boundary="periodic")
+        assert model == built and model.boundary is Boundary.PERIODIC
+        mine, theirs = vacuum_state(model), vacuum_state(built)
+        assert np.array_equal(mine.X_full, theirs.X_full)
+        assert np.array_equal(mine.P_full, theirs.P_full)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_dynamical_matrix_is_derived_and_read_only(self, boundary):
+        n, m, g = 5, 0.7, 1.3
+        model = LatticeModel(n, m, g, boundary)
+        expected = m**2 * np.eye(n) + g * _laplacian(n, boundary)
+        assert np.array_equal(model.dynamical_matrix, expected)
+        with pytest.raises(FrozenInstanceError):
+            model.dynamical_matrix = expected
+        with pytest.raises(ValueError):
+            model.dynamical_matrix[0, 0] = 0.0
 
 
 class TestVacuumState:
