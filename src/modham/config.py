@@ -94,20 +94,18 @@ def _check_keys(mapping: dict, allowed, path: str, lenient: bool):
         raise SchemaError(f"unknown key(s) {unknown}; allowed: {sorted(allowed)}", path)
 
 
-def _get_int(mapping: dict, key: str, path: str, minimum=None, required=True, default=None):
+def _get_int(mapping: dict, key: str, path: str, minimum: int) -> int:
     if key not in mapping:
-        if required:
-            raise SchemaError("missing required key", f"{path}.{key}")
-        return default
+        raise SchemaError("missing required key", f"{path}.{key}")
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"expected an integer, got {value!r}", f"{path}.{key}")
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise SchemaError(f"must be >= {minimum}, got {value}", f"{path}.{key}")
     return int(value)
 
 
-def _get_number(mapping: dict, key: str, path: str, minimum=None, strict_min=False,
+def _get_number(mapping: dict, key: str, path: str, minimum: float, strict_min=False,
                 required=True, default=None, allow_none=False):
     if key not in mapping:
         if required:
@@ -122,11 +120,10 @@ def _get_number(mapping: dict, key: str, path: str, minimum=None, strict_min=Fal
     if not abs(value) <= sys.float_info.max:
         raise SchemaError(f"expected a finite number, got {value!r}", f"{path}.{key}")
     value = float(value)
-    if minimum is not None:
-        if strict_min and value <= minimum:
-            raise SchemaError(f"must be > {minimum}, got {value}", f"{path}.{key}")
-        if not strict_min and value < minimum:
-            raise SchemaError(f"must be >= {minimum}, got {value}", f"{path}.{key}")
+    if strict_min and value <= minimum:
+        raise SchemaError(f"must be > {minimum}, got {value}", f"{path}.{key}")
+    if not strict_min and value < minimum:
+        raise SchemaError(f"must be >= {minimum}, got {value}", f"{path}.{key}")
     return value
 
 

@@ -272,73 +272,43 @@ def run_kms_suite(
 
 def _kms_sweep(pipeline: _RegionPipeline, t_grid: Sequence[float] = KMS_T_GRID) -> KmsReport:
     """The sweep of :func:`run_kms_suite` over the flow of a checked region."""
-    kernels, flow, clipped = pipeline.kernels, pipeline.flow, pipeline.clipped
-    warnings_list = []
-    gap = float(np.min(kernels.c_spectrum)) - 0.5
+    flow, clipped = pipeline.flow, pipeline.clipped
+    warnings = []
+    gap = float(np.min(pipeline.kernels.c_spectrum)) - 0.5
     if gap < NEAR_DIVERGENT_GAP:
-        warnings_list.append(
-            f"BranchCutProximity: smallest spectral gap c - 1/2 = {gap:.3e} "
-            f"is below {NEAR_DIVERGENT_GAP:g}; complex-time kernels are "
-            f"strongly amplified"
-        )
+        warnings.append(f"BranchCutProximity: smallest spectral gap c - 1/2 = {gap:.3e} "
+                        f"is below {NEAR_DIVERGENT_GAP:g}; complex-time kernels are "
+                        f"strongly amplified")
     if clipped:
-        warnings_list.append(
-            f"{len(clipped)} mode(s) regularized to gap {pipeline.clip:g} "
-            f"before the flow"
-        )
-
+        warnings.append(f"{len(clipped)} mode(s) regularized to gap {pipeline.clip:g} "
+                        f"before the flow")
+    common = dict(t_values=tuple(float(t) for t in t_grid), warnings=tuple(warnings),
+                  clipped_modes=clipped)
     if isinstance(flow, ModhamError):
         # the sweep is a reporting harness: an unbuildable flow becomes an
         # error entry instead of an exception
-        return KmsReport(
-            t_values=tuple(float(t) for t in t_grid),
-            kms_residuals=(),
-            group_residuals=(),
-            symplectic_residuals=(),
-            max_residual=float("nan"),
-            warnings=tuple(warnings_list),
-            errors=(f"flow construction: {type(flow).__name__}: {flow}",),
-            method="none",
-            clipped_modes=clipped,
-        )
+        return KmsReport(kms_residuals=(), group_residuals=(), symplectic_residuals=(),
+                         max_residual=float("nan"), method="none", **common,
+                         errors=(f"flow construction: {type(flow).__name__}: {flow}",))
 
     errors = []
-    kms_vals = []
-    symp_vals = []
+
+    def measure(label, residual, *times):
+        """The residual at one point, or NaN and an error entry."""
+        try:
+            return residual(flow, *times)
+        except ModhamError as exc:
+            errors.append(f"{label}: {exc}")
+            return float("nan")
+
+    kms_vals, symp_vals = [], []
     for t in t_grid:
-        try:
-            kms_vals.append(kms_residual(flow, float(t)))
-        except ModhamError as exc:
-            kms_vals.append(float("nan"))
-            errors.append(f"kms t={t}: {exc}")
-        try:
-            symp_vals.append(symplectic_invariance_residual(flow, float(t)))
-        except ModhamError as exc:
-            symp_vals.append(float("nan"))
-            errors.append(f"symplectic t={t}: {exc}")
-
+        kms_vals.append(measure(f"kms t={t}", kms_residual, float(t)))
+        symp_vals.append(measure(f"symplectic t={t}", symplectic_invariance_residual, float(t)))
     rng = np.random.default_rng(GROUP_SEED)
-    group_vals = []
-    for _ in range(GROUP_SAMPLES if len(t_grid) else 0):
-        s, t = rng.uniform(-2.0, 2.0, size=2)
-        try:
-            group_vals.append(group_residual(flow, s, t))
-        except ModhamError as exc:
-            group_vals.append(float("nan"))
-            errors.append(f"group s={s:.3f} t={t:.3f}: {exc}")
-
-    finite = [
-        v
-        for v in (*kms_vals, *group_vals, *symp_vals)
-        if np.isfinite(v)
-    ]
-    return KmsReport(
-        t_values=tuple(float(t) for t in t_grid),
-        kms_residuals=tuple(kms_vals),
-        group_residuals=tuple(group_vals),
-        symplectic_residuals=tuple(symp_vals),
-        max_residual=float(max(finite)) if finite else 0.0,
-        warnings=tuple(warnings_list),
-        errors=tuple(errors),
-        clipped_modes=clipped,
-    )
+    pairs = [rng.uniform(-2.0, 2.0, size=2) for _ in range(GROUP_SAMPLES if len(t_grid) else 0)]
+    group_vals = [measure(f"group s={s:.3f} t={t:.3f}", group_residual, s, t) for s, t in pairs]
+    finite = [v for v in (*kms_vals, *group_vals, *symp_vals) if np.isfinite(v)]
+    return KmsReport(kms_residuals=tuple(kms_vals), group_residuals=tuple(group_vals),
+                     symplectic_residuals=tuple(symp_vals), errors=tuple(errors),
+                     max_residual=float(max(finite, default=0.0)), **common)

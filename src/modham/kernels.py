@@ -264,12 +264,13 @@ def lndelta_region_via_G(
 ) -> np.ndarray:
     """Region generator from the two-point function kernel.
 
-    Assembles the complex combination ``2 eps G|_R + i 1`` whose imaginary
-    parts cancel exactly, leaving [[0, 2 P_R], [-2 X_R, 0]], diagonalizes
-    it with a nonsymmetric eigensolver and applies ``-2 arccot`` (principal
-    branch) to its purely imaginary eigenvalues ``+-2ic``.  No step uses
-    the mode data ``rc.modes`` of the M/N route, so the result is an
-    independent evaluation of ``L_block``.
+    Assembles ``2 eps G|_R + i 1`` = [[0, 2 P_R], [-2 X_R, 0]]: its imaginary
+    parts, the constants ``+-i/2`` of G against ``i 1``, cancel exactly in
+    floating point too, so no check is needed.  It diagonalizes the real
+    matrix with a nonsymmetric eigensolver and applies ``-2 arccot``
+    (principal branch) to its purely imaginary eigenvalues ``+-2ic``.  No
+    step uses the mode data ``rc.modes`` of the M/N route, so the result is
+    an independent evaluation of ``L_block``.
 
     Raises :class:`ModularDivergence` when an eigenvalue comes within
     ``sing_tol`` of ``+-i`` (a mode at c = 1/2).  Returns the real 2r x 2r
@@ -277,13 +278,9 @@ def lndelta_region_via_G(
     """
     r = rc.size
     g_r = _two_point_kernel(rc.X_R, rc.P_R)
-    q_complex = 2.0 * _eps_matrix(r) @ g_r + 1j * np.eye(2 * r)
-    imag_defect = float(np.max(np.abs(q_complex.imag)))
-    if imag_defect > 1e-10:
-        raise NumericalError(
-            f"imaginary parts of 2 eps G + i did not cancel: {imag_defect:.3e}"
-        )
-    evals, vecs = np.linalg.eig(q_complex.real)
+    # the -i that the constants of G leave on the diagonal meets +i exactly
+    q_real = (2.0 * _eps_matrix(r) @ g_r + 1j * np.eye(2 * r)).real
+    evals, vecs = np.linalg.eig(q_real)
     if np.any(np.abs(evals - 1j) < sing_tol) or np.any(np.abs(evals + 1j) < sing_tol):
         raise ModularDivergence(
             "eigenvalues of 2 eps G + i within tolerance of +-i; arccot diverges",

@@ -76,7 +76,9 @@ class LatticeModel:
     Raises
     ------
     InvalidParameter
-        For non-positive coupling, negative mass, or ``n_sites < 1``.
+        For a non-positive or non-finite coupling, a negative or non-finite
+        mass, an ``n_sites`` not a positive integer (or a bool), or an unknown
+        boundary.
     ZeroModeError
         If the dynamical matrix is singular, e.g. a periodic massless chain.
     """
@@ -88,12 +90,18 @@ class LatticeModel:
 
     def __post_init__(self):
         n_sites, mass, coupling = self.n_sites, self.mass, self.coupling
-        if not isinstance(n_sites, (int, np.integer)) or n_sites < 1:
+        if isinstance(n_sites, bool) or not isinstance(n_sites, (int, np.integer)) or n_sites < 1:
             raise InvalidParameter(f"n_sites must be a positive integer, got {n_sites!r}")
         if coupling <= 0.0:
             raise InvalidParameter(f"coupling must be positive, got {coupling!r}")
         if mass < 0.0:
             raise InvalidParameter(f"mass must be non-negative, got {mass!r}")
+        for name, value in (("mass", mass), ("coupling", coupling)):
+            if not np.isfinite(value):  # NaN passes the comparisons above
+                raise InvalidParameter(f"{name} must be finite, got {value!r}")
+        if self.boundary not in tuple(Boundary):
+            raise InvalidParameter(
+                f"boundary must be 'dirichlet' or 'periodic', got {self.boundary!r}")
         boundary = Boundary(self.boundary)
         w_min = _mode_eigenvalues(n_sites, mass, coupling, boundary).min()
         if w_min <= EIG_CLAMP:

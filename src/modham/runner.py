@@ -5,8 +5,9 @@ configured tolerance, 2 on a validation failure (a residual exceeded its
 tolerance, or :class:`~modham.errors.QuadratureNotConverged`), 4 on I/O or
 schema problems (``OSError``, :class:`~modham.errors.SchemaError`), and 3
 on any other :class:`~modham.errors.ModhamError`, a construction error
-(non-standard region, zero mode, modular divergence and kin).  A
-machine-readable ``error.json`` is written whenever a run aborts.
+(non-standard region, zero mode, modular divergence and kin).  Raised
+anywhere from creating the output directory to writing the last file, such
+an error leaves a run by one path, which writes ``error.json``.
 
 A run builds each object once and passes it to the tasks: the vacuum and,
 for the region tasks, one :class:`modham.flow._RegionPipeline` (the
@@ -83,8 +84,6 @@ def to_json_text(obj, indent: int = 0) -> str:
         return format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return to_json_text(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -101,17 +100,15 @@ def to_json_text(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def matrix_payload(mat: np.ndarray, sites=None) -> dict:
-    """Row-major matrix record with explicit dimensions and site map."""
-    mat = np.asarray(mat)
-    payload = {
-        "rows": int(mat.shape[0]),
-        "cols": int(mat.shape[1]) if mat.ndim > 1 else 1,
+def matrix_payload(mat: np.ndarray, sites) -> dict:
+    """Row-major record of a 2-D matrix with its dimensions and site map."""
+    rows, cols = mat.shape
+    return {
+        "rows": rows,
+        "cols": cols,
         "data_row_major": [float(v) for v in mat.ravel()],
+        "site_index_map": [int(s) for s in sites],
     }
-    if sites is not None:
-        payload["site_index_map"] = [int(s) for s in sites]
-    return payload
 
 
 def _write_json(path: Path, payload) -> None:
@@ -276,12 +273,13 @@ def _task_crosscheck(pipeline, tol, bundle: ResultBundle):
     return agreement.max_residual <= tol.route_tol
 
 
-def run(config: RunConfig, output_dir: str | Path | None = None):
-    """Execute the configured tasks and write result files.
-
-    Returns ``(bundle, exit_code)``, the code as in the module docstring.
+def run(config: RunConfig):
+    """Execute the configured tasks and write the result files into
+    ``config.output.directory``.  Returns ``(bundle, exit_code)``; an error
+    raised anywhere from creating the directory to writing the last file is
+    recorded once, with the code of its class (see the module docstring).
     """
-    out_dir = Path(output_dir if output_dir is not None else config.output.directory)
+    out_dir = Path(config.output.directory)
     started = time.time()
     bundle = ResultBundle()
     bundle.metadata = {
@@ -292,10 +290,6 @@ def run(config: RunConfig, output_dir: str | Path | None = None):
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return bundle, _record_error(out_dir, exc, EXIT_IO)
-
-    try:
         state = _vacuum(config)
         region = resolve_region(config)
         tol = config.tolerances
@@ -317,18 +311,14 @@ def run(config: RunConfig, output_dir: str | Path | None = None):
                 "crosscheck": _task_crosscheck,
             }[task]
             all_pass = runner(pipeline, tol, bundle) and all_pass
+        bundle.metadata["elapsed_seconds"] = time.time() - started
+        _write_outputs(out_dir, config, bundle)
     except QuadratureNotConverged as exc:
         return bundle, _record_error(out_dir, exc, EXIT_VALIDATION)
     except (SchemaError, OSError) as exc:
         return bundle, _record_error(out_dir, exc, EXIT_IO)
     except ModhamError as exc:
         return bundle, _record_error(out_dir, exc, EXIT_CONSTRUCTION)
-
-    bundle.metadata["elapsed_seconds"] = time.time() - started
-    try:
-        _write_outputs(out_dir, config, bundle)
-    except OSError as exc:
-        return bundle, _record_error(out_dir, exc, EXIT_IO)
     return bundle, EXIT_OK if all_pass else EXIT_VALIDATION
 
 
@@ -358,6 +348,6 @@ def _write_outputs(out_dir: Path, config: RunConfig, bundle: ResultBundle) -> No
                 "warnings": sorted(bundle.warnings),
             },
         )
-    if bundle.scan_rows or "entropy_scan" in config.tasks:
+    if "entropy_scan" in config.tasks:
         _write_scan_tables(out_dir, config.output.formats, bundle.scan_rows)
     _write_json(out_dir / "metadata.json", bundle.metadata)

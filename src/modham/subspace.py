@@ -50,17 +50,6 @@ from .regions import (
     validate_region,
 )
 
-__all__ = [
-    "Region",
-    "StandardnessReport",
-    "ModularData",
-    "QuadratureResult",
-    "standardness_check",
-    "modular_data_full",
-    "lndelta_resolvent_quadrature",
-    "lndelta_arccot_split",
-]
-
 STANDARD_EIG_TOL = 1e-9
 RANK_TOL = 1e-10
 CONSISTENCY_TOL = 1e-8

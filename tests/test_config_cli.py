@@ -125,6 +125,80 @@ class TestParseConfig:
         assert parse_config(config_to_dict(config)) == config
 
 
+BROKEN_JSON = '{"model": {"n_sites": 8,'
+BOTH_KINDS = "exactly one of 'half', 'sites', 'interval' required, got"
+
+
+@pytest.mark.parametrize(
+    "source, path, message",
+    [
+        (minimal_config(model={"mass": 1.0}), "model.n_sites", "missing required key"),
+        (minimal_config(region={"interval": {"length": 2}}), "region.interval.start",
+         "missing required key"),
+        (minimal_config(region={"interval": {"start": 2}}), "region.interval.length",
+         "missing required key"),
+        (minimal_config(model=[8, 1.0]), "model", "expected an object, got list"),
+        (minimal_config(model={"n_sites": True, "mass": 1.0}), "model.n_sites",
+         "expected an integer, got True"),
+        (minimal_config(model={"n_sites": 8.0, "mass": 1.0}), "model.n_sites",
+         "expected an integer, got 8.0"),
+        (minimal_config(model={"n_sites": 8}), "model.mass", "missing required key"),
+        (minimal_config(model={"n_sites": 8, "mass": "1"}), "model.mass",
+         "expected a number, got '1'"),
+        (minimal_config(model={"n_sites": 8, "mass": -1}), "model.mass",
+         "must be >= 0.0, got -1.0"),
+        (minimal_config(model={"n_sites": 8, "mass": 1.0, "boundary": "open"}),
+         "model.boundary", "must be 'dirichlet' or 'periodic', got 'open'"),
+        (minimal_config(region={}), "region", f"{BOTH_KINDS} []"),
+        (minimal_config(region={"half": {}, "sites": [1]}), "region",
+         f"{BOTH_KINDS} ['half', 'sites']"),
+        (minimal_config(region={"sites": [1, 2.0]}), "region.sites",
+         "expected a list of integers"),
+        (minimal_config(region={"sites": []}), "region.sites", "region must be non-empty"),
+        (minimal_config(region={"sites": [3, 8]}), "region.sites",
+         "site indices must lie in [0, 8), got [3, 8]"),
+        (minimal_config(output={"formats": "json"}), "output.formats",
+         "expected a non-empty list"),
+        (minimal_config(output={"formats": ["xml"]}), "output.formats",
+         "unknown format 'xml'"),
+        (minimal_config(output={"formats": ["json", "json"]}), "output.formats",
+         "duplicate formats"),
+        (minimal_config(scan={"lengths": "2"}), "scan.lengths", "expected a list of integers"),
+        (minimal_config(scan={"lengths": [2, 0]}), "scan.lengths",
+         "interval length 0 outside [1, 8]"),
+        (minimal_config(scan={"lengths": [2], "start": "1"}), "scan.start",
+         "expected an integer or null"),
+        (minimal_config(scan={"lengths": [2], "start": 8}), "scan.start",
+         "start 8 outside [0, 8)"),
+        (BROKEN_JSON, "", "invalid JSON: {error}"),
+        (Path(BROKEN_JSON), "", "invalid JSON in {file}: {error}"),
+        ({"model": {"n_sites": 8, "mass": 1.0}, "region": {"half": {}}}, "tasks",
+         "missing required key"),
+    ],
+    ids=["no-n_sites", "no-start", "no-length", "non-object-section", "bool-n_sites",
+         "float-n_sites", "no-mass", "string-mass", "negative-mass", "bad-boundary",
+         "no-region-kind", "two-region-kinds", "non-integer-sites", "empty-sites",
+         "out-of-range-sites", "formats-not-a-list", "unknown-format",
+         "duplicate-formats", "lengths-not-a-list", "length-out-of-range",
+         "non-integer-start", "start-out-of-range", "invalid-json-string",
+         "invalid-json-file", "no-tasks"],
+)
+def test_schema_errors_name_their_path(tmp_path, source, path, message):
+    # every schema failure names the offending key in .path and in its text
+    if isinstance(source, Path):  # the document is the content of a file
+        source = tmp_path / "config.json"
+        source.write_text(BROKEN_JSON)
+        message = message.replace("{file}", str(source))
+    if "{error}" in message:
+        with pytest.raises(json.JSONDecodeError) as decoded:
+            json.loads(BROKEN_JSON)
+        message = message.replace("{error}", str(decoded.value))
+    with pytest.raises(SchemaError) as info:
+        parse_config(source)
+    assert info.value.path == path
+    assert str(info.value) == (f"{path}: {message}" if path else message)
+
+
 class TestSerializer:
     def test_float_formatting(self):
         assert format_float(0.1) == "0.10000000000000001"
@@ -258,6 +332,41 @@ class TestRunner:
         error = json.loads((tmp_path / "out" / "error.json").read_text())["error"]
         assert error == {"type": "DimensionMismatch", "message": "stage failed",
                          "exit_code": 3}
+
+    def test_quadrature_not_converged_exits_2(self, tmp_path, monkeypatch):
+        from modham import crosscheck
+        from modham.errors import QuadratureNotConverged
+
+        def stalled(*args, **kwargs):
+            raise QuadratureNotConverged("evaluation cap reached")
+
+        monkeypatch.setattr(crosscheck, "_resolvent_quadrature", stalled)
+        config = parse_config(minimal_config(
+            region={"interval": {"start": 3, "length": 2}},
+            tasks=["kernels", "crosscheck"],
+            output={"directory": str(tmp_path / "out")},
+        ))
+        assert run(config)[1] == 2
+        error = json.loads((tmp_path / "out" / "error.json").read_text())["error"]
+        assert error == {"type": "QuadratureNotConverged",
+                         "message": "evaluation cap reached", "exit_code": 2}
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["error.json"]
+
+    def test_failed_write_exits_4(self, tmp_path, monkeypatch):
+        from modham import runner
+
+        def disk_full(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(runner, "_write_outputs", disk_full)
+        config = parse_config(minimal_config(
+            region={"interval": {"start": 3, "length": 2}},
+            output={"directory": str(tmp_path / "out")},
+        ))
+        assert run(config)[1] == 4
+        error = json.loads((tmp_path / "out" / "error.json").read_text())["error"]
+        assert error == {"type": "OSError", "message": "[Errno 28] No space left on device",
+                         "exit_code": 4}
 
     def test_one_vacuum_and_one_standardness_check_per_run(self, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, ["vacuum_state"])

@@ -230,6 +230,38 @@ class TestKmsSuite:
         assert report.max_residual <= 1e-8
         assert any("regularized" in w for w in report.warnings)
 
+    def test_failed_points_are_recorded_in_sweep_order(self, monkeypatch):
+        # a failing point reads NaN and adds one error entry; the sweep goes on
+        from modham import flow as flow_module
+
+        measured = flow_module.kms_residual
+
+        def kms_overflowing_at_half(flow, t):
+            if t == 0.5:
+                raise FlowOverflow("kernel too large")
+            return measured(flow, t)
+
+        def group_overflowing(flow, s, t):
+            raise FlowOverflow("kernel too large")
+
+        monkeypatch.setattr(flow_module, "kms_residual", kms_overflowing_at_half)
+        monkeypatch.setattr(flow_module, "group_residual", group_overflowing)
+        state = vacuum_state(build_harmonic_chain(16, 0.5))
+        report = run_kms_suite(state, Region([6, 7, 8]))
+
+        kms = np.array(report.kms_residuals)
+        assert np.isnan(kms[3]) and np.all(np.isfinite(np.delete(kms, 3)))
+        assert len(report.group_residuals) == 5
+        assert np.all(np.isnan(report.group_residuals))
+        assert np.all(np.isfinite(report.symplectic_residuals))
+        rng = np.random.default_rng(7)
+        pairs = [rng.uniform(-2.0, 2.0, size=2) for _ in range(5)]
+        assert report.errors == (
+            "kms t=0.5: kernel too large",
+            *(f"group s={s:.3f} t={t:.3f}: kernel too large" for s, t in pairs),
+        )
+        assert np.isfinite(report.max_residual) and report.method == "eig"
+
     def test_empty_grid(self, chain8):
         _, state = chain8
         report = run_kms_suite(state, Region([3, 4]), t_grid=())

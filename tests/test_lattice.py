@@ -40,6 +40,16 @@ class TestBuildChain:
             build_harmonic_chain(4, 1.0, coupling=0.0)
         with pytest.raises(InvalidParameter):
             build_harmonic_chain(4, -1.0)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidParameter):
+                build_harmonic_chain(4, bad)
+            with pytest.raises(InvalidParameter):
+                build_harmonic_chain(4, 1.0, coupling=bad)
+        with pytest.raises(InvalidParameter, match="n_sites must be a positive integer"):
+            build_harmonic_chain(True, 1.0)
+        with pytest.raises(InvalidParameter,
+                           match="boundary must be 'dirichlet' or 'periodic', got 'open'"):
+            build_harmonic_chain(4, 1.0, boundary="open")
 
     def test_dirichlet_spectrum_closed_form(self):
         # eigenvalues of m^2 + 2k(1 - cos(j pi / (n+1))), j = 1..n
