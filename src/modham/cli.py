@@ -1,10 +1,11 @@
-"""Command-line front end.
+"""Command-line front end: ``modham {run,check,scan} config [options]``.
 
-Subcommands: ``run`` executes the configured tasks, ``check`` validates a
-configuration without running anything, ``scan`` is ``run`` with the tasks
-replaced by ``["entropy_scan"]``.  Overrides, that task list included, are
-validated like the values of a file.  Exit codes follow the contract in
-:mod:`modham.runner`.
+One parser; the command is its first positional argument and every command
+takes the same options.  ``run`` executes the configured tasks, ``check``
+validates a configuration without running anything, ``scan`` is ``run``
+with the tasks replaced by ``["entropy_scan"]``.  Overrides, that task list
+included, are validated like the values of a file.  Exit codes follow the
+contract in :mod:`modham.runner`.
 """
 
 from __future__ import annotations
@@ -25,35 +26,33 @@ def _build_parser() -> argparse.ArgumentParser:
             "flow verification and entropy scans."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "execute the tasks declared in the config"),
-        ("check", "validate a config without running"),
-        ("scan", "run with the tasks replaced by the entropy sweep"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("config", help="path to a JSON config file ('-' for stdin)")
-        cmd.add_argument(
-            "--lenient",
-            action="store_true",
-            help="ignore unknown config keys instead of failing",
-        )
-        cmd.add_argument(
-            "--clip",
-            type=float,
-            default=None,
-            metavar="EPS",
-            help="regularize the restricted state to a gap c - 1/2 >= EPS (reported)",
-        )
-        cmd.add_argument(
-            "--output-dir", default=None, help="override the output directory"
-        )
-        cmd.add_argument(
-            "--format",
-            choices=("csv", "json"),
-            default=None,
-            help="restrict output tables to one format",
-        )
+    parser.add_argument(
+        "command",
+        choices=("run", "check", "scan"),
+        help="run: execute the tasks declared in the config; check: validate a "
+        "config without running; scan: run with the tasks replaced by the "
+        "entropy sweep",
+    )
+    parser.add_argument("config", help="path to a JSON config file ('-' for stdin)")
+    parser.add_argument(
+        "--lenient",
+        action="store_true",
+        help="ignore unknown config keys instead of failing",
+    )
+    parser.add_argument(
+        "--clip",
+        type=float,
+        default=None,
+        metavar="EPS",
+        help="regularize the restricted state to a gap c - 1/2 >= EPS (reported)",
+    )
+    parser.add_argument("--output-dir", default=None, help="override the output directory")
+    parser.add_argument(
+        "--format",
+        choices=("csv", "json"),
+        default=None,
+        help="restrict output tables to one format",
+    )
     return parser
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import SchemaError
@@ -82,6 +82,10 @@ class RunConfig:
     scan: ScanConfig | None = None
 
 
+def _field_names(schema) -> set:
+    return {f.name for f in fields(schema)}
+
+
 def _expect_mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise SchemaError(f"expected an object, got {type(value).__name__}", path)
@@ -94,25 +98,37 @@ def _check_keys(mapping: dict, allowed, path: str, lenient: bool):
         raise SchemaError(f"unknown key(s) {unknown}; allowed: {sorted(allowed)}", path)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _get_int(mapping: dict, key: str, path: str, minimum: int) -> int:
     if key not in mapping:
         raise SchemaError("missing required key", f"{path}.{key}")
     value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise SchemaError(f"expected an integer, got {value!r}", f"{path}.{key}")
     if value < minimum:
         raise SchemaError(f"must be >= {minimum}, got {value}", f"{path}.{key}")
     return int(value)
 
 
-def _get_number(mapping: dict, key: str, path: str, minimum: float, strict_min=False,
-                required=True, default=None, allow_none=False):
+def _int_list(value, path: str) -> list:
+    if not isinstance(value, list) or not all(map(_is_int, value)):
+        raise SchemaError("expected a list of integers", path)
+    return value
+
+
+def _get_number(mapping: dict, key: str, path: str, default=MISSING, strict_min=False):
+    """A finite number >= 0.0 (> 0.0 under ``strict_min``); an absent key
+    takes ``default`` unless there is none, and null is accepted exactly
+    where the default is null."""
     if key not in mapping:
-        if required:
+        if default is MISSING:
             raise SchemaError("missing required key", f"{path}.{key}")
         return default
     value = mapping[key]
-    if value is None and allow_none:
+    if value is None and default is None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"expected a number, got {value!r}", f"{path}.{key}")
@@ -120,21 +136,19 @@ def _get_number(mapping: dict, key: str, path: str, minimum: float, strict_min=F
     if not abs(value) <= sys.float_info.max:
         raise SchemaError(f"expected a finite number, got {value!r}", f"{path}.{key}")
     value = float(value)
-    if strict_min and value <= minimum:
-        raise SchemaError(f"must be > {minimum}, got {value}", f"{path}.{key}")
-    if not strict_min and value < minimum:
-        raise SchemaError(f"must be >= {minimum}, got {value}", f"{path}.{key}")
+    if value < 0.0 or strict_min and value == 0.0:
+        raise SchemaError(f"must be {'>' if strict_min else '>='} 0.0, got {value}",
+                          f"{path}.{key}")
     return value
 
 
 def _parse_model(raw, lenient: bool) -> ModelConfig:
     raw = _expect_mapping(raw, "model")
-    _check_keys(raw, {"n_sites", "mass", "coupling", "boundary"}, "model", lenient)
+    _check_keys(raw, _field_names(ModelConfig), "model", lenient)
     n_sites = _get_int(raw, "n_sites", "model", minimum=1)
-    mass = _get_number(raw, "mass", "model", minimum=0.0)
-    coupling = _get_number(raw, "coupling", "model", minimum=0.0, strict_min=True,
-                           required=False, default=1.0)
-    boundary = raw.get("boundary", "dirichlet")
+    mass = _get_number(raw, "mass", "model")
+    coupling = _get_number(raw, "coupling", "model", ModelConfig.coupling, strict_min=True)
+    boundary = raw.get("boundary", ModelConfig.boundary)
     if boundary not in ("dirichlet", "periodic"):
         raise SchemaError(
             f"must be 'dirichlet' or 'periodic', got {boundary!r}", "model.boundary"
@@ -156,11 +170,7 @@ def _parse_region(raw, n_sites: int, lenient: bool) -> RegionSpec:
         _expect_mapping(raw["half"], "region.half")
         return RegionSpec(kind="half")
     if kind == "sites":
-        sites = raw["sites"]
-        if not isinstance(sites, list) or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in sites
-        ):
-            raise SchemaError("expected a list of integers", "region.sites")
+        sites = _int_list(raw["sites"], "region.sites")
         if len(set(sites)) != len(sites):
             raise SchemaError("duplicate site indices", "region.sites")
         if not sites:
@@ -188,32 +198,26 @@ def _parse_tolerances(raw, lenient: bool) -> Tolerances:
     if raw is None:
         return Tolerances()
     raw = _expect_mapping(raw, "tolerances")
-    allowed = {"route_tol", "kms_tol", "quad_tol", "sing_tol", "clip"}
-    _check_keys(raw, allowed, "tolerances", lenient)
-    defaults = Tolerances()
-    values = {}
-    for key in ("route_tol", "kms_tol", "quad_tol", "sing_tol"):
-        values[key] = _get_number(
-            raw, key, "tolerances", minimum=0.0, strict_min=True,
-            required=False, default=getattr(defaults, key),
-        )
-    clip = _get_number(raw, "clip", "tolerances", minimum=0.0, strict_min=True,
-                       required=False, default=None, allow_none=True)
+    defaults = asdict(Tolerances())
+    _check_keys(raw, defaults, "tolerances", lenient)
+    values = {key: _get_number(raw, key, "tolerances", default, strict_min=True)
+              for key, default in defaults.items()}
+    clip = values["clip"]
     if clip is not None and clip <= values["sing_tol"]:  # no kernels at that gap
         raise SchemaError(f"must be > sing_tol = {values['sing_tol']!r}, got {clip!r}",
                           "tolerances.clip")
-    return Tolerances(clip=clip, **values)
+    return Tolerances(**values)
 
 
 def _parse_output(raw, lenient: bool) -> OutputConfig:
     if raw is None:
         return OutputConfig()
     raw = _expect_mapping(raw, "output")
-    _check_keys(raw, {"directory", "formats"}, "output", lenient)
-    directory = raw.get("directory", OutputConfig().directory)
+    _check_keys(raw, _field_names(OutputConfig), "output", lenient)
+    directory = raw.get("directory", OutputConfig.directory)
     if not isinstance(directory, str) or not directory:
         raise SchemaError("expected a non-empty string", "output.directory")
-    formats = raw.get("formats", list(OutputConfig().formats))
+    formats = raw.get("formats", list(OutputConfig.formats))
     if not isinstance(formats, list) or not formats:
         raise SchemaError("expected a non-empty list", "output.formats")
     for fmt in formats:
@@ -228,12 +232,8 @@ def _parse_scan(raw, n_sites: int, lenient: bool) -> ScanConfig | None:
     if raw is None:
         return None
     raw = _expect_mapping(raw, "scan")
-    _check_keys(raw, {"lengths", "start"}, "scan", lenient)
-    lengths = raw.get("lengths", [])
-    if not isinstance(lengths, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in lengths
-    ):
-        raise SchemaError("expected a list of integers", "scan.lengths")
+    _check_keys(raw, _field_names(ScanConfig), "scan", lenient)
+    lengths = _int_list(raw.get("lengths", []), "scan.lengths")
     for value in lengths:
         if value < 1 or value > n_sites:
             raise SchemaError(
@@ -241,7 +241,7 @@ def _parse_scan(raw, n_sites: int, lenient: bool) -> ScanConfig | None:
             )
     start = raw.get("start")
     if start is not None:
-        if isinstance(start, bool) or not isinstance(start, int):
+        if not _is_int(start):
             raise SchemaError("expected an integer or null", "scan.start")
         if start < 0 or start >= n_sites:
             raise SchemaError(f"start {start} outside [0, {n_sites})", "scan.start")
@@ -272,8 +272,7 @@ def parse_config(source, lenient: bool = False) -> RunConfig:
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
     raw = _expect_mapping(raw, "")
-    top_allowed = {"model", "region", "tasks", "tolerances", "output", "scan"}
-    _check_keys(raw, top_allowed, "", lenient)
+    _check_keys(raw, _field_names(RunConfig), "", lenient)
     for key in ("model", "region", "tasks"):
         if key not in raw:
             raise SchemaError("missing required key", key)
@@ -309,22 +308,10 @@ def resolve_region(config: RunConfig) -> Region:
 
 def config_to_dict(config: RunConfig) -> dict:
     """Plain-dict form of a config; ``parse_config`` round-trips it."""
-    out: dict = {
-        "model": asdict(config.model),
-        "tasks": list(config.tasks),
-        "tolerances": asdict(config.tolerances),
-        "output": {
-            "directory": config.output.directory,
-            "formats": list(config.output.formats),
-        },
-    }
-    spec = config.region
-    if spec.kind == "half":
-        out["region"] = {"half": {}}
-    elif spec.kind == "sites":
-        out["region"] = {"sites": list(spec.sites)}
-    else:
-        out["region"] = {"interval": {"start": spec.start, "length": spec.length}}
-    if config.scan is not None:
-        out["scan"] = {"lengths": list(config.scan.lengths), "start": config.scan.start}
+    out = json.loads(json.dumps(asdict(config)))  # plain lists for tuples
+    spec = out.pop("region")
+    kind = spec.pop("kind")
+    out["region"] = {kind: {"half": {}, "sites": spec.pop("sites"), "interval": spec}[kind]}
+    if config.scan is None:
+        del out["scan"]
     return out

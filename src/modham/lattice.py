@@ -76,9 +76,9 @@ class LatticeModel:
     Raises
     ------
     InvalidParameter
-        For a non-positive or non-finite coupling, a negative or non-finite
-        mass, an ``n_sites`` not a positive integer (or a bool), or an unknown
-        boundary.
+        For a mass or coupling that is not a real number (or is a bool), a
+        non-positive or non-finite coupling, a negative or non-finite mass, an
+        ``n_sites`` not a positive integer (or a bool), or an unknown boundary.
     ZeroModeError
         If the dynamical matrix is singular, e.g. a periodic massless chain.
     """
@@ -92,6 +92,9 @@ class LatticeModel:
         n_sites, mass, coupling = self.n_sites, self.mass, self.coupling
         if isinstance(n_sites, bool) or not isinstance(n_sites, (int, np.integer)) or n_sites < 1:
             raise InvalidParameter(f"n_sites must be a positive integer, got {n_sites!r}")
+        for name, value in (("mass", mass), ("coupling", coupling)):
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise InvalidParameter(f"{name} must be a real number, got {value!r}")
         if coupling <= 0.0:
             raise InvalidParameter(f"coupling must be positive, got {coupling!r}")
         if mass < 0.0:

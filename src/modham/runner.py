@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .flow import _RegionPipeline, _kms_sweep
 from .kernels import entanglement_entropy, nested_spectra
-from .lattice import GaussianState, build_harmonic_chain, vacuum_state
+from .lattice import GaussianState, LatticeModel, vacuum_state
 from .regions import Region
 
 EXIT_OK = 0
@@ -74,16 +74,12 @@ def to_json_text(obj, indent: int = 0) -> str:
     """Deterministic JSON rendering: sorted keys, fixed float formatting."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
+    if obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -131,14 +127,10 @@ def _write_scan_tables(out_dir: Path, formats, rows: list) -> None:
     (out_dir / "entropy_scan.csv").write_text("\n".join(lines) + "\n")
 
 
-def _vacuum(config: RunConfig) -> GaussianState:
-    model = build_harmonic_chain(
-        config.model.n_sites,
-        config.model.mass,
-        config.model.coupling,
-        config.model.boundary,
-    )
-    return vacuum_state(model)
+def _fields(report, *dropped) -> dict:
+    """A report dataclass as the dict of its fields but ``dropped``, tuples as lists."""
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(report).items() if key not in dropped}
 
 
 def entropy_scan(config: RunConfig):
@@ -148,7 +140,7 @@ def entropy_scan(config: RunConfig):
     the row and do not abort the sweep.  These are the rows of the
     ``entropy_scan`` task of :func:`run`, which ``modham scan`` runs.
     """
-    return _scan_rows(_vacuum(config), config.scan)[0]
+    return _scan_rows(vacuum_state(LatticeModel(**asdict(config.model))), config.scan)[0]
 
 
 def _scan_rows(state: GaussianState, scan: ScanConfig) -> tuple[list, dict]:
@@ -233,21 +225,11 @@ def _task_flow(pipeline, tol, bundle: ResultBundle):
 
 
 def _task_kms(pipeline, tol, bundle: ResultBundle):
-    report = _kms_sweep(pipeline)
-    bundle.reports["kms"] = {
-        "t_values": list(report.t_values),
-        "kms_residuals": list(report.kms_residuals),
-        "group_residuals": list(report.group_residuals),
-        "symplectic_residuals": list(report.symplectic_residuals),
-        "max_residual": report.max_residual,
-        "method": report.method,
-        "warnings": list(report.warnings),
-        "errors": list(report.errors),
-    }
-    bundle.warnings.extend(report.warnings)
-    finite = [v for v in report.kms_residuals if v == v]
-    complete = len(finite) == len(report.kms_residuals) and not report.errors
-    return complete and report.max_residual <= tol.kms_tol
+    # the regularized modes are the kernels report's
+    report = bundle.reports["kms"] = _fields(_kms_sweep(pipeline), "clipped_modes")
+    bundle.warnings.extend(report["warnings"])
+    complete = all(v == v for v in report["kms_residuals"]) and not report["errors"]
+    return complete and report["max_residual"] <= tol.kms_tol
 
 
 def _task_crosscheck(pipeline, tol, bundle: ResultBundle):
@@ -258,18 +240,11 @@ def _task_crosscheck(pipeline, tol, bundle: ResultBundle):
             f"at gap {tol.clip:g}"
         )
     agreement = _route_agreement(pipeline, tol.quad_tol)
-    bundle.reports["crosscheck"] = {
-        "generator_norm": agreement.norm,
-        "spectral_vs_blocks": agreement.spectral_vs_blocks,
-        "spectral_vs_quadrature": agreement.spectral_vs_quadrature,
-        "blocks_vs_quadrature": agreement.blocks_vs_quadrature,
-        "split_vs_spectral": agreement.split_vs_spectral,
-        "kernel_vs_blocks": agreement.kernel_vs_blocks,
-        "quad_error_bound": agreement.quad_error_bound,
-        "quad_evals": agreement.quad_evals,
-        "regularized_modes": list(clipped),
-    }
-    bundle.metadata["crosscheck"] = {"gram_cond": agreement.gram_cond, "a_gap": agreement.a_gap}
+    report = _fields(agreement, "region")
+    # the conditioning of the frame and the quadrature is a trace, not data
+    bundle.metadata["crosscheck"] = {key: report.pop(key) for key in ("gram_cond", "a_gap")}
+    report["generator_norm"] = report.pop("norm")
+    bundle.reports["crosscheck"] = {**report, "regularized_modes": list(clipped)}
     return agreement.max_residual <= tol.route_tol
 
 
@@ -290,7 +265,7 @@ def run(config: RunConfig):
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        state = _vacuum(config)
+        state = vacuum_state(LatticeModel(**asdict(config.model)))
         region = resolve_region(config)
         tol = config.tolerances
         if any(task != "entropy_scan" for task in config.tasks):

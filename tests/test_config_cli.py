@@ -12,7 +12,7 @@ from modham import SchemaError, parse_config
 from modham.cli import main as cli_main
 from modham.config import config_to_dict, resolve_region
 from modham.regions import Region
-from modham.runner import format_float, run, to_json_text
+from modham.runner import entropy_scan, format_float, run, to_json_text
 
 
 def minimal_config(**overrides):
@@ -460,6 +460,18 @@ class TestRunner:
         assert max(sizes) == 64 and sizes.count(64) == 2
         assert not {"I_mat", "mu_gram"} & set(vars(state))
 
+    def test_entropy_scan_returns_the_rows_run_writes(self, tmp_path):
+        config = parse_config(minimal_config(
+            tasks=["entropy_scan"],
+            scan={"lengths": [2, 8, 4]},  # 8 covers the lattice: an error row
+            output={"directory": str(tmp_path / "out"), "formats": ["json"]},
+        ))
+        rows = entropy_scan(config)
+        bundle, code = run(config)
+        assert code == 0 and rows == bundle.scan_rows and "error" in rows[1]
+        written = json.loads((tmp_path / "out" / "entropy_scan.json").read_text())
+        assert written["rows"] == rows
+
     def test_empty_scan(self, tmp_path):
         config = parse_config(
             minimal_config(
@@ -518,6 +530,13 @@ class TestCli:
         code = cli_main(["run", str(path), "--output-dir", str(tmp_path / "out")])
         assert code == 0, capsys.readouterr()
         assert (tmp_path / "out" / "entropy_scan.json").exists()
+
+    def test_readme_library_quick_start(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"## Library quick start.*?```python\n(.*?)```", readme, re.S)
+        namespace = {}
+        exec(block.group(1), namespace)
+        assert namespace["agreement"].max_residual <= 1e-7
 
     def test_scan_command(self, tmp_path, capsys):
         # scan runs the entropy_scan task in place of the configured tasks

@@ -45,6 +45,14 @@ class TestBuildChain:
                 build_harmonic_chain(4, bad)
             with pytest.raises(InvalidParameter):
                 build_harmonic_chain(4, 1.0, coupling=bad)
+        # a mass or coupling that is not a real number fails before any comparison
+        for args, name, bad in (((4, "1.0"), "mass", "'1.0'"), ((4, None), "mass", "None"),
+                                ((4, 1j), "mass", "1j"), ((4, True), "mass", "True"),
+                                ((4, 1.0, "2"), "coupling", "'2'"),
+                                ((4, 1.0, False), "coupling", "False")):
+            with pytest.raises(InvalidParameter) as info:
+                build_harmonic_chain(*args)
+            assert str(info.value) == f"{name} must be a real number, got {bad}"
         with pytest.raises(InvalidParameter, match="n_sites must be a positive integer"):
             build_harmonic_chain(True, 1.0)
         with pytest.raises(InvalidParameter,
