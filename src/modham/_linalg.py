@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalError, QuadratureNotConverged
+from .errors import InvalidParameter, NumericalError, QuadratureNotConverged
 
 # Eigenvalues of an SPD matrix below this are treated as zero modes.
 EIG_CLAMP = 1e-14
@@ -40,6 +40,12 @@ def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
+
+
+def require_tolerance(name: str, value: float) -> None:
+    """Raise :class:`InvalidParameter` unless ``value`` is finite and positive."""
+    if not 0 < value < np.inf:
+        raise InvalidParameter(f"{name} must be finite and positive, got {value!r}")
 
 
 class SymmetrizedFrame:

@@ -57,9 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
-    source = args.config
-    if source == "-":
-        source = sys.stdin.read()
+    source = sys.stdin if args.config == "-" else args.config
     raw = config_to_dict(parse_config(source, lenient=args.lenient))
     if args.clip is not None:
         raw["tolerances"]["clip"] = args.clip

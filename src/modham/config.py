@@ -251,25 +251,25 @@ def _parse_scan(raw, n_sites: int, lenient: bool) -> ScanConfig | None:
 def parse_config(source, lenient: bool = False) -> RunConfig:
     """Parse and validate a configuration document.
 
-    ``source`` may be a mapping, a JSON string, or a path to a JSON file.
+    ``source`` may be a mapping, a JSON string, a path to a JSON file, or a
+    text stream such as ``sys.stdin``, whose whole content is JSON text.
     Unknown keys raise :class:`SchemaError` (with the offending path) unless
     ``lenient`` is set.
     """
-    if isinstance(source, dict):
-        raw = source
+    text, origin = None, ""
+    if hasattr(source, "read"):  # a stream holds JSON text, whatever it starts with
+        text = source.read()
     elif isinstance(source, (str, Path)) and str(source).lstrip().startswith("{"):
-        try:
-            raw = json.loads(str(source))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from exc
-    else:
+        text = str(source)
+    elif not isinstance(source, dict):
         path = Path(source)
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
-        try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+        text, origin = path.read_text(), f" in {path}"
+    try:
+        raw = source if text is None else json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON{origin}: {exc}") from exc
 
     raw = _expect_mapping(raw, "")
     _check_keys(raw, _field_names(RunConfig), "", lenient)
@@ -286,6 +286,8 @@ def parse_config(source, lenient: bool = False) -> RunConfig:
     for task in tasks:
         if task not in KNOWN_TASKS:
             raise SchemaError(f"unknown task {task!r}; allowed: {KNOWN_TASKS}", "tasks")
+    if len(set(tasks)) != len(tasks):
+        raise SchemaError("duplicate tasks", "tasks")
 
     tolerances = _parse_tolerances(raw.get("tolerances"), lenient)
     output = _parse_output(raw.get("output"), lenient)

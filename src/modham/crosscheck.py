@@ -100,9 +100,10 @@ def regularized_instance(
     """Regularize the restricted state to a gap and purify onto a doubled region.
 
     Returns ``(pure_state, embedded_region, clipped_modes)``.  The embedded
-    region occupies the first half of the purified lattice, so every
-    full-space route applies without trivial directions and with a spectral
-    gap of at least ``clip``.
+    region is the first half of the purified lattice and restricts to the
+    regularized X_R, P_R bit for bit: every full-space route applies with a
+    spectral gap of at least ``clip``, and :func:`route_agreement` on it
+    reports the floats of a run under that clip.
     """
     rc = restrict_correlators(state, region)
     rc_reg, clipped = regularize_correlators(rc, clip)

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import frob
+from ._linalg import frob, require_tolerance
 from .errors import (
     BranchCutProximity,
     FlowOverflow,
@@ -125,7 +125,10 @@ def build_flow(
         principal-log branch cut; this is the c -> 1/2 divergence.
     NumericalError
         If the block generator violates the KMS relation at t = 0.
+    InvalidParameter
+        If ``branch_tol`` is not finite and positive.
     """
+    require_tolerance("branch_tol", branch_tol)
     if kernels.region != rc.region:
         raise InvalidParameter("kernels and correlators belong to different regions")
     g_r = _two_point_kernel(rc.X_R, rc.P_R)

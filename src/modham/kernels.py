@@ -23,8 +23,8 @@ diverges logarithmically; they are a hard error.  The one way off 1/2 is
 :func:`regularize_correlators`, which rebuilds P_R into a nearby valid
 state whose spectrum keeps an explicit gap, so every generator is the
 generator of a state.  :func:`purify_restriction` turns a restricted state
-into a pure two-block state on a doubled region, which is the clean way to
-study degenerate regions with the full-space machinery.
+into a pure state on a doubled region that restricts back to it bit for
+bit, the clean way to study degenerate regions with the full-space machinery.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg.blas import dsyr2k
 from scipy.linalg.lapack import dpotrf
 
-from ._linalg import ModeData, frob, product_spectrum, symmetrize
+from ._linalg import ModeData, frob, product_spectrum, require_tolerance, symmetrize
 from .errors import (
     EmptyRegion,
     InvalidParameter,
@@ -245,8 +245,10 @@ def mn_kernels(rc: RestrictedCorrelators, sing_tol: float = DEFAULT_SING_TOL) ->
 
     Modes with ``c - 1/2 <= sing_tol`` raise :class:`ModularDivergence`;
     :func:`regularize_correlators` gives the nearby state whose generator
-    exists.
+    exists.  A ``sing_tol`` that is not finite and positive raises
+    :class:`InvalidParameter`.
     """
+    require_tolerance("sing_tol", sing_tol)
     block = mn_block_generator(rc, divergence_tol=sing_tol)
     r = rc.size
     return RegionKernels(
@@ -274,8 +276,10 @@ def lndelta_region_via_G(
 
     Raises :class:`ModularDivergence` when an eigenvalue comes within
     ``sing_tol`` of ``+-i`` (a mode at c = 1/2).  Returns the real 2r x 2r
-    matrix equal to ``L_block`` of :func:`mn_kernels`.
+    matrix equal to ``L_block`` of :func:`mn_kernels`; ``sing_tol`` is
+    checked as there.
     """
+    require_tolerance("sing_tol", sing_tol)
     r = rc.size
     g_r = _two_point_kernel(rc.X_R, rc.P_R)
     # the -i that the constants of G leave on the diagonal meets +i exactly
@@ -328,8 +332,7 @@ def regularize_correlators(
     A ``min_gap`` that is not finite and positive raises
     :class:`InvalidParameter`.
     """
-    if not 0 < min_gap < np.inf:
-        raise InvalidParameter(f"min_gap must be finite and positive, got {min_gap!r}")
+    require_tolerance("min_gap", min_gap)
     c, frame, _ = rc.modes
     clipped = np.flatnonzero(c < 0.5 + min_gap)
     if clipped.size == 0:
@@ -344,39 +347,22 @@ def purify_restriction(rc: RestrictedCorrelators) -> tuple[GaussianState, Region
     """Embed a restricted state as the left half of a pure two-block state.
 
     Each mode of C with eigenvalue c is paired with an ancilla mode in a
-    two-mode squeezed configuration, giving a pure Gaussian state on 2r
-    sites whose restriction to the first r sites reproduces X_R and P_R
-    exactly.  Returns the pure state and the embedded region.
+    two-mode squeezed state, the thermofield double (Botero and Reznik, Phys.
+    Rev. A 67, 052311 (2003)).  With ``q = sqrt(c^2 - 1/4)``, the pure state
+    on 2r sites has the blocks X_R and P_R on the region, diag(c) on the
+    ancilla and ``B^{-T} diag(sqrt(c) q)``, ``-B diag(q / sqrt(c))`` across,
+    symmetrized as assembled, so it restricts back to a symmetric X_R and
+    P_R bit for bit.  Returns the pure state and the embedded region.
 
     Modes must satisfy c >= 1/2; regularize first if the input contains
     machine-degenerate modes and downstream code needs a spectral gap.
     """
     c, frame, frame_inv = rc.modes
     if np.any(c < 0.5 - POSITIVITY_TOL):
-        raise PositivityViolation(
-            f"cannot purify: min c = {c.min():.12f} below 1/2"
-        )
+        raise PositivityViolation(f"cannot purify: min c = {c.min():.12f} below 1/2")
     c = np.maximum(c, 0.5)
-    r = rc.size
-    squeeze = np.sqrt(c**2 - 0.25)
-
-    # S = B^{-T} diag(c)^{1/2} gives S diag(c) S^T = X_R and
-    # S^{-T} diag(c) S^{-1} = P_R with S^{-T} = B diag(c)^{-1/2}.
-    s_mat = frame_inv.T * np.sqrt(c)
-    s_inv_t = frame / np.sqrt(c)
-
-    x_nf = np.block([
-        [np.diag(c), np.diag(squeeze)],
-        [np.diag(squeeze), np.diag(c)],
-    ])
-    p_nf = np.block([
-        [np.diag(c), -np.diag(squeeze)],
-        [-np.diag(squeeze), np.diag(c)],
-    ])
-    zero = np.zeros((r, r))
-    eye = np.eye(r)
-    s_x = np.block([[s_mat, zero], [zero, eye]])
-    s_p = np.block([[s_inv_t, zero], [zero, eye]])
-    x_big = symmetrize(s_x @ x_nf @ s_x.T)
-    p_big = symmetrize(s_p @ p_nf @ s_p.T)
-    return GaussianState.from_correlators(x_big, p_big), Region(range(r))
+    q = np.sqrt(c**2 - 0.25)
+    x_cross, p_cross = frame_inv.T * (np.sqrt(c) * q), -frame * (q / np.sqrt(c))
+    x_big, p_big = (symmetrize(np.block([[block, cross], [cross.T, np.diag(c)]]))
+                    for block, cross in ((rc.X_R, x_cross), (rc.P_R, p_cross)))
+    return GaussianState.from_correlators(x_big, p_big), Region(range(rc.size))

@@ -33,10 +33,10 @@ from ._linalg import (
     SymmetrizedFrame,
     adaptive_matrix_quadrature,
     rel_diff,
+    require_tolerance,
     symmetrize,
 )
 from .errors import (
-    InvalidParameter,
     NotStandard,
     NumericalError,
     SpectrumOutOfDomain,
@@ -364,8 +364,7 @@ def _resolvent_quadrature(sub: _SubspaceFrame, quad_tol: float, columns=None):
     integral times ``columns``; the bound is the absolute Frobenius estimate of
     what is returned.  With s = 1 - u^2, ``A^2 - s^2 = (A^2 - 1) + u^2 (2 - u^2)``
     is SPD when every |eig a_hl| > 1, and ``A^2 - (1 - u^2)^2`` would cancel."""
-    if quad_tol <= 0:
-        raise InvalidParameter(f"quad_tol must be positive, got {quad_tol!r}")
+    require_tolerance("quad_tol", quad_tol)
     a_hl = sub.a_hl
     eye = np.eye(a_hl.shape[0], order="F")
     a_sq_m1 = np.asfortranarray(symmetrize(a_hl @ a_hl)) - eye

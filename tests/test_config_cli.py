@@ -174,6 +174,8 @@ BOTH_KINDS = "exactly one of 'half', 'sites', 'interval' required, got"
         (Path(BROKEN_JSON), "", "invalid JSON in {file}: {error}"),
         ({"model": {"n_sites": 8, "mass": 1.0}, "region": {"half": {}}}, "tasks",
          "missing required key"),
+        (minimal_config(tasks=["kernels", "kernels", "kms", "kms"]), "tasks",
+         "duplicate tasks"),
     ],
     ids=["no-n_sites", "no-start", "no-length", "non-object-section", "bool-n_sites",
          "float-n_sites", "no-mass", "string-mass", "negative-mass", "bad-boundary",
@@ -181,7 +183,7 @@ BOTH_KINDS = "exactly one of 'half', 'sites', 'interval' required, got"
          "out-of-range-sites", "formats-not-a-list", "unknown-format",
          "duplicate-formats", "lengths-not-a-list", "length-out-of-range",
          "non-integer-start", "start-out-of-range", "invalid-json-string",
-         "invalid-json-file", "no-tasks"],
+         "invalid-json-file", "no-tasks", "duplicate-tasks"],
 )
 def test_schema_errors_name_their_path(tmp_path, source, path, message):
     # every schema failure names the offending key in .path and in its text
@@ -740,7 +742,7 @@ class TestCliFlags:
         assert cli_main(["run", str(path)]) == 4
         assert cli_main(["run", str(path), "--lenient"]) == 0
 
-    def test_stdin_config(self, tmp_path, monkeypatch):
+    def test_stdin_config(self, tmp_path, monkeypatch, capsys):
         import io
 
         cfg = minimal_config(
@@ -749,6 +751,14 @@ class TestCliFlags:
         )
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(cfg)))
         assert cli_main(["check", "-"]) == 0
+        # stdin text is JSON whatever it holds, never a file path
+        for text, message in [("[1, 2]", "expected an object, got list"),
+                              ("null", "expected an object, got NoneType"),
+                              ('"x"', "expected an object, got str"),
+                              ("", "invalid JSON: Expecting value: line 1 column 1")]:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert cli_main(["check", "-"]) == 4
+            assert f"error: SchemaError: {message}" in capsys.readouterr().err
 
     def test_format_flag_restricts_tables(self, tmp_path):
         path = tmp_path / "config.json"
@@ -1024,6 +1034,38 @@ class TestRouteAgreementPipeline:
         agreement = route_agreement(state, Region.interval(30, 3))
         assert report.pop("generator_norm") == agreement.norm
         assert report.pop("regularized_modes") == []
+        assert report == {name: getattr(agreement, name) for name in report}
+
+    @pytest.mark.parametrize(
+        "n_sites, region, clip",
+        [(64, {"half": {}}, 1e-4), (32, {"interval": {"start": 8, "length": 8}}, 1e-3)],
+        ids=["half-64", "interval-32"],
+    )
+    def test_clipped_run_reports_route_agreement_of_its_purification(
+            self, tmp_path, n_sites, region, clip):
+        # the purification restricts back to the regularized restriction bit
+        # for bit, so the run and the library certify one state
+        from modham import (
+            build_harmonic_chain, regularized_instance, route_agreement, vacuum_state,
+        )
+
+        out = tmp_path / "out"
+        config = parse_config(
+            minimal_config(
+                model={"n_sites": n_sites, "mass": 0.3},
+                region=region,
+                tasks=["crosscheck"],
+                tolerances={"clip": clip},
+                output={"directory": str(out), "formats": ["json"]},
+            )
+        )
+        assert run(config)[1] == 0
+        report = json.loads((out / "residuals.json").read_text())["reports"]["crosscheck"]
+        state = vacuum_state(build_harmonic_chain(n_sites, 0.3))
+        pure, embedded, clipped = regularized_instance(state, resolve_region(config), clip)
+        agreement = route_agreement(pure, embedded)
+        assert report.pop("generator_norm") == agreement.norm
+        assert report.pop("regularized_modes") == list(clipped)
         assert report == {name: getattr(agreement, name) for name in report}
 
     def test_empty_region_is_not_standard_on_every_route(self):

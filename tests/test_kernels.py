@@ -23,6 +23,7 @@ from modham import (
     symplectic_spectrum,
     vacuum_state,
 )
+from modham._linalg import symmetrize
 from modham.config import ScanConfig
 from modham.runner import _scan_rows
 
@@ -300,9 +301,19 @@ class TestRegularizeAndPurify:
         pure, region = purify_restriction(rc)
         assert pure.n_sites == 6
         assert region == Region(range(3))
-        assert_allclose(pure.X_full[:3, :3], rc.X_R, atol=1e-12)
-        assert_allclose(pure.P_full[:3, :3], rc.P_R, atol=1e-12)
+        assert np.array_equal(pure.X_full[:3, :3], rc.X_R)
+        assert np.array_equal(pure.P_full[:3, :3], rc.P_R)
         assert np.linalg.norm(4 * pure.X_full @ pure.P_full - np.eye(6)) <= 1e-10
+
+    def test_purification_symmetrizes_a_hand_built_restriction(self, chain8_light):
+        # the blocks are symmetrized as assembled: an asymmetric X_R enters
+        # as its symmetric part, which has the same mode data
+        _, state = chain8_light
+        rc = restrict_correlators(state, Region([1, 2, 6]))
+        skew = 1e-9 * np.triu(np.ones((3, 3)), 1)
+        pure, _ = purify_restriction(RestrictedCorrelators(rc.region, rc.X_R + skew, rc.P_R))
+        assert np.array_equal(pure.X_full[:3, :3], symmetrize(rc.X_R + skew))
+        assert np.array_equal(pure.P_full[:3, :3], rc.P_R)
 
     def test_purify_rejects_invalid(self):
         rc = RestrictedCorrelators(Region([0]), np.array([[0.1]]), np.array([[0.1]]))

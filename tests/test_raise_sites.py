@@ -29,7 +29,29 @@ CASES = {
         InvalidParameter, "the site sets of a sweep must be nested"),
     "quad-tol-zero": (
         lambda: mh.lndelta_resolvent_quadrature(STATE, mh.Region([1]), quad_tol=0),
-        InvalidParameter, "quad_tol must be positive, got 0"),
+        InvalidParameter, "quad_tol must be finite and positive, got 0"),
+    # a tolerance that is not finite and positive would switch its gate off
+    "quad-tol-inf": (
+        lambda: mh.lndelta_resolvent_quadrature(STATE, mh.Region([1]), quad_tol=np.inf),
+        InvalidParameter, "quad_tol must be finite and positive, got inf"),
+    "quad-tol-nan": (
+        lambda: mh.route_agreement(STATE, mh.Region([1]), quad_tol=np.nan),
+        InvalidParameter, "quad_tol must be finite and positive, got nan"),
+    "sing-tol-nan": (
+        lambda: mh.mn_kernels(PAIR, sing_tol=np.nan),
+        InvalidParameter, "sing_tol must be finite and positive, got nan"),
+    "sing-tol-negative": (
+        lambda: mh.mn_kernels(PAIR, sing_tol=-1),
+        InvalidParameter, "sing_tol must be finite and positive, got -1"),
+    "via-G-sing-tol-inf": (
+        lambda: mh.lndelta_region_via_G(PAIR, sing_tol=np.inf),
+        InvalidParameter, "sing_tol must be finite and positive, got inf"),
+    "branch-tol-nan": (
+        lambda: mh.build_flow(mh.mn_kernels(PAIR), PAIR, branch_tol=np.nan),
+        InvalidParameter, "branch_tol must be finite and positive, got nan"),
+    "branch-tol-negative": (
+        lambda: mh.build_flow(mh.mn_kernels(PAIR), PAIR, branch_tol=-1),
+        InvalidParameter, "branch_tol must be finite and positive, got -1"),
     "flow-of-another-region": (
         lambda: mh.build_flow(mh.mn_kernels(mh.restrict_correlators(STATE, mh.Region([0]))),
                               mh.restrict_correlators(STATE, mh.Region([1]))),
