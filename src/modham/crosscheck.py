@@ -13,12 +13,14 @@ to the full ``I ln Delta``, route (c) to its region block from the region
 columns alone, which are all it integrates, so ``quad_error_bound`` bounds
 the compared block.  Two supplementary residuals follow.  The subspace split
 (region block minus complement block) is compared with the full-space
-route; its region block is route (b)'s ``mn_block_generator(rc)``, so the
-new information in ``split_vs_spectral`` is the complement block.  The
-two-point-kernel route diagonalizes ``2 eps G|_R + i`` with a
-nonsymmetric complex eigensolver and applies ``-2 arccot`` to its
-eigenvalues; it shares no step with the mode data of the block route, so
-``kernel_vs_blocks`` compares two independent evaluations of the region block.
+route.  Its region block is route (b)'s ``L_block`` and its complement
+block comes from the region's mode frame through the purity of the state
+(a vacuum, or a clipped run's purified restriction), so ``split_vs_spectral``
+certifies that pairing against route (a), which reads neither.  The
+two-point-kernel route diagonalizes ``2 eps G|_R + i`` with a nonsymmetric
+complex eigensolver and applies ``-2 arccot`` to its eigenvalues; it shares
+no step with the mode data of the block route, so ``kernel_vs_blocks``
+compares two independent evaluations of the region block.
 
 Regions whose restricted spectrum touches c = 1/2 at double precision have
 no representable generator; for those, :func:`regularized_instance` moves
@@ -40,6 +42,7 @@ import numpy as np
 from ._linalg import frob
 from .flow import _RegionPipeline
 from .kernels import (
+    DEFAULT_SING_TOL,
     lndelta_region_via_G,
     purify_restriction,
     regularize_correlators,
@@ -115,7 +118,7 @@ def route_agreement(
     state: GaussianState,
     region: Region,
     quad_tol: float = 1e-10,
-    sing_tol: float = 1e-10,
+    sing_tol: float = DEFAULT_SING_TOL,
 ) -> RouteAgreement:
     """Compute the generator along every route and compare pairwise, on the
     pipeline a run without a clip builds: a region that is not standard,
@@ -123,7 +126,7 @@ def route_agreement(
     degenerate regions should first map the instance through
     :func:`regularized_instance`.
     """
-    return _route_agreement(_RegionPipeline(state, region, sing_tol=sing_tol), quad_tol)
+    return _route_agreement(_RegionPipeline(state, region, clip=None, sing_tol=sing_tol), quad_tol)
 
 
 def _route_agreement(pipeline: _RegionPipeline, quad_tol: float) -> RouteAgreement:
@@ -140,7 +143,7 @@ def _route_agreement(pipeline: _RegionPipeline, quad_tol: float) -> RouteAgreeme
         sub, quad_tol, columns=sub.root_q[sub.sel].T)
     gen_quad = sub.i_inv_root_q[sub.sel] @ quad_cols
 
-    split_full = _arccot_split(sub, rc)
+    split_full = _arccot_split(sub, rc, gen_blocks)
     gen_kernel_form = lndelta_region_via_G(rc, sing_tol=pipeline.sing_tol)
 
     norm = frob(gen_blocks)

@@ -43,6 +43,7 @@ from .errors import (
     NumericalError,
 )
 from .kernels import (
+    DEFAULT_SING_TOL,
     RegionKernels,
     RestrictedCorrelators,
     mn_kernels,
@@ -218,7 +219,7 @@ class _RegionPipeline:
     ``flow`` holds the construction error when the flow cannot be built.
     """
 
-    def __init__(self, state: GaussianState, region: Region, clip=None, sing_tol=1e-10):
+    def __init__(self, state: GaussianState, region: Region, clip, sing_tol):
         self.clip, self.sing_tol = clip, sing_tol
         # an explicit clip fixes the gap; the branch guard must sit below it
         self.branch_tol = BRANCH_TOL if clip is None else min(BRANCH_TOL, 0.5 * clip)
@@ -252,7 +253,7 @@ def run_kms_suite(
     region: Region,
     t_grid: Sequence[float] = KMS_T_GRID,
     clip: float | None = None,
-    sing_tol: float = 1e-10,
+    sing_tol: float = DEFAULT_SING_TOL,
 ) -> KmsReport:
     """Sweep KMS, group-law and symplectic residuals over a time grid.
 

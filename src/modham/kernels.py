@@ -16,7 +16,8 @@ its Williamson frame.  With the Cholesky factor ``P_R = L L^T`` and
 
     C = B^{-T} diag(c) B^T,   M = B f(c) B^T,   N = B^{-T} diag(c^2) f(c) B^{-1}
 
-with ``f(c) = ln((2c + 1)/(2c - 1)) / (2c)``.
+with ``f(c) = ln((2c + 1)/(2c - 1)) / (2c)``.  In a pure state the same frame
+gives the complement's kernels (:func:`modham.subspace.lndelta_arccot_split`).
 
 Eigenvalues at c = 1/2 are unentangled directions where the generator
 diverges logarithmically; they are a hard error.  The one way off 1/2 is
@@ -207,39 +208,6 @@ def compute_C(rc: RestrictedCorrelators) -> np.ndarray:
     return (frame_inv.T * c) @ frame.T
 
 
-def mn_block_generator(
-    rc: RestrictedCorrelators,
-    divergence_tol: float = 0.0,
-    zero_below: float | None = None,
-) -> np.ndarray:
-    """Assemble [[0, 2M], [-2N, 0]] from the mode data of a restriction.
-
-    Low-level routine shared by the kernel and subspace modules.  Modes with
-    ``c <= zero_below`` contribute zero (the trivial-direction convention of
-    the full-space machinery); modes with ``c - 1/2 <= divergence_tol`` that
-    are not mapped to zero raise :class:`ModularDivergence`.
-    """
-    c, frame, frame_inv = rc.modes
-    active = np.ones_like(c, dtype=bool) if zero_below is None else c > zero_below
-    offending = (c - 0.5 <= divergence_tol) & active
-    if offending.any():
-        raise ModularDivergence(
-            f"{int(offending.sum())} mode(s) within {divergence_tol:g} of "
-            f"c = 1/2; the modular generator diverges on nearly "
-            f"unentangled modes (regularize_correlators moves them off 1/2)",
-            eigenvalues=c[offending],
-        )
-    vals = np.zeros_like(c)
-    vals[active] = _log_ratio(c[active])
-    m_kernel = (frame * vals) @ frame.T
-    n_kernel = (frame_inv.T * (c**2 * vals)) @ frame_inv
-    r = rc.size
-    block = np.zeros((2 * r, 2 * r))
-    block[:r, r:] = 2.0 * m_kernel
-    block[r:, :r] = -2.0 * n_kernel
-    return block
-
-
 def mn_kernels(rc: RestrictedCorrelators, sing_tol: float = DEFAULT_SING_TOL) -> RegionKernels:
     """M and N kernels and the block generator of a restricted state.
 
@@ -249,15 +217,23 @@ def mn_kernels(rc: RestrictedCorrelators, sing_tol: float = DEFAULT_SING_TOL) ->
     :class:`InvalidParameter`.
     """
     require_tolerance("sing_tol", sing_tol)
-    block = mn_block_generator(rc, divergence_tol=sing_tol)
+    c, frame, frame_inv = rc.modes
+    offending = c - 0.5 <= sing_tol
+    if offending.any():
+        raise ModularDivergence(
+            f"{int(offending.sum())} mode(s) within {sing_tol:g} of "
+            f"c = 1/2; the modular generator diverges on nearly "
+            f"unentangled modes (regularize_correlators moves them off 1/2)",
+            eigenvalues=c[offending],
+        )
+    vals = _log_ratio(c)
+    m_kernel = (frame * vals) @ frame.T
+    n_kernel = (frame_inv.T * (c**2 * vals)) @ frame_inv
     r = rc.size
-    return RegionKernels(
-        region=rc.region,
-        M=0.5 * block[:r, r:],
-        N=-0.5 * block[r:, :r],
-        L_block=block,
-        c_spectrum=rc.modes.c,
-    )
+    block = np.zeros((2 * r, 2 * r))
+    block[:r, r:] = 2.0 * m_kernel
+    block[r:, :r] = -2.0 * n_kernel
+    return RegionKernels(region=rc.region, M=m_kernel, N=n_kernel, L_block=block, c_spectrum=c)
 
 
 def lndelta_region_via_G(

@@ -41,7 +41,7 @@ from .errors import (
     NumericalError,
     SpectrumOutOfDomain,
 )
-from .kernels import RestrictedCorrelators, mn_block_generator, restrict_correlators
+from .kernels import RestrictedCorrelators, _log_ratio, mn_kernels, restrict_correlators
 from .lattice import GaussianState
 from .regions import (
     Region,
@@ -54,7 +54,6 @@ STANDARD_EIG_TOL = 1e-9
 RANK_TOL = 1e-10
 CONSISTENCY_TOL = 1e-8
 PAIRING_TOL = 1e-8
-TRIVIAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -383,32 +382,36 @@ def _resolvent_quadrature(sub: _SubspaceFrame, quad_tol: float, columns=None):
 
 
 def lndelta_arccot_split(state: GaussianState, region: Region) -> np.ndarray:
-    """I ln Delta assembled from the two invariant subspace blocks.
-
-    The generator splits into an arccot of the complex structure cut to the
-    region (giving the region block) minus the same construction on the
-    complement (giving the complement block); both blocks are evaluated by
-    spectral calculus on the restricted correlators.  Complement modes that
-    are unentangled within ``TRIVIAL_TOL`` carry ln Delta = 0 and are mapped
-    accordingly; unentangled *region* modes raise
-    :class:`ModularDivergence`.
-
-    Returns the full 2n x 2n matrix equal to ``I_mat @ lnDelta`` of
-    :func:`modular_data_full`.
+    """I ln Delta, equal to ``I_mat @ lnDelta`` of :func:`modular_data_full`,
+    from its two invariant subspace blocks: the region block of
+    :func:`mn_kernels`, which raises :class:`ModularDivergence` at its default
+    ``sing_tol``, and minus that construction on the complement, which needs
+    no threshold (see :func:`_arccot_split`).
     """
     sub = _require_standard(state, region)
-    return _arccot_split(sub, restrict_correlators(state, region))
+    rc = restrict_correlators(state, region)
+    return _arccot_split(sub, rc, mn_kernels(rc).L_block)
 
 
-def _arccot_split(sub: _SubspaceFrame, rc: RestrictedCorrelators) -> np.ndarray:
-    state, region = sub.state, sub.region
-    n = state.n_sites
+def _arccot_split(sub: _SubspaceFrame, rc: RestrictedCorrelators, block) -> np.ndarray:
+    """The region ``block`` beside the complement block, where ``rc``
+    restricts the pure ``sub.state`` to ``sub.region``.
+
+    Purity pairs each region mode (c, B, B^{-1}) with one complement mode at
+    the same c and leaves the rest at c = 1/2, where ln Delta = 0 (Botero
+    and Reznik, Phys. Rev. A 67, 052311 (2003)).  With ``a = X_CR B`` and
+    ``p = P_CR B^{-T}``, ``4 X P = 1`` gives ``s^2 = c^2 - 1/4 = -diag(a^T p)``
+    with no subtraction, and the complement's kernels, in O(n r^2), are
+    ``M_C = p diag(c^2 f(c) / s^2) p^T`` and ``N_C = a diag(f(c) / s^2) a^T``.
+    """
+    state, n = sub.state, sub.state.n_sites
+    comp = sub.region.complement(n).indices()
+    grid = np.ix_(comp, sub.region.indices())
+    c, frame, frame_inv = rc.modes
+    a, p = state.X_full[grid] @ frame, state.P_full[grid] @ frame_inv.T
+    vals = _log_ratio(c) / -np.einsum("ij,ij->j", a, p)
     out = np.zeros((2 * n, 2 * n))
-    out[np.ix_(sub.sel, sub.sel)] = mn_block_generator(rc, divergence_tol=TRIVIAL_TOL)
-
-    comp = region.complement(n)
-    rc_c = restrict_correlators(state, comp)
-    block_c = mn_block_generator(rc_c, zero_below=0.5 + TRIVIAL_TOL)
-    sel_c = phase_space_indices(comp, n)
-    out[np.ix_(sel_c, sel_c)] = -block_c
+    out[np.ix_(sub.sel, sub.sel)] = block
+    out[np.ix_(comp, n + comp)] = -2.0 * (p * (c**2 * vals)) @ p.T
+    out[np.ix_(n + comp, comp)] = 2.0 * (a * vals) @ a.T
     return out

@@ -883,6 +883,23 @@ def test_clip_above_sing_tol_is_accepted():
     assert (config.tolerances.clip, config.tolerances.sing_tol) == (2e-10, 1e-10)
 
 
+def test_crosscheck_runs_at_a_clip_between_sing_tol_and_1e_9(tmp_path):
+    # the regularized modes sit at gap 5e-10: the split reads the kernels'
+    # region block and needs no threshold of its own
+    out = tmp_path / "out"
+    cfg = minimal_config(model={"n_sites": 16, "mass": 0.5}, tasks=["kernels", "crosscheck"],
+                         tolerances={"quad_tol": 1e-8},
+                         output={"directory": str(out), "formats": ["json"]})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["run", str(path), "--clip", "5e-10"]) == 0
+    report = json.loads((out / "residuals.json").read_text())["reports"]["crosscheck"]
+    assert report["regularized_modes"] == [0, 1, 2, 3, 4]
+    assert max(report[key] for key in ("spectral_vs_blocks", "spectral_vs_quadrature",
+                                       "blocks_vs_quadrature", "split_vs_spectral",
+                                       "kernel_vs_blocks")) <= 1e-7
+
+
 ALL_TASKS = ["kernels", "flow", "kms", "crosscheck"]
 # route (a) evaluates ln Delta alone: no Tomita operator, conjugation or expm
 # gate of modular_data_full; route (c) runs one quadrature
@@ -899,18 +916,17 @@ class TestSharedPipeline:
             (
                 {"interval": {"start": 30, "length": 3}},
                 {},
-                # the second restriction and spectrum are the complement's
-                {"restrict_correlators": 2, "product_spectrum": 2, "mn_kernels": 1,
+                # the split reads the complement through the region's modes
+                {"restrict_correlators": 1, "product_spectrum": 1, "mn_kernels": 1,
                  "build_flow": 1, "regularize_correlators": 0, "frames": 1,
                  **CROSSCHECK_ROUTES},
             ),
             (
                 {"half": {}},
                 {"clip": 1e-4},
-                # restrictions: raw and purified complement; spectra: raw,
-                # regularized and that complement; the kernels, flow and
+                # spectra: raw and regularized; the kernels, flow and
                 # crosscheck tasks share the regularized kernels
-                {"restrict_correlators": 2, "product_spectrum": 3, "mn_kernels": 1,
+                {"restrict_correlators": 1, "product_spectrum": 2, "mn_kernels": 1,
                  "build_flow": 1, "regularize_correlators": 1, "frames": 1,
                  **CROSSCHECK_ROUTES},
             ),
@@ -1085,6 +1101,5 @@ class TestRouteAgreementPipeline:
         frames = counted_frames(monkeypatch)
         counts = count_calls(monkeypatch, ["restrict_correlators", "mn_kernels"])
         route_agreement(state, center_region)
-        # the second restriction is the complement's, in the subspace split
         assert {**counts, "frames": len(frames)} == {
-            "restrict_correlators": 2, "mn_kernels": 1, "frames": 1}
+            "restrict_correlators": 1, "mn_kernels": 1, "frames": 1}

@@ -1,4 +1,5 @@
-"""Static hygiene of the package source: no unused private helpers or imports."""
+"""Static hygiene of the package source: no unused private helpers,
+constants or imports."""
 
 import ast
 from pathlib import Path
@@ -11,8 +12,8 @@ SOURCES = {path.stem: ast.parse(path.read_text(), filename=str(path))
            for path in sorted(Path(modham.__file__).parent.glob("*.py"))}
 
 
-def _private_definitions(tree):
-    """Module-level private functions, classes and constants (dunders aside)."""
+def _definitions(tree):
+    """Module-level functions, classes and assigned names, with their nodes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -22,8 +23,7 @@ def _private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield node, name
+            yield node, name
 
 
 NODES = [node for tree in SOURCES.values() for node in ast.walk(tree)]
@@ -40,14 +40,35 @@ def _is_reference(node, name):
     return False
 
 
-@pytest.mark.parametrize("module", sorted(SOURCES))
-def test_every_private_definition_is_referenced(module):
+def _unreferenced(module, wanted):
+    """The module-level names of ``module`` that ``wanted`` selects and that
+    nothing in the package reads outside their own definition."""
     unused = []
-    for definition, name in _private_definitions(SOURCES[module]):
+    for definition, name in _definitions(SOURCES[module]):
+        if not wanted(name, definition):
+            continue
         inside = {id(node) for node in ast.walk(definition)}
         if not any(_is_reference(node, name) for node in NODES if id(node) not in inside):
             unused.append(name)
+    return unused
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_every_private_definition_is_referenced(module):
+    unused = _unreferenced(module, lambda name, _: _is_private(name))
     assert not unused, f"{module} defines private names nothing uses: {unused}"
+
+
+def _is_public_constant(name, node):
+    return (isinstance(node, (ast.Assign, ast.AnnAssign)) and name.isupper()
+            and not _is_private(name))
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_every_constant_is_referenced(module):
+    # an UPPER_CASE module constant that no code reads is a leftover
+    unused = _unreferenced(module, _is_public_constant)
+    assert not unused, f"{module} defines constants nothing reads: {unused}"
 
 
 @pytest.mark.parametrize("module", sorted(set(SOURCES) - {"__init__"}))

@@ -1,6 +1,5 @@
 from dataclasses import FrozenInstanceError
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -142,25 +141,10 @@ class TestVacuumState:
     @pytest.mark.parametrize("n, mass", [
         (16, 1e-3), (16, 1e-2), (16, 1.0), (32, 1e-3), (32, 1e-2), (32, 1.0), (64, 1e-3),
     ])
-    def test_closed_form_against_40_digit_sine_modes(self, n, mass):
-        # X_ij = sum_k u_ik u_jk / (2 omega_k) and P_ij = sum_k u_ik u_jk omega_k / 2
-        # over the Dirichlet sine modes u_ik = sqrt(2/(n+1)) sin(pi k (i+1)/(n+1)),
-        # summed at 40 digits; the eigensolver route it replaced was off by up to 4e-14
-        x_ref, p_ref = np.empty((n, n)), np.empty((n, n))
-        with mpmath.workdps(40):
-            size = n + 1
-            omega = [mpmath.sqrt(mpmath.mpf(mass) ** 2
-                                 + 4 * mpmath.sin(mpmath.pi * k / (2 * size)) ** 2)
-                     for k in range(1, size)]
-            modes = [[mpmath.sqrt(mpmath.mpf(2) / size) * mpmath.sin(mpmath.pi * k * i / size)
-                      for k in range(1, size)] for i in range(1, size)]
-            for i in range(n):
-                for j in range(i + 1):
-                    pairs = [a * b for a, b in zip(modes[i], modes[j])]
-                    x_ref[i, j] = x_ref[j, i] = mpmath.fsum(
-                        c / w for c, w in zip(pairs, omega)) / 2
-                    p_ref[i, j] = p_ref[j, i] = mpmath.fsum(
-                        c * w for c, w in zip(pairs, omega)) / 2
+    def test_closed_form_against_40_digit_sine_modes(self, n, mass, sine_mode_correlators):
+        # the eigensolver route the closed form replaced was off by up to 4e-14
+        x_ref, p_ref = (np.array(m.tolist(), dtype=float)
+                        for m in sine_mode_correlators(n, mass))
         state = vacuum_state(build_harmonic_chain(n, mass))
         assert np.linalg.norm(state.X_full - x_ref) <= 1e-15 * np.linalg.norm(x_ref)
         assert np.linalg.norm(state.P_full - p_ref) <= 1e-15 * np.linalg.norm(p_ref)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -406,6 +407,49 @@ class TestArccotSplit:
         kernels = mn_kernels(restrict_correlators(state, center_region))
         blk = region_block(split, center_region, 8)
         assert np.linalg.norm(blk - kernels.L_block) <= 1e-7 * np.linalg.norm(kernels.L_block)
+
+    @pytest.mark.parametrize("n, mass, length, bound", [
+        (24, 0.1, 5, 5e-10),  # gap 1.0e-7
+        (32, 0.05, 6, 5e-10),  # gap 1.3e-8
+        (32, 0.05, 7, 5e-8),  # gap 9.2e-11, below the default sing_tol
+    ])
+    def test_complement_block_against_40_digit_reference(self, n, mass, length, bound,
+                                                         sine_mode_correlators):
+        # the reference restricts the complement at 40 digits and takes its own
+        # Williamson frame: mp.cholesky, mp.eigsy, then f on the modes with
+        # c - 1/2 > 1e-25 (the rest carry ln Delta = 0)
+        state = vacuum_state(build_harmonic_chain(n, mass))
+        region = Region.interval((n - length) // 2, length)
+        comp = region.complement(n).sites
+        rc = restrict_correlators(state, region)
+        block = mn_kernels(rc, sing_tol=1e-11).L_block
+        split = subspace._arccot_split(subspace._require_standard(state, region), rc, block)
+        x, p = sine_mode_correlators(n, mass)
+        with mpmath.workdps(40):
+            x_c, p_c = (mpmath.matrix([[m[i, j] for j in comp] for i in comp]) for m in (x, p))
+            chol = mpmath.cholesky(p_c)
+            lam, vecs = mpmath.eigsy(chol.T * x_c * chol)
+            frame, frame_inv = chol * vecs, vecs.T * mpmath.inverse(chol)
+            c = [mpmath.sqrt(v) for v in lam]
+            f = [mpmath.log((2 * v + 1) / (2 * v - 1)) / (2 * v) if v - 0.5 > 1e-25 else 0
+                 for v in c]
+            m_c = frame * mpmath.diag(f) * frame.T
+            n_c = frame_inv.T * mpmath.diag([v**2 * w for v, w in zip(c, f)]) * frame_inv
+            k = len(comp)
+            ref = np.zeros((2 * k, 2 * k))
+            ref[:k, k:] = -2.0 * np.array(m_c.tolist(), dtype=float)
+            ref[k:, :k] = 2.0 * np.array(n_c.tolist(), dtype=float)
+        got = region_block(split, region.complement(n), n)
+        assert np.linalg.norm(got - ref) <= bound * np.linalg.norm(ref)
+
+    def test_route_agreement_at_a_gap_between_sing_tol_and_1e_9(self):
+        # the split takes the region block of the kernels, at sing_tol, and the
+        # complement needs no threshold of its own
+        state = vacuum_state(build_harmonic_chain(64, 0.05))
+        region = Region(range(29, 36))
+        assert 1e-10 < minimal_gap(state, region) < 1e-9
+        agreement = route_agreement(state, region, quad_tol=1e-8)
+        assert agreement.max_residual <= 1e-7
 
 
 @pytest.mark.parametrize(
