@@ -48,7 +48,6 @@ from .subspace import (
 from .kernels import (
     RegionKernels,
     RestrictedCorrelators,
-    compute_C,
     entanglement_entropy,
     lndelta_region_via_G,
     mn_kernels,
@@ -70,7 +69,6 @@ from .flow import (
 from .crosscheck import (
     RouteAgreement,
     minimal_gap,
-    region_block,
     regularized_instance,
     route_agreement,
 )

@@ -149,12 +149,14 @@ def adaptive_matrix_quadrature(
         nonlocal evals
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
-        values = [integrand(mid + half * xi) for xi in _GK_NODES]
-        evals += len(values)
-        kronrod = half * sum(w * v for w, v in zip(_GK_KRONROD_W, values))
-        gauss = half * sum(
-            w * values[2 * i + 1] for i, w in enumerate(_GK_GAUSS_W)
-        )
+        kronrod = gauss = 0.0  # summed in node order as evaluated: one value alive at a time
+        for i, xi in enumerate(_GK_NODES):
+            value = integrand(mid + half * xi)
+            kronrod += _GK_KRONROD_W[i] * value
+            if i % 2:
+                gauss += _GK_GAUSS_W[i // 2] * value
+        evals += len(_GK_NODES)
+        kronrod, gauss = half * kronrod, half * gauss
         return kronrod, frob(kronrod - gauss)
 
     segments = [(a, b, *gk_segment(a, b))]
@@ -174,5 +176,4 @@ def adaptive_matrix_quadrature(
         segments.append((lo, mid, *gk_segment(lo, mid)))
         segments.append((mid, hi, *gk_segment(mid, hi)))
 
-    integral = sum(seg[2] for seg in segments)
-    return integral, sum(seg[3] for seg in segments), evals
+    return sum(seg[2] for seg in segments), total_err, evals

@@ -1,26 +1,28 @@
 """Three-route agreement checks for the region-restricted generator.
 
 Route (a) is full-space spectral calculus (``2 arcoth`` of ``1 - P + IPI``),
-route (b) the M/N block formula on the restricted correlators, route (c)
-the adaptive resolvent quadrature.  All three must produce the same region
-block of ``I ln Delta``; that three-route comparison at the route tolerance
-is the certificate.  Route (a) evaluates ``ln Delta`` only: the Tomita
-operator S, the conjugation J, Delta itself and the ``exp(ln Delta)``
-consistency gate belong to :func:`modham.subspace.modular_data_full`, and
-no route reads them.  Routes (a) and (c) share the standardness frame of
+route (b) the M/N block formula on the restricted correlators, route (c) the
+adaptive resolvent quadrature, which reduces ``A^2 - 1`` to tridiagonal form
+by one Householder similarity and computes no eigenvalue, while route (a)
+takes ``eigh`` of A and never forms A^2.  All three must produce the same
+region block of ``I ln Delta``; that three-route comparison at the route
+tolerance is the certificate.  Route (a) evaluates ``ln Delta`` only: the
+Tomita operator S, the conjugation J, Delta itself and the ``exp(ln Delta)``
+consistency gate belong to :func:`modham.subspace.modular_data_full`, and no
+route reads them.  Routes (a) and (c) share the standardness frame of
 (state, region) and lift from H_L through its factors in O(n^2 r): route (a)
 to the full ``I ln Delta``, route (c) to its region block from the region
 columns alone, which are all it integrates, so ``quad_error_bound`` bounds
 the compared block.  Two supplementary residuals follow.  The subspace split
-(region block minus complement block) is compared with the full-space
-route.  Its region block is route (b)'s ``L_block`` and its complement
-block comes from the region's mode frame through the purity of the state
-(a vacuum, or a clipped run's purified restriction), so ``split_vs_spectral``
-certifies that pairing against route (a), which reads neither.  The
-two-point-kernel route diagonalizes ``2 eps G|_R + i`` with a nonsymmetric
-complex eigensolver and applies ``-2 arccot`` to its eigenvalues; it shares
-no step with the mode data of the block route, so ``kernel_vs_blocks``
-compares two independent evaluations of the region block.
+(region block minus complement block) is compared with the full-space route.
+Its region block is route (b)'s ``L_block`` and its complement block comes from
+the region's mode frame through the purity of the state (a vacuum, or a
+clipped run's purified restriction), so ``split_vs_spectral`` certifies that
+pairing against route (a), which reads neither.  The two-point-kernel route
+diagonalizes ``2 eps G|_R + i`` with a nonsymmetric complex eigensolver and
+applies ``-2 arccot`` to its eigenvalues; it shares no step with the mode data
+of the block route, so ``kernel_vs_blocks`` compares two independent
+evaluations of the region block.
 
 Regions whose restricted spectrum touches c = 1/2 at double precision have
 no representable generator; for those, :func:`regularized_instance` moves
@@ -50,7 +52,7 @@ from .kernels import (
     symplectic_spectrum,
 )
 from .lattice import GaussianState
-from .regions import Region, phase_space_indices
+from .regions import Region
 from .subspace import (
     _arccot_split,
     _resolvent_quadrature,
@@ -83,12 +85,6 @@ class RouteAgreement:
             self.split_vs_spectral,
             self.kernel_vs_blocks,
         )
-
-
-def region_block(full_matrix: np.ndarray, region: Region, n_sites: int) -> np.ndarray:
-    """Extract the 2r x 2r region block of a phase-space operator."""
-    sel = phase_space_indices(region, n_sites)
-    return full_matrix[np.ix_(sel, sel)]
 
 
 def minimal_gap(state: GaussianState, region: Region) -> float:

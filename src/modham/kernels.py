@@ -52,7 +52,6 @@ from .regions import Region, validate_region
 POSITIVITY_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 DEFAULT_SING_TOL = 1e-10
-PR_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -189,23 +188,6 @@ def nested_spectra(state: GaussianState, site_sets) -> list:
 def symplectic_spectrum(rc: RestrictedCorrelators) -> np.ndarray:
     """Eigenvalues of C = sqrt(X_R P_R) in ascending order."""
     return rc.modes.c
-
-
-def compute_C(rc: RestrictedCorrelators) -> np.ndarray:
-    """The (generally non-symmetric) square root C with C^2 = X_R P_R.
-
-    Raises :class:`NumericalError` when the condition number of P_R, whose
-    factor the frame inverts, exceeds 1e12.
-    """
-    w = np.linalg.eigvalsh(rc.P_R)
-    p_cond = float(w[-1] / w[0])
-    if p_cond > PR_COND_LIMIT:
-        raise NumericalError(
-            f"P_R condition number {p_cond:.3e} exceeds {PR_COND_LIMIT:g}; "
-            f"C = sqrt(X P) is unreliable"
-        )
-    c, frame, frame_inv = rc.modes
-    return (frame_inv.T * c) @ frame.T
 
 
 def mn_kernels(rc: RestrictedCorrelators, sing_tol: float = DEFAULT_SING_TOL) -> RegionKernels:

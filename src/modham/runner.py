@@ -26,6 +26,7 @@ library versions go to ``metadata.json`` only.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -67,7 +68,7 @@ class ResultBundle:
 
 def format_float(value: float) -> str:
     """Fixed 17-significant-digit rendering used in every data file."""
-    return f"{value:.17g}" if np.isfinite(value) else f'"{value}"'  # "nan", "inf", "-inf"
+    return f"{value:.17g}" if math.isfinite(value) else f'"{value}"'  # "nan", "inf", "-inf"
 
 
 def to_json_text(obj, indent: int = 0) -> str:
@@ -83,7 +84,7 @@ def to_json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [to_json_text(v, indent + 1) for v in obj]
+        items = [format_float(v) if type(v) is float else to_json_text(v, indent + 1) for v in obj]
         return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dposv
+from scipy.linalg.lapack import dptsv
 
 from ._linalg import (
     SymmetrizedFrame,
@@ -337,21 +337,22 @@ def lndelta_resolvent_quadrature(
 
     Integrates ``2 A (A^2 - s^2)^{-1}`` over s in (0, 1] (the substitution
     t = 1/s of the arcoth resolvent integral over t in [1, inf)), graded by
-    s = 1 - u^2 towards the steep end, using adaptive Gauss-Kronrod panels
-    and Cholesky solves.  Both H_L and its mu-orthogonal complement are
-    invariant under A, and ln Delta vanishes on the complement, so the
-    solves run in the 4r-dimensional orthonormal basis of H_L (r region
-    sites) and the integral is lifted to phase space once at the end.  The
-    lift is an isometry, so the Frobenius error estimate, the adaptive panels
-    and ``n_evals`` are those of the full-space integrand; ``quad_tol`` is an
-    absolute bound on that estimate for the whole ln Delta.
+    s = 1 - u^2 towards the steep end, using adaptive Gauss-Kronrod panels and
+    tridiagonal solves (:func:`_resolvent_quadrature`) that share no step with
+    route (a), which takes ``eigh`` of A and never forms A^2.  Both H_L and its
+    mu-orthogonal complement are invariant under A, and ln Delta vanishes on
+    the complement, so the solves run in the 4r-dimensional orthonormal basis
+    of H_L (r region sites) and the integral is lifted to phase space once at
+    the end.  The lift is an isometry, so the Frobenius error estimate, the
+    adaptive panels and ``n_evals`` are those of the full-space integrand;
+    ``quad_tol`` is an absolute bound on that estimate for the whole ln Delta.
 
     Raises :class:`QuadratureNotConverged` when the error bound cannot be
     pushed below ``quad_tol`` within the 200 000-evaluation cap of
     :func:`modham._linalg.adaptive_matrix_quadrature`;
     regions with machine-degenerate modes stall this way.  Raises
     :class:`NumericalError` when a resolvent ``A^2 - s^2`` is not positive
-    definite to its Cholesky factorization.
+    definite to its tridiagonal LDL^T factorization.
     """
     sub = _require_standard(state, region)
     integral, err, n_evals = _resolvent_quadrature(sub, quad_tol)
@@ -362,15 +363,19 @@ def _resolvent_quadrature(sub: _SubspaceFrame, quad_tol: float, columns=None):
     """``(integral, error_bound, n_evals)`` in the basis ``q_basis``, or the
     integral times ``columns``; the bound is the absolute Frobenius estimate of
     what is returned.  With s = 1 - u^2, ``A^2 - s^2 = (A^2 - 1) + u^2 (2 - u^2)``
-    is SPD when every |eig a_hl| > 1, and ``A^2 - (1 - u^2)^2`` would cancel."""
+    is SPD when every |eig a_hl| > 1, and ``A^2 - (1 - u^2)^2`` would cancel.
+    One Householder reduction ``Q^T (A^2 - 1) Q = T`` (``dgehrd``) makes T
+    tridiagonal: each node is an O(k m) ``dptsv`` solve of T + u^2 (2 - u^2)
+    against ``Q^T 2 A columns``, not an O(k^3 + k^2 m) dense Cholesky; Q lifts
+    the integral once and, being orthogonal, moves the bound by rounding only."""
     require_tolerance("quad_tol", quad_tol)
     a_hl = sub.a_hl
-    eye = np.eye(a_hl.shape[0], order="F")
-    a_sq_m1 = np.asfortranarray(symmetrize(a_hl @ a_hl)) - eye
-    rhs = np.asfortranarray(2.0 * (a_hl if columns is None else a_hl @ columns))
+    tri, q = scipy.linalg.hessenberg(symmetrize(a_hl @ a_hl) - np.eye(len(a_hl)), calc_q=True)
+    diag, off = np.diag(tri), np.diag(tri, -1)
+    rhs = np.asfortranarray(q.T @ (2.0 * (a_hl if columns is None else a_hl @ columns)))
 
     def integrand(u: float) -> np.ndarray:
-        _, sol, info = dposv(a_sq_m1 + u * u * (2.0 - u * u) * eye, rhs, overwrite_a=True)
+        _, _, sol, info = dptsv(diag + u * u * (2.0 - u * u), off, rhs)
         if info > 0:
             raise NumericalError(
                 f"resolvent A^2 - s^2 not positive definite at s = {1.0 - u * u!r}: "
@@ -378,7 +383,8 @@ def _resolvent_quadrature(sub: _SubspaceFrame, quad_tol: float, columns=None):
             )
         return 2.0 * u * sol
 
-    return adaptive_matrix_quadrature(integrand, 0.0, 1.0, abs_tol=quad_tol)
+    integral, err, n_evals = adaptive_matrix_quadrature(integrand, 0.0, 1.0, abs_tol=quad_tol)
+    return q @ integral, err, n_evals
 
 
 def lndelta_arccot_split(state: GaussianState, region: Region) -> np.ndarray:

@@ -213,6 +213,24 @@ class TestSerializer:
         assert text1 == text2
         json.loads(text1)  # stays valid JSON
 
+    def test_rendering_is_pinned(self):
+        # Python floats in a list take the writer's flat path, numpy scalars
+        # the recursive one; both must render the same text
+        payload = {
+            "floats": [float("nan"), float("inf"), float("-inf"), np.float64(0.1), -0.0, 1e-300],
+            "ints": [np.int64(3), np.int32(-2), 7],
+            "nested": [[1.0, 2.5], [0.1]],
+            "empty": [],
+        }
+        assert to_json_text(payload) == (
+            '{\n  "empty": [],\n  "floats": [\n    "nan",\n    "inf",\n    "-inf",\n'
+            '    0.10000000000000001,\n    -0,\n    1e-300\n  ],\n'
+            '  "ints": [\n    3,\n    -2,\n    7\n  ],\n'
+            '  "nested": [\n    [\n      1,\n      2.5\n    ],\n'
+            '    [\n      0.10000000000000001\n    ]\n  ]\n}'
+        )
+        assert to_json_text([np.float64("nan"), np.float64(2.5)]) == '[\n  "nan",\n  2.5\n]'
+
 
 class TestRunner:
     def test_success_writes_files(self, tmp_path):
@@ -714,10 +732,10 @@ class TestCrosscheckTask:
         # a numpy LinAlgError escaping the exit-code contract
         from modham import subspace
 
-        def indefinite_dposv(a, b, **kwargs):
-            return a, b, 1
+        def indefinite_dptsv(d, e, b, **kwargs):
+            return d, e, b, 1
 
-        monkeypatch.setattr(subspace, "dposv", indefinite_dposv)
+        monkeypatch.setattr(subspace, "dptsv", indefinite_dptsv)
         config = parse_config(
             minimal_config(
                 region={"interval": {"start": 3, "length": 2}},

@@ -12,7 +12,6 @@ from modham import (
     RestrictedCorrelators,
     build_flow,
     build_harmonic_chain,
-    compute_C,
     entanglement_entropy,
     lndelta_region_via_G,
     mn_kernels,
@@ -84,19 +83,25 @@ class TestRestrictCorrelators:
             restrict_correlators(state, Region([]))
 
 
+def c_matrix(rc):
+    """C = sqrt(X_R P_R) from the mode frame, C = B^{-T} diag(c) B^T."""
+    c, frame, frame_inv = rc.modes
+    return (frame_inv.T * c) @ frame.T
+
+
 class TestComputeC:
     def test_scalar_trivial(self):
         rc = RestrictedCorrelators(Region([0]), np.array([[1.0]]), np.array([[1.0]]))
-        assert_allclose(compute_C(rc), [[1.0]])
+        assert_allclose(c_matrix(rc), [[1.0]])
 
     def test_purity_boundary(self):
         rc = RestrictedCorrelators(Region([0]), np.array([[0.5]]), np.array([[0.5]]))
-        assert_allclose(compute_C(rc), [[0.5]])
+        assert_allclose(c_matrix(rc), [[0.5]])
 
     def test_square_recovers_product(self, rng):
         x, p = spd_pair_with_gap(rng, 4, [0.6, 0.8, 1.5, 3.0])
         rc = RestrictedCorrelators(Region(range(4)), x, p)
-        c_mat = compute_C(rc)
+        c_mat = c_matrix(rc)
         xp = x @ p
         assert np.linalg.norm(c_mat @ c_mat - xp) <= 1e-10 * np.linalg.norm(xp)
 
@@ -181,7 +186,7 @@ class TestMnKernels:
         # C^2 = X P within 1e-9 relative
         rc = restrict_correlators(state, Region([2, 3]))
         xp = rc.X_R @ rc.P_R
-        c_mat = compute_C(rc)
+        c_mat = c_matrix(rc)
         assert np.linalg.norm(c_mat @ c_mat - xp) <= 1e-9 * np.linalg.norm(xp)
 
 
@@ -347,16 +352,6 @@ def test_one_mode_spectrum_per_restriction(monkeypatch, chain8_light):
     build_flow(kernels_reg, rc_reg)
     assert len(clipped) == 2 and len(calls) == 2
     assert_allclose(kernels_reg.c_spectrum, np.maximum(c, 0.5 + gap), atol=1e-12)
-
-
-def test_compute_c_rejects_ill_conditioned_x():
-    from modham import NumericalError
-
-    rc = RestrictedCorrelators(
-        Region([0, 1]), np.diag([1.0, 1e-13]), np.diag([0.26, 0.26e13])
-    )
-    with pytest.raises(NumericalError):
-        compute_C(rc)
 
 
 def test_purification_ancilla_mirrors_spectrum(chain8_light):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
+from scipy.linalg.lapack import dposv
 
 import modham
 from modham import (
@@ -18,7 +19,6 @@ from modham import (
     minimal_gap,
     mn_kernels,
     modular_data_full,
-    region_block,
     regularized_instance,
     restrict_correlators,
     route_agreement,
@@ -32,7 +32,7 @@ from modham._linalg import (
     rel_diff,
     symmetrize,
 )
-from modham.regions import region_mask
+from modham.regions import phase_space_indices, region_mask
 
 
 class TestCuttingProjection:
@@ -261,6 +261,66 @@ class TestResolventQuadrature:
         assert cols_err <= quad_tol
         assert np.linalg.norm(cols - full_cols) <= 10 * quad_tol
 
+    @pytest.mark.parametrize("clip", [1e-2, 1e-4, 1e-6, 1e-8, 1e-9])
+    @pytest.mark.parametrize("mass", [0.1, 0.5])
+    def test_tridiagonal_solves_match_dense_cholesky(self, mass, clip):
+        # the graded integrand without the Householder reduction, one dense
+        # Cholesky solve of (A^2 - 1) + u^2 (2 - u^2) per node, on the purified
+        # halves of the graded-rule test; both for the full H_L integral and
+        # for the crosscheck's region columns
+        quad_tol = 1e-10
+        state = vacuum_state(build_harmonic_chain(8, mass))
+        pure, region, _ = regularized_instance(state, Region.half(8), clip)
+        sub = subspace._require_standard(pure, region)
+        a_hl = sub.a_hl
+        eye = np.eye(a_hl.shape[0])
+        a_sq_m1 = symmetrize(a_hl @ a_hl) - eye
+        for columns in (None, sub.root_q[sub.sel].T):
+            rhs = 2.0 * (a_hl if columns is None else a_hl @ columns)
+
+            def dense(u, rhs=rhs):
+                _, sol, info = dposv(a_sq_m1 + u * u * (2.0 - u * u) * eye, rhs)
+                assert info == 0
+                return 2.0 * u * sol
+
+            ref, _, ref_evals = adaptive_matrix_quadrature(dense, 0.0, 1.0, quad_tol)
+            got, err, evals = subspace._resolvent_quadrature(sub, quad_tol, columns=columns)
+            assert err <= quad_tol
+            if clip >= 1e-6:
+                assert evals == ref_evals
+                assert rel_diff(got, ref) <= 1e-12
+                continue
+            # the Kronrod-Gauss estimate is rounding noise here, so the panels
+            # may differ; the two rules agree to 1e-10 and lie equally far from
+            # 2 arcoth of the same a_hl at 40 digits
+            assert rel_diff(got, ref) <= 1e-10
+            if columns is None:
+                with mpmath.workdps(40):
+                    w, v = mpmath.eigsy(mpmath.matrix(a_hl.tolist()))
+                    f = mpmath.diag([2 * mpmath.acoth(x) for x in w])
+                    exact = np.array((v * f * v.T).tolist(), dtype=float)
+                assert rel_diff(got, exact) <= min(1e-9, 1.25 * rel_diff(ref, exact))
+
+    def test_no_spectral_step(self, monkeypatch):
+        # route (c) certifies route (a), which takes eigh of a_hl: with every
+        # eigensolver and the SVD patched to raise, the quadrature still runs
+        # and returns the same floats
+        state = vacuum_state(build_harmonic_chain(64, 0.3))
+        pure, region, _ = regularized_instance(state, Region.half(64), 1e-4)
+        sub = subspace._require_standard(pure, region)
+        columns = sub.root_q[sub.sel].T
+        expected = subspace._resolvent_quadrature(sub, 1e-10, columns=columns)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("route (c) called a spectral routine")
+
+        for module, name in [(np.linalg, "eig"), (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                             (np.linalg, "svd"), (scipy.linalg, "eigh")]:
+            monkeypatch.setattr(module, name, forbidden)
+        got = subspace._resolvent_quadrature(sub, 1e-10, columns=columns)
+        assert np.array_equal(got[0], expected[0])
+        assert got[1:] == expected[1:] and got[2] == 345
+
     def test_evaluation_cap(self):
         # a spike the 15-point rule cannot resolve within one refinement
         def nasty(s):
@@ -383,9 +443,10 @@ class TestArccotSplit:
         region = Region.half(n)
         assert minimal_gap(state, region) > 1e-7
         split = lndelta_arccot_split(state, region)
-        blk_r = region_block(split, region, n)
-        comp = region.complement(n)
-        blk_c = region_block(split, comp, n)
+        sel_r = phase_space_indices(region, n)
+        sel_c = phase_space_indices(region.complement(n), n)
+        blk_r = split[np.ix_(sel_r, sel_r)]
+        blk_c = split[np.ix_(sel_c, sel_c)]
         r = n // 2
         mirror = np.zeros((2 * r, 2 * r))
         flip = np.eye(r)[::-1]
@@ -405,7 +466,8 @@ class TestArccotSplit:
         _, state = chain8
         split = lndelta_arccot_split(state, center_region)
         kernels = mn_kernels(restrict_correlators(state, center_region))
-        blk = region_block(split, center_region, 8)
+        sel = phase_space_indices(center_region, 8)
+        blk = split[np.ix_(sel, sel)]
         assert np.linalg.norm(blk - kernels.L_block) <= 1e-7 * np.linalg.norm(kernels.L_block)
 
     @pytest.mark.parametrize("n, mass, length, bound", [
@@ -439,7 +501,8 @@ class TestArccotSplit:
             ref = np.zeros((2 * k, 2 * k))
             ref[:k, k:] = -2.0 * np.array(m_c.tolist(), dtype=float)
             ref[k:, :k] = 2.0 * np.array(n_c.tolist(), dtype=float)
-        got = region_block(split, region.complement(n), n)
+        sel = phase_space_indices(region.complement(n), n)
+        got = split[np.ix_(sel, sel)]
         assert np.linalg.norm(got - ref) <= bound * np.linalg.norm(ref)
 
     def test_route_agreement_at_a_gap_between_sing_tol_and_1e_9(self):
