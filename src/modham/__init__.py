@@ -40,7 +40,6 @@ from .subspace import (
     ModularData,
     QuadratureResult,
     StandardnessReport,
-    lndelta_arccot_split,
     lndelta_resolvent_quadrature,
     modular_data_full,
     standardness_check,

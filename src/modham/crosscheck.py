@@ -130,8 +130,7 @@ def _route_agreement(pipeline: _RegionPipeline, quad_tol: float) -> RouteAgreeme
     restriction ``rc_flow`` and the kernels of that restriction."""
     sub, rc, kernels = pipeline.frame, pipeline.rc_flow, pipeline.kernels
     # I ln Delta = (I Gram^{-1/2} q) ln_hl (Gram^{1/2} q)^T, lifted in O(n^2 r)
-    ln_hl, eigs, _ = _spectral_lndelta(sub)
-    i_ln_delta = sub.lift(ln_hl, times_i=True)
+    i_ln_delta = sub.lift(_spectral_lndelta(sub), times_i=True)
     gen_spectral = i_ln_delta[np.ix_(sub.sel, sub.sel)]
     gen_blocks = kernels.L_block
 
@@ -154,5 +153,5 @@ def _route_agreement(pipeline: _RegionPipeline, quad_tol: float) -> RouteAgreeme
         quad_error_bound=quad_err,
         quad_evals=quad_evals,
         gram_cond=sub.frame.cond,
-        a_gap=float(np.min(np.abs(eigs))) - 1.0,
+        a_gap=float(np.min(np.abs(sub.eigs))) - 1.0,
     )

@@ -17,7 +17,7 @@ its Williamson frame.  With the Cholesky factor ``P_R = L L^T`` and
     C = B^{-T} diag(c) B^T,   M = B f(c) B^T,   N = B^{-T} diag(c^2) f(c) B^{-1}
 
 with ``f(c) = ln((2c + 1)/(2c - 1)) / (2c)``.  In a pure state the same frame
-gives the complement's kernels (:func:`modham.subspace.lndelta_arccot_split`).
+gives the complement's kernels, for the split of :func:`modham.crosscheck.route_agreement`.
 
 Eigenvalues at c = 1/2 are unentangled directions where the generator
 diverges logarithmically; they are a hard error.  The one way off 1/2 is

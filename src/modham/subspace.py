@@ -41,7 +41,7 @@ from .errors import (
     NumericalError,
     SpectrumOutOfDomain,
 )
-from .kernels import RestrictedCorrelators, _log_ratio, mn_kernels, restrict_correlators
+from .kernels import RestrictedCorrelators, _log_ratio
 from .lattice import GaussianState
 from .regions import (
     Region,
@@ -99,7 +99,8 @@ class _SubspaceFrame:
     """Symmetrized-frame data of H_L = L + I L for one (state, region) pair,
     in O(n^2 r) beyond the frame's two n x n eigendecompositions: ``q_basis``
     spans H_L, and only :func:`modular_data_full` reads the dense ``A`` and
-    ``trivial_basis``."""
+    ``trivial_basis``.  Its readers share the eigenpairs ``eigs``, ``vecs`` of
+    ``a_hl`` and the SVD factor F of the system, ``w_sym = q_basis F``."""
 
     def __init__(self, state: GaussianState, region: Region):
         self.state, self.region = state, region
@@ -110,11 +111,12 @@ class _SubspaceFrame:
         basis = np.eye(2 * n)[:, self.sel]
         w_cols = np.hstack([basis, _apply_i(state, basis)])  # [E_R, I E_R]
         self.w_sym = self.frame.root(w_cols)  # the system h = f + I g, in the frame
-        u_svd, s_svd, _ = np.linalg.svd(self.w_sym, full_matrices=False)
+        u_svd, s_svd, vt_svd = np.linalg.svd(self.w_sym, full_matrices=False)
         k = self.w_sym.shape[1]
         self.separating = k <= 2 * n and float(s_svd[-1] / s_svd[0]) > RANK_TOL
         rank = k if self.separating else int(np.sum(s_svd > RANK_TOL * s_svd[0]))
         self.q_basis = u_svd[:, :rank]
+        self.factor = s_svd[:rank, None] * vt_svd[:rank]
         self.trivial_dim = 2 * n - rank
 
         # from_frame(q X q^T) = inv_root_q X root_q^T, and I times it
@@ -125,6 +127,7 @@ class _SubspaceFrame:
         # A = 1 - E_R E_R^T + (I E_R) (E_R^T I)
         rows = np.vstack([-self.inv_root_q[self.sel], self.i_inv_root_q[self.sel]])
         self.a_hl = symmetrize(self.root_q.T @ (self.inv_root_q + w_cols @ rows))
+        self.eigs, self.vecs = np.linalg.eigh(self.a_hl)
 
     def lift(self, op_hl: np.ndarray, times_i: bool = False) -> np.ndarray:
         """``from_frame(q op_hl q^T)`` in phase space, or I times it."""
@@ -169,7 +172,7 @@ def _verdict(state: GaussianState, region: Region):
     if len(region) >= n:
         return StandardnessReport(1.0, False, False, 0), None
     sub = _SubspaceFrame(state, region)
-    eigs = np.abs(np.linalg.eigvalsh(sub.a_hl))
+    eigs = np.abs(sub.eigs)
     min_abs = float(np.min(eigs, initial=1.0 if sub.trivial_dim else np.inf))
     ok = min_abs >= 1.0 - STANDARD_EIG_TOL and sub.separating
     return StandardnessReport(min_abs, ok, sub.separating, sub.trivial_dim), sub
@@ -223,15 +226,12 @@ def modular_data_full(state: GaussianState, region: Region) -> ModularData:
     return _modular_data(_require_standard(state, region))
 
 
-def _spectral_lndelta(sub: _SubspaceFrame):
-    """``ln Delta = 2 arcoth(A)`` on H_L from the ``eigh`` of ``a_hl``.
-
-    Returns ``(ln_hl, eigs, vecs)`` in the basis ``q_basis``; ``sub.lift``
-    extends ``ln_hl`` by zero.  :func:`_modular_data` reuses the eigenpairs
-    for Delta^{-1/2} and the crosscheck ``eigs`` for its ``a_gap``.  Raises
+def _spectral_lndelta(sub: _SubspaceFrame) -> np.ndarray:
+    """``ln Delta = 2 arcoth(A)`` on H_L from the frame's eigenpairs of ``a_hl``,
+    in the basis ``q_basis``; ``sub.lift`` extends it by zero.  Raises
     :class:`SpectrumOutOfDomain` when an eigenvalue lies in [-1, 1].
     """
-    eigs, vecs = np.linalg.eigh(sub.a_hl)
+    eigs, vecs = sub.eigs, sub.vecs
     inside = np.abs(eigs) <= 1.0
     if inside.any():
         raise SpectrumOutOfDomain(
@@ -240,13 +240,12 @@ def _spectral_lndelta(sub: _SubspaceFrame):
             f"(nearly unentangled modes)",
             eigenvalues=eigs[inside],
         )
-    return (vecs * (2.0 * np.arctanh(1.0 / eigs))) @ vecs.T, eigs, vecs
+    return (vecs * (2.0 * np.arctanh(1.0 / eigs))) @ vecs.T
 
 
 def _modular_data(sub: _SubspaceFrame) -> ModularData:
-    a_hl = sub.a_hl
-    ln_hl, eigs, vecs = _spectral_lndelta(sub)
-    ln_delta = sub.lift(ln_hl)
+    a_hl, eigs, vecs = sub.a_hl, sub.eigs, sub.vecs
+    ln_delta = sub.lift(_spectral_lndelta(sub))
 
     # Delta and Delta^{-1/2} are 1 on the trivial directions: 1 + lift(f - 1)
     eye_hl = np.eye(a_hl.shape[0])
@@ -288,9 +287,10 @@ def _tomita_operator(sub: _SubspaceFrame) -> np.ndarray:
     chosen mu-orthonormal basis {u, I u}, which keeps S^2 = 1 and the
     anticommutation with I exact there.
     """
-    # least squares in the frame: a standard region's system has full rank
-    signs = np.repeat([1.0, -1.0], sub.w_sym.shape[1] // 2)
-    s_main = (sub.w_sym * signs) @ np.linalg.pinv(sub.w_sym)
+    # a standard region's system q F has full rank: S = q F diag(+-1) F^{-1} q^T
+    factor = sub.factor
+    signs = np.repeat([1.0, -1.0], len(factor) // 2)
+    s_main = sub.q_basis @ np.linalg.solve(factor.T, (factor * signs).T).T @ sub.q_basis.T
 
     if sub.trivial_dim:
         i_sym = sub.frame.to_frame(sub.state.I_mat)
@@ -385,18 +385,6 @@ def _resolvent_quadrature(sub: _SubspaceFrame, quad_tol: float, columns=None):
 
     integral, err, n_evals = adaptive_matrix_quadrature(integrand, 0.0, 1.0, abs_tol=quad_tol)
     return q @ integral, err, n_evals
-
-
-def lndelta_arccot_split(state: GaussianState, region: Region) -> np.ndarray:
-    """I ln Delta, equal to ``I_mat @ lnDelta`` of :func:`modular_data_full`,
-    from its two invariant subspace blocks: the region block of
-    :func:`mn_kernels`, which raises :class:`ModularDivergence` at its default
-    ``sing_tol``, and minus that construction on the complement, which needs
-    no threshold (see :func:`_arccot_split`).
-    """
-    sub = _require_standard(state, region)
-    rc = restrict_correlators(state, region)
-    return _arccot_split(sub, rc, mn_kernels(rc).L_block)
 
 
 def _arccot_split(sub: _SubspaceFrame, rc: RestrictedCorrelators, block) -> np.ndarray:

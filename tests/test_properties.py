@@ -237,8 +237,22 @@ def test_frame_matches_the_dense_reference(case):
     assert abs(report.min_abs_eigenvalue - min_abs) <= 1e-10
     # below a gap of 1e-6 both evaluations of arcoth sit at the eps/gap level
     if report.is_standard and minimal_gap(state, region) >= MIN_GAP:
-        got = sub.lift(_spectral_lndelta(sub)[0], times_i=True)
+        got = sub.lift(_spectral_lndelta(sub), times_i=True)
         assert rel_diff(got, i_ln_delta) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chain_and_proper_region())
+def test_a_on_h_l_has_twice_the_symplectic_spectrum(case):
+    # the identity the verdict reads: the two-point function fixes A on H_L,
+    # whose eigenvalues are +-2c over the restricted spectrum, each 2c four times
+    model, region = case
+    state = vacuum_state(model)
+    report, sub = _verdict(state, region)
+    if report.is_standard and minimal_gap(state, region) >= MIN_GAP:
+        two_c = 2.0 * restrict_correlators(state, region).modes.c
+        got = np.sort(np.abs(sub.eigs))
+        assert np.max(np.abs(got - np.repeat(np.sort(two_c), 4))) <= 1e-12 * two_c.max()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -1,11 +1,19 @@
 """Error paths and rare branches that no other test reaches, each with the
 smallest input that gets there."""
 
+import re
+
 import numpy as np
 import pytest
 
 import modham as mh
-from modham import InvalidParameter, ModularDivergence, NumericalError, PositivityViolation
+from modham import (
+    InvalidParameter,
+    ModularDivergence,
+    NumericalError,
+    PositivityViolation,
+    SpectrumOutOfDomain,
+)
 from modham._linalg import SymmetrizedFrame, product_spectrum, rel_diff
 from modham.kernels import nested_spectra
 from modham.runner import to_json_text
@@ -13,6 +21,11 @@ from modham.runner import to_json_text
 STATE = mh.vacuum_state(mh.build_harmonic_chain(4, 1.0))
 PAIR = mh.restrict_correlators(STATE, mh.Region([1, 2]))
 SKEW = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def _raw_half(n, mass):
+    # a raw half passes the verdict (|eig A| >= 1 - 1e-9) on its near-unentangled modes
+    return mh.vacuum_state(mh.build_harmonic_chain(n, mass)), mh.Region.half(n)
 
 
 def _restrict_direct(x_full, p_full):
@@ -80,6 +93,18 @@ CASES = {
             mh.Region([0]), np.array([[0.5]]), np.array([[0.5]]))),
         ModularDivergence,
         "eigenvalues of 2 eps G + i within tolerance of +-i; arccot diverges"),
+    "spectrum-at-minus-one": (
+        # gap 6.7e-16: the verdict accepts |eig| = 1 - 1.1e-16 >= 1 - 1e-9, and
+        # route (a) finds that pair of eigenvalues inside [-1, 1]
+        lambda: mh.modular_data_full(*_raw_half(8, 1.0)),
+        SpectrumOutOfDomain, "2 eigenvalue(s) of A on L + IL inside [-1, 1]; the modular "
+        "generator is not representable for this region (nearly unentangled modes)"),
+    "expm-gate-of-a-raw-half": (
+        # gap 1.7e-9, so Delta reaches ~6e8 and exp(ln Delta) misses
+        # (A - 1)^{-1} (A + 1) by 8.7e-8 (by 2.3e-3 on the 8-site half, gap 3.1e-13)
+        lambda: mh.modular_data_full(*_raw_half(6, 0.1)),
+        NumericalError, re.compile(r"exp\(ln Delta\) disagrees with \(A-1\)\^\(-1\)\(A\+1\): "
+                                   r"relative residual \d\.\d{3}e-08")),
     "json-of-unsupported-type": (
         lambda: to_json_text(object()), TypeError, "cannot serialize object"),
     "json-of-bools": (
@@ -91,11 +116,18 @@ CASES = {
 
 @pytest.mark.parametrize("call, error, expected", CASES.values(), ids=CASES.keys())
 def test_rare_sites(call, error, expected):
-    # an error site raises exactly its class with its full message; a branch
+    # an error site raises exactly its class with its full message, or a
+    # message matching a pattern where its digits are rounding; a branch
     # without an error returns its value
     if error is None:
         assert call() == expected
         return
     with pytest.raises(error) as info:
         call()
-    assert type(info.value) is error and str(info.value) == expected
+    assert type(info.value) is error
+    if isinstance(expected, re.Pattern):
+        assert expected.fullmatch(str(info.value))
+    else:
+        assert str(info.value) == expected
+    if error is SpectrumOutOfDomain:
+        assert info.value.eigenvalues and all(abs(e) <= 1.0 for e in info.value.eigenvalues)

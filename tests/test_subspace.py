@@ -14,7 +14,6 @@ from modham import (
     Region,
     SpectrumOutOfDomain,
     build_harmonic_chain,
-    lndelta_arccot_split,
     lndelta_resolvent_quadrature,
     minimal_gap,
     mn_kernels,
@@ -246,7 +245,7 @@ class TestResolventQuadrature:
 
         plain_hl, _, plain_evals = adaptive_matrix_quadrature(plain, 0.0, 1.0, quad_tol)
         graded_hl, graded_err, graded_evals = subspace._resolvent_quadrature(sub, quad_tol)
-        spectral_hl = subspace._spectral_lndelta(sub)[0]
+        spectral_hl = subspace._spectral_lndelta(sub)
         assert graded_err <= quad_tol
         assert rel_diff(graded_hl, plain_hl) <= 1e-10
         assert rel_diff(graded_hl, spectral_hl) <= 1e-7
@@ -372,6 +371,26 @@ def test_route_agreement_builds_one_frame(monkeypatch, chain8, center_region):
     assert agreement.spectral_vs_quadrature <= 1e-10
 
 
+def test_frame_decomposes_a_hl_once(monkeypatch):
+    # the verdict, route (a) and Delta^{-1/2} read the frame's one eigh of the
+    # 12 x 12 a_hl, and the Tomita operator its SVD factor instead of a pinv
+    state = vacuum_state(build_harmonic_chain(64, 0.3))
+    region = Region.interval(30, 3)
+    calls = []
+    for name in ("eigh", "eigvalsh", "pinv"):
+        def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, a.shape))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    route_agreement(state, region)
+    assert [call for call in calls if call[1] == (12, 12)] == [("eigh", (12, 12))]
+    calls.clear()
+    modular_data_full(state, region)
+    assert [call for call in calls if call[1] == (12, 12)] == [("eigh", (12, 12))]
+    assert "pinv" not in {name for name, _ in calls}
+
+
 @pytest.mark.parametrize(
     "region, clip, cap",
     [(Region.half(64), 1e-4, 400), (Region.interval(30, 3), None, 300)],
@@ -417,11 +436,18 @@ def test_symmetrized_frame_takes_cond_from_its_two_block_eighs(monkeypatch, chai
     assert_allclose(sqrt @ inv_sqrt, np.eye(16), atol=1e-12)
 
 
+def _arccot_split(state, region):
+    # the crosscheck's split with the region block of mn_kernels at its default sing_tol
+    rc = restrict_correlators(state, region)
+    return subspace._arccot_split(subspace._require_standard(state, region), rc,
+                                  mn_kernels(rc).L_block)
+
+
 class TestArccotSplit:
     def test_matches_full_space_product(self, chain8, center_region):
         _, state = chain8
         md = modular_data_full(state, center_region)
-        split = lndelta_arccot_split(state, center_region)
+        split = _arccot_split(state, center_region)
         full = state.I_mat @ md.lnDelta
         assert np.linalg.norm(split - full) <= 1e-8 * np.linalg.norm(full)
 
@@ -442,7 +468,7 @@ class TestArccotSplit:
         state = vacuum_state(build_harmonic_chain(n, 0.1))
         region = Region.half(n)
         assert minimal_gap(state, region) > 1e-7
-        split = lndelta_arccot_split(state, region)
+        split = _arccot_split(state, region)
         sel_r = phase_space_indices(region, n)
         sel_c = phase_space_indices(region.complement(n), n)
         blk_r = split[np.ix_(sel_r, sel_r)]
@@ -458,13 +484,13 @@ class TestArccotSplit:
         state = vacuum_state(build_harmonic_chain(16, 1.0))
         pure, region, _ = regularized_instance(state, Region.half(16), 1e-6)
         md = modular_data_full(pure, region)
-        split = lndelta_arccot_split(pure, region)
+        split = _arccot_split(pure, region)
         full = pure.I_mat @ md.lnDelta
         assert np.linalg.norm(split - full) <= 1e-7 * np.linalg.norm(full)
 
     def test_region_block_equals_mn(self, chain8, center_region):
         _, state = chain8
-        split = lndelta_arccot_split(state, center_region)
+        split = _arccot_split(state, center_region)
         kernels = mn_kernels(restrict_correlators(state, center_region))
         sel = phase_space_indices(center_region, 8)
         blk = split[np.ix_(sel, sel)]
