@@ -75,7 +75,6 @@ from .oracles import (
     FockOracleResult,
     SingleModeOracle,
     oracle_reduced_density_matrix,
-    oracle_resolvent_scalar,
     oracle_single_mode,
 )
 from .config import RunConfig, config_to_dict, parse_config, resolve_region

@@ -54,8 +54,8 @@ class SymmetrizedFrame:
     Conjugating a mu-self-adjoint operator A with Gram^{1/2} yields a
     symmetric matrix, so every spectral step becomes a symmetric
     eigenproblem.  ``root`` applies Gram^{+-1/2} to k columns in O(n^2 k)
-    through one eigendecomposition each of X and P; ``to_frame`` and
-    ``from_frame`` move operators in and out.
+    through one eigendecomposition each of X and P; operators move in and
+    out only as thin factors, never as dense 2n x 2n conjugations.
     """
 
     def __init__(self, x_mat: np.ndarray, p_mat: np.ndarray):
@@ -73,12 +73,6 @@ class SymmetrizedFrame:
         power = -0.5 if inverse else 0.5
         return np.vstack([u @ (w[:, None] ** power * (u.T @ half))
                           for (w, u), half in zip(self._blocks, np.split(v, 2))])
-
-    def to_frame(self, op: np.ndarray) -> np.ndarray:
-        return self.root(self.root(op).T, inverse=True).T
-
-    def from_frame(self, op: np.ndarray) -> np.ndarray:
-        return self.root(self.root(op, inverse=True).T).T
 
 
 class ModeData(NamedTuple):

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -251,11 +250,10 @@ class _RegionPipeline:
 def run_kms_suite(
     state: GaussianState,
     region: Region,
-    t_grid: Sequence[float] = KMS_T_GRID,
     clip: float | None = None,
     sing_tol: float = DEFAULT_SING_TOL,
 ) -> KmsReport:
-    """Sweep KMS, group-law and symplectic residuals over a time grid.
+    """Sweep KMS, group-law and symplectic residuals over ``KMS_T_GRID``.
 
     With ``clip`` set, the restricted state is regularized so its spectral
     gap is at least ``clip`` before the flow is built; the adjusted modes
@@ -267,14 +265,13 @@ def run_kms_suite(
     aborting the sweep, and near-divergent regions (gap below 1e-6) carry a
     warning.  When the flow cannot be built, the report has
     ``method="none"``, the construction error, no residuals and
-    ``max_residual`` NaN: nothing was measured.  An empty ``t_grid``
-    measures nothing either and reports 0.0.
+    ``max_residual`` NaN: nothing was measured.
     """
     pipeline = _RegionPipeline(state, region, clip, sing_tol)
-    return _kms_sweep(pipeline, t_grid)
+    return _kms_sweep(pipeline)
 
 
-def _kms_sweep(pipeline: _RegionPipeline, t_grid: Sequence[float] = KMS_T_GRID) -> KmsReport:
+def _kms_sweep(pipeline: _RegionPipeline) -> KmsReport:
     """The sweep of :func:`run_kms_suite` over the flow of a checked region."""
     flow, clipped = pipeline.flow, pipeline.clipped
     warnings = []
@@ -286,7 +283,7 @@ def _kms_sweep(pipeline: _RegionPipeline, t_grid: Sequence[float] = KMS_T_GRID) 
     if clipped:
         warnings.append(f"{len(clipped)} mode(s) regularized to gap {pipeline.clip:g} "
                         f"before the flow")
-    common = dict(t_values=tuple(float(t) for t in t_grid), warnings=tuple(warnings),
+    common = dict(t_values=KMS_T_GRID, warnings=tuple(warnings),
                   clipped_modes=clipped)
     if isinstance(flow, ModhamError):
         # the sweep is a reporting harness: an unbuildable flow becomes an
@@ -306,11 +303,11 @@ def _kms_sweep(pipeline: _RegionPipeline, t_grid: Sequence[float] = KMS_T_GRID) 
             return float("nan")
 
     kms_vals, symp_vals = [], []
-    for t in t_grid:
-        kms_vals.append(measure(f"kms t={t}", kms_residual, float(t)))
-        symp_vals.append(measure(f"symplectic t={t}", symplectic_invariance_residual, float(t)))
+    for t in KMS_T_GRID:
+        kms_vals.append(measure(f"kms t={t}", kms_residual, t))
+        symp_vals.append(measure(f"symplectic t={t}", symplectic_invariance_residual, t))
     rng = np.random.default_rng(GROUP_SEED)
-    pairs = [rng.uniform(-2.0, 2.0, size=2) for _ in range(GROUP_SAMPLES if len(t_grid) else 0)]
+    pairs = [rng.uniform(-2.0, 2.0, size=2) for _ in range(GROUP_SAMPLES)]
     group_vals = [measure(f"group s={s:.3f} t={t:.3f}", group_residual, s, t) for s, t in pairs]
     finite = [v for v in (*kms_vals, *group_vals, *symp_vals) if np.isfinite(v)]
     return KmsReport(kms_residuals=tuple(kms_vals), group_residuals=tuple(group_vals),

@@ -17,7 +17,9 @@ proper subspace of phase space (the lattice complex structure is not
 anti-local).  The modular objects are constructed on H_L = L + I L and
 extended by ``Delta = 1`` on its mu-orthogonal complement; those trivial
 directions correspond to unentangled complement modes and are counted in
-the standardness report.
+the standardness report.  There S and J are time reversal
+``T = diag(1, -1)``, a conjugation because the states here carry no phi-pi
+correlation (see :mod:`modham.lattice`).
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .regions import (
 STANDARD_EIG_TOL = 1e-9
 RANK_TOL = 1e-10
 CONSISTENCY_TOL = 1e-8
-PAIRING_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,9 @@ class ModularData:
 
     ``S_op`` and ``J_op`` represent the antilinear Tomita operator and
     modular conjugation as real matrices anticommuting with the complex
-    structure.  ``projector`` is the mu-orthogonal projector onto
+    structure.  ``projector`` is the mu-orthogonal projector Pi onto
     H_L = L + I L; ``trivial_dim`` counts the directions where Delta is
-    extended by 1.
+    extended by 1 and S and J by time reversal, ``S (1 - Pi) = T (1 - Pi)``.
     """
 
     region: Region
@@ -98,9 +99,9 @@ class QuadratureResult:
 class _SubspaceFrame:
     """Symmetrized-frame data of H_L = L + I L for one (state, region) pair,
     in O(n^2 r) beyond the frame's two n x n eigendecompositions: ``q_basis``
-    spans H_L, and only :func:`modular_data_full` reads the dense ``A`` and
-    ``trivial_basis``.  Its readers share the eigenpairs ``eigs``, ``vecs`` of
-    ``a_hl`` and the SVD factor F of the system, ``w_sym = q_basis F``."""
+    spans H_L, and only :func:`modular_data_full` reads the dense ``A``.  Its
+    readers share the eigenpairs ``eigs``, ``vecs`` of ``a_hl`` and the factor
+    F of the one thin SVD of the system ``w_sym = q_basis F``."""
 
     def __init__(self, state: GaussianState, region: Region):
         self.state, self.region = state, region
@@ -110,16 +111,16 @@ class _SubspaceFrame:
 
         basis = np.eye(2 * n)[:, self.sel]
         w_cols = np.hstack([basis, _apply_i(state, basis)])  # [E_R, I E_R]
-        self.w_sym = self.frame.root(w_cols)  # the system h = f + I g, in the frame
-        u_svd, s_svd, vt_svd = np.linalg.svd(self.w_sym, full_matrices=False)
-        k = self.w_sym.shape[1]
+        w_sym = self.frame.root(w_cols)  # the system h = f + I g, in the frame
+        u_svd, s_svd, vt_svd = np.linalg.svd(w_sym, full_matrices=False)
+        k = w_sym.shape[1]
         self.separating = k <= 2 * n and float(s_svd[-1] / s_svd[0]) > RANK_TOL
         rank = k if self.separating else int(np.sum(s_svd > RANK_TOL * s_svd[0]))
         self.q_basis = u_svd[:, :rank]
         self.factor = s_svd[:rank, None] * vt_svd[:rank]
         self.trivial_dim = 2 * n - rank
 
-        # from_frame(q X q^T) = inv_root_q X root_q^T, and I times it
+        # Gram^{-1/2} q X q^T Gram^{1/2} = inv_root_q X root_q^T, and I times it
         self.root_q = self.frame.root(self.q_basis)
         self.inv_root_q = self.frame.root(self.q_basis, inverse=True)
         self.i_inv_root_q = _apply_i(state, self.inv_root_q)
@@ -130,7 +131,7 @@ class _SubspaceFrame:
         self.eigs, self.vecs = np.linalg.eigh(self.a_hl)
 
     def lift(self, op_hl: np.ndarray, times_i: bool = False) -> np.ndarray:
-        """``from_frame(q op_hl q^T)`` in phase space, or I times it."""
+        """``Gram^{-1/2} q op_hl q^T Gram^{1/2}`` in phase space, or I times it."""
         left = self.i_inv_root_q if times_i else self.inv_root_q
         return left @ op_hl @ self.root_q.T
 
@@ -140,11 +141,6 @@ class _SubspaceFrame:
         i_mat = self.state.I_mat
         p_cut = np.diag(region_mask(self.region, self.state.n_sites).astype(float))
         return np.eye(len(p_cut)) - p_cut + i_mat @ p_cut @ i_mat
-
-    @cached_property
-    def trivial_basis(self) -> np.ndarray:
-        """The complement of ``q_basis``, from the full SVD of ``w_sym``."""
-        return np.linalg.svd(self.w_sym)[0][:, self.q_basis.shape[1]:]
 
 
 def _apply_i(state: GaussianState, v: np.ndarray) -> np.ndarray:
@@ -209,6 +205,8 @@ def modular_data_full(state: GaussianState, region: Region) -> ModularData:
     ``A = 1 - P + I P I`` to H_L = L + I L, extended by zero on the trivial
     directions.  ``Delta`` is assembled from the independent block solve
     ``(A - 1)^{-1} (A + 1)`` and cross-checked against ``exp(ln Delta)``.
+    S maps f + I g to f - I g on H_L and is time reversal ``T = diag(1, -1)``
+    on the trivial directions, where Delta = 1 makes J = T as well.
     S, J, Delta, the projector and that ``expm`` consistency gate are built
     here only: the route comparison of :mod:`modham.crosscheck` evaluates
     ``ln Delta`` alone.
@@ -260,7 +258,8 @@ def _modular_data(sub: _SubspaceFrame) -> ModularData:
             f"residual {consistency:.3e}"
         )
 
-    s_op = _tomita_operator(sub)
+    projector = sub.lift(eye_hl)
+    s_op = _tomita_operator(sub, projector)
     # Delta^{-1/2} assembled from the A eigenbasis: the eigenproblem of A is
     # well conditioned even when Delta's spectrum spans many decades, while
     # re-diagonalizing Delta itself loses the small eigenvalues.
@@ -274,58 +273,28 @@ def _modular_data(sub: _SubspaceFrame) -> ModularData:
         Delta=delta,
         S_op=s_op,
         J_op=j_op,
-        projector=sub.lift(eye_hl),
+        projector=projector,
         trivial_dim=sub.trivial_dim,
         consistency_residual=consistency,
     )
 
 
-def _tomita_operator(sub: _SubspaceFrame) -> np.ndarray:
-    """Solve h = f + I g columnwise and assemble S: f + I g -> f - I g.
+def _tomita_operator(sub: _SubspaceFrame, projector: np.ndarray) -> np.ndarray:
+    """Solve h = f + I g columnwise and assemble S: f + I g -> f - I g on H_L,
+    and time reversal ``T = diag(1, -1)`` on the trivial directions.
 
-    On the trivial directions S acts as conjugation along a deterministically
-    chosen mu-orthonormal basis {u, I u}, which keeps S^2 = 1 and the
-    anticommutation with I exact there.
+    T relies on the phi-pi block of the two-point function being zero: then
+    the Gram matrix ``diag(X, P)`` makes T mu-orthogonal, ``T I T = -I``, and
+    T maps L onto itself.  So T commutes with the projector Pi onto H_L and
+    ``T (1 - Pi)`` is a conjugation on H_L^perp, with S^2 = 1 and SI = -IS
+    exact there.
     """
     # a standard region's system q F has full rank: S = q F diag(+-1) F^{-1} q^T
-    factor = sub.factor
+    factor, n = sub.factor, sub.state.n_sites
     signs = np.repeat([1.0, -1.0], len(factor) // 2)
-    s_main = sub.q_basis @ np.linalg.solve(factor.T, (factor * signs).T).T @ sub.q_basis.T
-
-    if sub.trivial_dim:
-        i_sym = sub.frame.to_frame(sub.state.I_mat)
-        s_main = s_main + _trivial_conjugation(sub.trivial_basis, i_sym)
-    return sub.frame.from_frame(s_main)
-
-
-def _trivial_conjugation(basis: np.ndarray, i_sym: np.ndarray) -> np.ndarray:
-    """Conjugation u -> u, I u -> -I u on the span of an I-invariant basis.
-
-    In the symmetrized frame I is orthogonal and antisymmetric, so on an
-    I-invariant span with orthonormal basis T the compression
-    ``K = T^T I T`` is orthogonal and antisymmetric too.  One real Schur
-    decomposition ``K = Z S Z^T`` brings it to 2x2 blocks
-    ``[[0, -b], [b, 0]]`` with b = +-1.  The two columns z_1, z_2 of a block
-    give the pair u = T z_1, I u = b T z_2, so every pair comes at once and
-    the reflection is ``R = U U^T - V V^T`` with ``U = T Z[:, 0::2]`` and
-    ``V = T Z[:, 1::2]``.
-
-    Raises :class:`NumericalError` when the dimension is odd or a block's
-    off-diagonal entry is not +-1 within 1e-8: the span is then not
-    I-invariant.
-    """
-    k = basis.T @ i_sym @ basis
-    schur_form, z = scipy.linalg.schur(0.5 * (k - k.T), output="real")
-    couplings = np.abs(np.diag(schur_form, -1)[::2])
-    deviation = float(np.max(np.abs(couplings - 1.0), initial=0.0))
-    if basis.shape[1] % 2 or deviation > PAIRING_TOL:
-        raise NumericalError(
-            f"span of dimension {basis.shape[1]} is not I-invariant: the "
-            f"Schur couplings of T^T I T deviate from 1 by up to {deviation:.3e}"
-        )
-    u = basis @ z[:, 0::2]
-    v = basis @ z[:, 1::2]
-    return u @ u.T - v @ v.T
+    time_reversal = np.repeat([1.0, -1.0], n)[:, None]
+    return (sub.lift(np.linalg.solve(factor.T, (factor * signs).T).T)
+            + time_reversal * (np.eye(2 * n) - projector))
 
 
 def lndelta_resolvent_quadrature(

@@ -919,10 +919,10 @@ def test_crosscheck_runs_at_a_clip_between_sing_tol_and_1e_9(tmp_path):
 
 
 ALL_TASKS = ["kernels", "flow", "kms", "crosscheck"]
-# route (a) evaluates ln Delta alone: no Tomita operator, conjugation or expm
-# gate of modular_data_full; route (c) runs one quadrature
+# route (a) evaluates ln Delta alone: no Tomita operator or expm gate of
+# modular_data_full; route (c) runs one quadrature
 CROSSCHECK_ROUTES = {"_spectral_lndelta": 1, "_modular_data": 0, "_tomita_operator": 0,
-                     "_trivial_conjugation": 0, "_resolvent_quadrature": 1}
+                     "_resolvent_quadrature": 1}
 
 
 class TestSharedPipeline:

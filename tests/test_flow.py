@@ -262,13 +262,6 @@ class TestKmsSuite:
         )
         assert np.isfinite(report.max_residual) and report.method == "eig"
 
-    def test_empty_grid(self, chain8):
-        _, state = chain8
-        report = run_kms_suite(state, Region([3, 4]), t_grid=())
-        assert report.kms_residuals == ()
-        assert report.group_residuals == ()
-        assert report.max_residual == 0.0
-
     @pytest.mark.parametrize(
         "sites, error",
         [([], NotStandard), (range(8), NotStandard), ([3, 8], IndexOutOfRange)],

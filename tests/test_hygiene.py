@@ -1,7 +1,8 @@
 """Static hygiene of the package source: no unused private helpers,
-constants or imports."""
+constants, imports or exports."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -142,3 +143,29 @@ def test_no_constant_poses_as_a_parameter():
             if len(values) == 1 and None not in values:
                 constant.append(f"{name}({param}={values.pop()})")
     assert not constant, f"parameters that only ever take one value: {constant}"
+
+
+ROOT = Path(__file__).parents[1]
+EXPORT_READERS = [ast.parse(path.read_text(), filename=str(path))
+                  for path in [*sorted((ROOT / "perfbench").glob("*.py")),
+                               ROOT / "tests" / "test_acceptance.py"]]
+
+
+def test_every_export_has_a_reader():
+    # a name the package exports is read by the package itself, the
+    # benchmark, the README or the acceptance criteria, not by unit tests alone
+    readme = (ROOT / "README.md").read_text()
+    exports = [node for node in SOURCES["__init__"].body if isinstance(node, ast.ImportFrom)]
+    definitions = {name: definition for module, tree in SOURCES.items() if module != "__init__"
+                   for definition, name in _definitions(tree)}
+    outside = [node for tree in EXPORT_READERS for node in ast.walk(tree)]
+    unread = []
+    for export in exports:
+        for alias in export.names:
+            name = alias.name
+            inside = {id(node) for node in ast.walk(definitions[name])} | {id(export)}
+            if not (any(_is_reference(node, name) for node in NODES if id(node) not in inside)
+                    or any(_is_reference(node, name) for node in outside)
+                    or re.search(rf"\b{name}\b", readme)):
+                unread.append(name)
+    assert not unread, f"modham exports names only unit tests read: {unread}"

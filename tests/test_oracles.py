@@ -11,11 +11,11 @@ from modham import (
     entanglement_entropy,
     mn_kernels,
     oracle_reduced_density_matrix,
-    oracle_resolvent_scalar,
     oracle_single_mode,
     restrict_correlators,
     vacuum_state,
 )
+from modham.oracles import oracle_resolvent_scalar
 
 
 class TestSingleModeOracle:

@@ -21,11 +21,13 @@ from modham import (
     entanglement_entropy,
     minimal_gap,
     mn_kernels,
+    modular_data_full,
     purify_restriction,
     regularize_correlators,
     restrict_correlators,
     route_agreement,
     run_kms_suite,
+    standardness_check,
     symplectic_spectrum,
     vacuum_state,
 )
@@ -253,6 +255,37 @@ def test_a_on_h_l_has_twice_the_symplectic_spectrum(case):
         two_c = 2.0 * restrict_correlators(state, region).modes.c
         got = np.sort(np.abs(sub.eigs))
         assert np.max(np.abs(got - np.repeat(np.sort(two_c), 4))) <= 1e-12 * two_c.max()
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(chain_and_proper_region())
+def test_tomita_algebra_with_trivial_directions(case):
+    # S is f + I g -> f - I g on H_L and time reversal on its complement; the
+    # algebra holds on the whole phase space at the tolerances of the n = 8
+    # Tomita tests
+    model, region = case
+    state = vacuum_state(model)
+    report = standardness_check(state, region)
+    assume(report.is_standard and report.trivial_dim > 0)
+    assume(minimal_gap(state, region) >= MIN_GAP)
+    md = modular_data_full(state, region)
+    n = state.n_sites
+    eye, i_mat, gram = np.eye(2 * n), state.I_mat, state.mu_gram
+    h = eye[:, phase_space_indices(region, n)]
+    assert np.linalg.norm(md.S_op @ h - h) <= 1e-8 * np.linalg.norm(h)
+    norm_s = np.linalg.norm(md.S_op)
+    assert np.linalg.norm(md.S_op @ md.S_op - eye) <= 1e-7 * norm_s
+    assert np.linalg.norm(md.S_op @ i_mat + i_mat @ md.S_op) <= 1e-7 * norm_s
+    assert np.linalg.norm(md.J_op @ md.J_op - eye) <= 1e-8
+    assert np.linalg.norm(md.J_op @ i_mat + i_mat @ md.J_op) <= 1e-7
+    assert np.linalg.norm(md.J_op.T @ gram @ md.J_op - gram) <= 1e-8 * np.linalg.norm(gram)
+    half = scipy.linalg.expm(0.5 * md.lnDelta)
+    assert np.linalg.norm(md.S_op - md.J_op @ half) <= 1e-7 * norm_s
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

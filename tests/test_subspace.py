@@ -9,7 +9,6 @@ import modham
 from modham import (
     IndexOutOfRange,
     NotStandard,
-    NumericalError,
     QuadratureNotConverged,
     Region,
     SpectrumOutOfDomain,
@@ -32,6 +31,11 @@ from modham._linalg import (
     symmetrize,
 )
 from modham.regions import phase_space_indices, region_mask
+
+
+def _to_frame(frame, op):
+    """``Gram^{1/2} op Gram^{-1/2}``: a mu-self-adjoint op becomes symmetric."""
+    return frame.root(frame.root(op).T, inverse=True).T
 
 
 class TestCuttingProjection:
@@ -208,7 +212,7 @@ class TestResolventQuadrature:
         state = vacuum_state(build_harmonic_chain(n, 0.5))
         region = Region(sites)
         sub = subspace._require_standard(state, region)
-        a_sym = symmetrize(sub.frame.to_frame(sub.A))
+        a_sym = symmetrize(_to_frame(sub.frame, sub.A))
         eye = np.eye(2 * n)
         a_sq_m1 = symmetrize(a_sym @ a_sym) - eye
         proj = sub.q_basis @ sub.q_basis.T
@@ -224,7 +228,7 @@ class TestResolventQuadrature:
         quad = lndelta_resolvent_quadrature(state, region, quad_tol=quad_tol)
         assert sub.q_basis.shape[1] == 4 * len(region)
         assert quad.n_evals == full_evals
-        assert np.linalg.norm(sub.frame.to_frame(quad.lnDelta) - full) <= 10 * quad_tol
+        assert np.linalg.norm(_to_frame(sub.frame, quad.lnDelta) - full) <= 10 * quad_tol
         assert quad.error_bound == pytest.approx(full_err, rel=1e-6)
 
     @pytest.mark.parametrize("clip", [1e-2, 1e-4, 1e-6, 1e-8, 1e-9])
@@ -330,32 +334,6 @@ class TestResolventQuadrature:
         assert info.value.achieved_error > 0
 
 
-class TestTrivialConjugation:
-    @pytest.fixture(scope="class")
-    def trivial(self):
-        state = vacuum_state(build_harmonic_chain(64, 0.3))
-        sub = subspace._require_standard(state, Region.interval(30, 3))
-        return sub.trivial_basis, sub.frame.to_frame(state.I_mat)
-
-    def test_reflection_identities(self, trivial):
-        basis, i_sym = trivial
-        assert basis.shape[1] >= 100
-        refl = subspace._trivial_conjugation(basis, i_sym)
-        proj = basis @ basis.T
-        assert np.linalg.norm(refl - refl.T) <= 1e-10
-        assert np.linalg.norm(refl @ refl - proj) <= 1e-10
-        assert np.linalg.norm((refl @ i_sym + i_sym @ refl) @ basis) <= 1e-10
-
-    def test_rejects_basis_that_is_not_i_invariant(self, trivial, rng):
-        basis, i_sym = trivial
-        # a generic 6-dimensional subspace of T is not mapped into itself by I
-        mix, _ = np.linalg.qr(rng.standard_normal((basis.shape[1], 6)))
-        with pytest.raises(NumericalError):
-            subspace._trivial_conjugation(basis @ mix, i_sym)
-        with pytest.raises(NumericalError):
-            subspace._trivial_conjugation(basis[:, :3], i_sym)
-
-
 def test_route_agreement_builds_one_frame(monkeypatch, chain8, center_region):
     _, state = chain8
     builds = []
@@ -373,22 +351,25 @@ def test_route_agreement_builds_one_frame(monkeypatch, chain8, center_region):
 
 def test_frame_decomposes_a_hl_once(monkeypatch):
     # the verdict, route (a) and Delta^{-1/2} read the frame's one eigh of the
-    # 12 x 12 a_hl, and the Tomita operator its SVD factor instead of a pinv
+    # 12 x 12 a_hl, and the Tomita operator its SVD factor instead of a pinv;
+    # on the trivial directions S is time reversal, with no second SVD and no
+    # Schur pairing
     state = vacuum_state(build_harmonic_chain(64, 0.3))
     region = Region.interval(30, 3)
     calls = []
-    for name in ("eigh", "eigvalsh", "pinv"):
-        def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+    for module, name in [(np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "pinv"),
+                         (np.linalg, "svd"), (scipy.linalg, "schur")]:
+        def recorded(a, *args, _name=name, _original=getattr(module, name), **kwargs):
             calls.append((_name, a.shape))
             return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, recorded)
+        monkeypatch.setattr(module, name, recorded)
     route_agreement(state, region)
     assert [call for call in calls if call[1] == (12, 12)] == [("eigh", (12, 12))]
     calls.clear()
     modular_data_full(state, region)
     assert [call for call in calls if call[1] == (12, 12)] == [("eigh", (12, 12))]
-    assert "pinv" not in {name for name, _ in calls}
+    assert [call for call in calls if call[0] in ("svd", "schur", "pinv")] == [("svd", (128, 12))]
 
 
 @pytest.mark.parametrize(
@@ -541,20 +522,37 @@ class TestArccotSplit:
         assert agreement.max_residual <= 1e-7
 
 
-@pytest.mark.parametrize(
+TRIVIAL_DIRECTIONS = pytest.mark.parametrize(
     "n, boundary, sites",
     [(64, "dirichlet", range(30, 33)), (24, "dirichlet", [5, 6, 15, 16]),
      (32, "periodic", range(10, 14))],
     ids=["interval", "two_intervals", "periodic"],
 )
+
+
+@TRIVIAL_DIRECTIONS
 def test_a_is_the_identity_on_the_trivial_directions(n, boundary, sites):
     # the pure-state identity behind the verdict, which reads the spectrum
     # of A from a_hl alone: A = 1 on the trivial directions T, and A maps
     # them nowhere into H_L
     state = vacuum_state(build_harmonic_chain(n, 0.3, 1.0, boundary))
     sub = subspace._require_standard(state, Region(sites))
-    a_sym = sub.frame.to_frame(sub.A)
-    basis = sub.trivial_basis
+    a_sym = _to_frame(sub.frame, sub.A)
+    basis = scipy.linalg.null_space(sub.q_basis.T)
     assert basis.shape[1] == sub.trivial_dim > 0
     assert np.linalg.norm(basis.T @ a_sym @ basis - np.eye(sub.trivial_dim)) <= 1e-12
     assert np.linalg.norm(basis.T @ a_sym @ sub.q_basis) <= 1e-12
+
+
+@TRIVIAL_DIRECTIONS
+def test_s_is_time_reversal_on_the_trivial_directions(n, boundary, sites):
+    # with no phi-pi correlation, T = diag(1, -1) maps L onto itself and is
+    # mu-orthogonal, so it commutes with the projector Pi onto H_L, and S
+    # extends by T on the complement
+    state = vacuum_state(build_harmonic_chain(n, 0.3, 1.0, boundary))
+    md = modular_data_full(state, Region(sites))
+    assert md.trivial_dim > 0
+    time_reversal = np.diag(np.repeat([1.0, -1.0], n))
+    complement = np.eye(2 * n) - md.projector
+    assert np.linalg.norm(md.S_op @ complement - time_reversal @ complement) <= 1e-10
+    assert np.linalg.norm(time_reversal @ md.projector - md.projector @ time_reversal) <= 1e-10
