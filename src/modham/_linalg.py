@@ -3,8 +3,6 @@
 Everything here reduces to symmetric eigenproblems, Cholesky factors or
 linear solves:
 
-- SPD square roots use eigendecomposition with a hard clamp threshold; an
-  eigenvalue below the clamp is an error, never silently regularized.
 - Functions of the non-symmetric product X P are evaluated in its Williamson
   frame: with the Cholesky factor P = L L^T and L^T X L = U diag(c^2) U^T,
   B = L U gives P = B B^T, X = B^{-T} diag(c^2) B^{-1} and
@@ -46,33 +44,6 @@ def require_tolerance(name: str, value: float) -> None:
     """Raise :class:`InvalidParameter` unless ``value`` is finite and positive."""
     if not 0 < value < np.inf:
         raise InvalidParameter(f"{name} must be finite and positive, got {value!r}")
-
-
-class SymmetrizedFrame:
-    """Congruence frame of the block-diagonal Gram matrix ``diag(X, P)``.
-
-    Conjugating a mu-self-adjoint operator A with Gram^{1/2} yields a
-    symmetric matrix, so every spectral step becomes a symmetric
-    eigenproblem.  ``root`` applies Gram^{+-1/2} to k columns in O(n^2 k)
-    through one eigendecomposition each of X and P; operators move in and
-    out only as thin factors, never as dense 2n x 2n conjugations.
-    """
-
-    def __init__(self, x_mat: np.ndarray, p_mat: np.ndarray):
-        self._blocks = [np.linalg.eigh(symmetrize(m)) for m in (x_mat, p_mat)]
-        w = np.concatenate([w for w, _ in self._blocks])
-        if w.min() <= EIG_CLAMP:
-            raise NumericalError(
-                f"Gram matrix is not positive definite beyond the clamp threshold "
-                f"{EIG_CLAMP:g} (min eigenvalue {w.min():.3e})"
-            )
-        self.cond = float(w.max() / w.min())
-
-    def root(self, v: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """``Gram^{1/2} v``, or ``Gram^{-1/2} v`` when ``inverse``."""
-        power = -0.5 if inverse else 0.5
-        return np.vstack([u @ (w[:, None] ** power * (u.T @ half))
-                          for (w, u), half in zip(self._blocks, np.split(v, 2))])
 
 
 class ModeData(NamedTuple):

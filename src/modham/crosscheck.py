@@ -152,6 +152,6 @@ def _route_agreement(pipeline: _RegionPipeline, quad_tol: float) -> RouteAgreeme
         kernel_vs_blocks=frob(gen_kernel_form - gen_blocks) / norm,
         quad_error_bound=quad_err,
         quad_evals=quad_evals,
-        gram_cond=sub.frame.cond,
+        gram_cond=sub.gram_cond,
         a_gap=float(np.min(np.abs(sub.eigs))) - 1.0,
     )

@@ -265,7 +265,8 @@ def run_kms_suite(
     aborting the sweep, and near-divergent regions (gap below 1e-6) carry a
     warning.  When the flow cannot be built, the report has
     ``method="none"``, the construction error, no residuals and
-    ``max_residual`` NaN: nothing was measured.
+    ``max_residual`` NaN: nothing was measured.  The same NaN stands when
+    the flow is built but every point of the sweep fails.
     """
     pipeline = _RegionPipeline(state, region, clip, sing_tol)
     return _kms_sweep(pipeline)
@@ -312,4 +313,4 @@ def _kms_sweep(pipeline: _RegionPipeline) -> KmsReport:
     finite = [v for v in (*kms_vals, *group_vals, *symp_vals) if np.isfinite(v)]
     return KmsReport(kms_residuals=tuple(kms_vals), group_residuals=tuple(group_vals),
                      symplectic_residuals=tuple(symp_vals), errors=tuple(errors),
-                     max_residual=float(max(finite, default=0.0)), **common)
+                     max_residual=float(max(finite, default=np.nan)), **common)

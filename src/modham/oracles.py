@@ -1,11 +1,10 @@
 """Independent brute-force oracles for tiny instances.
 
 These deliberately avoid the main pipeline's code paths: scalar formulas
-are evaluated in 50-digit arithmetic with mpmath, the two-site oracle
+are evaluated in 50-digit arithmetic with mpmath, and the two-site oracle
 diagonalizes the Hamiltonian in a truncated occupation basis and partial
-traces the density matrix directly, and the resolvent identity is checked
-by multiprecision quadrature.  Each oracle is strictly more accurate than
-the double-precision pipeline it validates.
+traces the density matrix directly.  Each oracle is strictly more accurate
+than the double-precision pipeline it validates.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .errors import (
     DomainError,
     InvalidParameter,
     ModularDivergence,
-    QuadratureNotConverged,
     TruncationNotConverged,
 )
 from .lattice import LatticeModel
@@ -162,35 +160,3 @@ def oracle_reduced_density_matrix(
         n_max=n_max + 4,
         trace_defect=trace_defect,
     )
-
-
-def oracle_resolvent_scalar(z: float, quad_tol: float = 1e-10) -> float:
-    """Check the scalar resolvent integral against its closed form.
-
-    Integrates ``1 / (1 - 4 t^2 z^2)`` over t in [1, inf) with
-    multiprecision quadrature and returns the absolute discrepancy from
-    ``-(1/(4z)) ln((2z + 1)/(2z - 1))``.
-
-    Raises :class:`DomainError` outside ``z^2 >= 1/4 + 1e-8`` and
-    :class:`QuadratureNotConverged` when the quadrature error estimate
-    exceeds ``quad_tol``.
-    """
-    if z * z < 0.25 + 1e-8:
-        raise DomainError(
-            f"z^2 = {z * z:.10f} below the validity bound 1/4 + 1e-8"
-        )
-    with mpmath.workdps(30):
-        mz = mpmath.mpf(z)
-
-        def integrand(t):
-            return 1.0 / (1.0 - 4.0 * t * t * mz * mz)
-
-        value, err = mpmath.quad(integrand, [1, mpmath.inf], error=True)
-        if err > quad_tol:
-            raise QuadratureNotConverged(
-                f"multiprecision quadrature error {float(err):.3e} above "
-                f"{quad_tol:g}",
-                achieved_error=float(err),
-            )
-        closed = -mpmath.log((2 * mz + 1) / (2 * mz - 1)) / (4 * mz)
-        return float(abs(value - closed))

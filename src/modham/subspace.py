@@ -32,7 +32,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dptsv
 
 from ._linalg import (
-    SymmetrizedFrame,
+    EIG_CLAMP,
     adaptive_matrix_quadrature,
     rel_diff,
     require_tolerance,
@@ -48,7 +48,6 @@ from .lattice import GaussianState
 from .regions import (
     Region,
     phase_space_indices,
-    region_mask,
     validate_region,
 )
 
@@ -97,32 +96,53 @@ class QuadratureResult:
 
 
 class _SubspaceFrame:
-    """Symmetrized-frame data of H_L = L + I L for one (state, region) pair,
-    in O(n^2 r) beyond the frame's two n x n eigendecompositions: ``q_basis``
-    spans H_L, and only :func:`modular_data_full` reads the dense ``A``.  Its
-    readers share the eigenpairs ``eigs``, ``vecs`` of ``a_hl`` and the factor
-    F of the one thin SVD of the system ``w_sym = q_basis F``."""
+    """Symmetrized-frame data of H_L = L + I L for one (state, region) pair.
+
+    Conjugating the mu-self-adjoint A with Gram^{1/2}, where Gram is
+    ``diag(X, P)``, makes it symmetric.  The roots come from one ``eigh`` each
+    of X and P, and an eigenvalue at or below ``EIG_CLAMP`` raises
+    :class:`NumericalError`, never silently regularized; ``gram_cond`` is
+    the condition number of Gram.  Beyond those, everything takes
+    O(n^2 r): ``q_basis`` spans H_L in the frame, operators move in and out
+    as thin factors, and only :func:`modular_data_full` reads the dense
+    ``A``.  Its readers share the eigenpairs ``eigs``, ``vecs`` of ``a_hl``
+    and the factor F of the one thin SVD of the system ``w_sym = q_basis F``.
+    """
 
     def __init__(self, state: GaussianState, region: Region):
         self.state, self.region = state, region
-        n = state.n_sites
+        n, r, idx = state.n_sites, len(region), region.indices()
         self.sel = phase_space_indices(region, n)
-        self.frame = SymmetrizedFrame(state.X_full, state.P_full)
+        blocks = [np.linalg.eigh(symmetrize(m)) for m in (state.X_full, state.P_full)]
+        w = np.concatenate([w for w, _ in blocks])
+        if w.min() <= EIG_CLAMP:
+            raise NumericalError(
+                f"Gram matrix is not positive definite beyond the clamp threshold "
+                f"{EIG_CLAMP:g} (min eigenvalue {w.min():.3e})"
+            )
+        self.gram_cond = float(w.max() / w.min())
 
-        basis = np.eye(2 * n)[:, self.sel]
-        w_cols = np.hstack([basis, _apply_i(state, basis)])  # [E_R, I E_R]
-        w_sym = self.frame.root(w_cols)  # the system h = f + I g, in the frame
+        def roots(v, *powers):
+            """``Gram^p v`` for each power p, from one ``u^T v`` per block."""
+            halves = [(w, u, u.T @ half) for (w, u), half in zip(blocks, np.split(v, 2))]
+            return [np.vstack([u @ (w[:, None] ** p * ut_v) for w, u, ut_v in halves])
+                    for p in powers]
+
+        # [E_R, I E_R], with I E_R = [[0, -2 P[:, R]], [2 X[:, R], 0]]
+        w_cols = np.zeros((2 * n, 4 * r))
+        w_cols[self.sel, np.arange(2 * r)] = 1.0
+        w_cols[n:, 2 * r:3 * r] = 2.0 * state.X_full[:, idx]
+        w_cols[:n, 3 * r:] = -2.0 * state.P_full[:, idx]
+        (w_sym,) = roots(w_cols, 0.5)  # the system h = f + I g, in the frame
         u_svd, s_svd, vt_svd = np.linalg.svd(w_sym, full_matrices=False)
-        k = w_sym.shape[1]
-        self.separating = k <= 2 * n and float(s_svd[-1] / s_svd[0]) > RANK_TOL
-        rank = k if self.separating else int(np.sum(s_svd > RANK_TOL * s_svd[0]))
+        self.separating = 4 * r <= 2 * n and float(s_svd[-1] / s_svd[0]) > RANK_TOL
+        rank = 4 * r if self.separating else int(np.sum(s_svd > RANK_TOL * s_svd[0]))
         self.q_basis = u_svd[:, :rank]
         self.factor = s_svd[:rank, None] * vt_svd[:rank]
         self.trivial_dim = 2 * n - rank
 
         # Gram^{-1/2} q X q^T Gram^{1/2} = inv_root_q X root_q^T, and I times it
-        self.root_q = self.frame.root(self.q_basis)
-        self.inv_root_q = self.frame.root(self.q_basis, inverse=True)
+        self.root_q, self.inv_root_q = roots(self.q_basis, 0.5, -0.5)
         self.i_inv_root_q = _apply_i(state, self.inv_root_q)
         # A on H_L, q^T Gram^{1/2} A Gram^{-1/2} q, where P = E_R E_R^T makes
         # A = 1 - E_R E_R^T + (I E_R) (E_R^T I)
@@ -137,10 +157,13 @@ class _SubspaceFrame:
 
     @cached_property
     def A(self) -> np.ndarray:
-        """The dense ``1 - P + I P I``."""
-        i_mat = self.state.I_mat
-        p_cut = np.diag(region_mask(self.region, self.state.n_sites).astype(float))
-        return np.eye(len(p_cut)) - p_cut + i_mat @ p_cut @ i_mat
+        """The dense ``1 - P + I P I``, with the region's site mask m:
+        ``blkdiag(1 - m - 4 P[:, R] X[R, :], 1 - m - 4 X[:, R] P[R, :])``."""
+        x, p, idx = self.state.X_full, self.state.P_full, self.region.indices()
+        outside = np.eye(len(x))
+        outside[idx, idx] = 0.0
+        return scipy.linalg.block_diag(outside - 4.0 * p[:, idx] @ x[idx],
+                                       outside - 4.0 * x[:, idx] @ p[idx])
 
 
 def _apply_i(state: GaussianState, v: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from modham import (
     FlowOverflow,
     IndexOutOfRange,
     InvalidParameter,
+    ModularFlow,
     NotStandard,
     Region,
     RestrictedCorrelators,
@@ -24,6 +25,7 @@ from modham import (
     symplectic_invariance_residual,
     vacuum_state,
 )
+from modham.kernels import DEFAULT_SING_TOL
 
 
 def single_mode_flow(x=1.0, p=1.0, branch_tol=1e-8):
@@ -261,6 +263,23 @@ class TestKmsSuite:
             *(f"group s={s:.3f} t={t:.3f}: kernel too large" for s, t in pairs),
         )
         assert np.isfinite(report.max_residual) and report.method == "eig"
+
+    def test_sweep_with_every_point_failed_reports_nan(self, monkeypatch):
+        # a built flow whose every residual raises measured nothing: NaN, as
+        # for an unbuilt flow, never 0.0
+        from modham import flow as flow_module
+
+        def overflowing(*args):
+            raise FlowOverflow("kernel too large")
+
+        state = vacuum_state(build_harmonic_chain(16, 0.5))
+        pipeline = flow_module._RegionPipeline(state, Region([6, 7, 8]), None, DEFAULT_SING_TOL)
+        assert isinstance(pipeline.flow, ModularFlow)  # built, and certified at t = 0
+        for name in ("kms_residual", "symplectic_invariance_residual", "group_residual"):
+            monkeypatch.setattr(flow_module, name, overflowing)
+        report = flow_module._kms_sweep(pipeline)
+        assert report.method == "eig" and len(report.errors) == 15
+        assert np.isnan(report.max_residual)
 
     @pytest.mark.parametrize(
         "sites, error",

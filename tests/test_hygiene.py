@@ -149,23 +149,37 @@ ROOT = Path(__file__).parents[1]
 EXPORT_READERS = [ast.parse(path.read_text(), filename=str(path))
                   for path in [*sorted((ROOT / "perfbench").glob("*.py")),
                                ROOT / "tests" / "test_acceptance.py"]]
+OUTSIDE = [node for tree in EXPORT_READERS for node in ast.walk(tree)]
+README = (ROOT / "README.md").read_text()
+EXPORTS = [node for node in SOURCES["__init__"].body if isinstance(node, ast.ImportFrom)]
+
+
+def _has_reader(name, excluded):
+    """Whether ``name`` is read by the package outside the nodes ``excluded``,
+    by the benchmark, the README or the acceptance criteria."""
+    return (any(_is_reference(node, name) for node in NODES if id(node) not in excluded)
+            or any(_is_reference(node, name) for node in OUTSIDE)
+            or re.search(rf"\b{name}\b", README) is not None)
 
 
 def test_every_export_has_a_reader():
     # a name the package exports is read by the package itself, the
     # benchmark, the README or the acceptance criteria, not by unit tests alone
-    readme = (ROOT / "README.md").read_text()
-    exports = [node for node in SOURCES["__init__"].body if isinstance(node, ast.ImportFrom)]
     definitions = {name: definition for module, tree in SOURCES.items() if module != "__init__"
                    for definition, name in _definitions(tree)}
-    outside = [node for tree in EXPORT_READERS for node in ast.walk(tree)]
-    unread = []
-    for export in exports:
-        for alias in export.names:
-            name = alias.name
-            inside = {id(node) for node in ast.walk(definitions[name])} | {id(export)}
-            if not (any(_is_reference(node, name) for node in NODES if id(node) not in inside)
-                    or any(_is_reference(node, name) for node in outside)
-                    or re.search(rf"\b{name}\b", readme)):
-                unread.append(name)
+    unread = [alias.name for export in EXPORTS for alias in export.names
+              if not _has_reader(alias.name, {id(node) for node in ast.walk(definitions[alias.name])}
+                                 | {id(export)})]
     assert not unread, f"modham exports names only unit tests read: {unread}"
+
+
+def test_no_public_code_serves_unit_tests_alone():
+    # a public function or class is read outside its definition and its
+    # export; one that only unit tests call belongs in the tests
+    exports = {id(export) for export in EXPORTS}
+    unread = [f"{module}.{name}" for module, tree in SOURCES.items()
+              for definition, name in _definitions(tree)
+              if isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not _is_private(name)
+              and not _has_reader(name, {id(node) for node in ast.walk(definition)} | exports)]
+    assert not unread, f"src/ defines public code only unit tests read: {unread}"

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,6 +7,7 @@ from modham import (
     DomainError,
     InvalidParameter,
     ModularDivergence,
+    QuadratureNotConverged,
     Region,
     build_harmonic_chain,
     entanglement_entropy,
@@ -15,7 +17,29 @@ from modham import (
     restrict_correlators,
     vacuum_state,
 )
-from modham.oracles import oracle_resolvent_scalar
+
+
+def oracle_resolvent_scalar(z: float, quad_tol: float = 1e-10) -> float:
+    """The absolute discrepancy of the scalar resolvent integral of
+    ``1 / (1 - 4 t^2 z^2)`` over t in [1, inf), by multiprecision quadrature,
+    from its closed form ``-(1/(4z)) ln((2z + 1)/(2z - 1))``.
+
+    Raises :class:`DomainError` outside ``z^2 >= 1/4 + 1e-8`` and
+    :class:`QuadratureNotConverged` when the quadrature error estimate
+    exceeds ``quad_tol``.
+    """
+    if z * z < 0.25 + 1e-8:
+        raise DomainError(f"z^2 = {z * z:.10f} below the validity bound 1/4 + 1e-8")
+    with mpmath.workdps(30):
+        mz = mpmath.mpf(z)
+        value, err = mpmath.quad(lambda t: 1.0 / (1.0 - 4.0 * t * t * mz * mz),
+                                 [1, mpmath.inf], error=True)
+        if err > quad_tol:
+            raise QuadratureNotConverged(
+                f"multiprecision quadrature error {float(err):.3e} above {quad_tol:g}",
+                achieved_error=float(err))
+        closed = -mpmath.log((2 * mz + 1) / (2 * mz - 1)) / (4 * mz)
+        return float(abs(value - closed))
 
 
 class TestSingleModeOracle:

@@ -14,7 +14,7 @@ from modham import (
     PositivityViolation,
     SpectrumOutOfDomain,
 )
-from modham._linalg import SymmetrizedFrame, product_spectrum, rel_diff
+from modham._linalg import product_spectrum, rel_diff
 from modham.kernels import nested_spectra
 from modham.runner import to_json_text
 
@@ -82,7 +82,8 @@ CASES = {
         lambda: _restrict_direct(0.1 * np.eye(2), 0.1 * np.eye(2)),
         PositivityViolation, "spec(X_R P_R) reaches 1.000000000000e-02 < 1/4 - 1e-10"),
     "frame-of-indefinite-gram": (
-        lambda: SymmetrizedFrame(np.eye(2), -np.eye(2)),
+        lambda: mh.standardness_check(
+            mh.GaussianState(2, np.eye(2), -np.eye(2)), mh.Region([0])),
         NumericalError, "Gram matrix is not positive definite beyond the clamp "
         "threshold 1e-14 (min eigenvalue -1.000e+00)"),
     "spectrum-of-indefinite-P": (

@@ -25,7 +25,6 @@ from modham import (
 )
 from modham import subspace
 from modham._linalg import (
-    SymmetrizedFrame,
     adaptive_matrix_quadrature,
     rel_diff,
     symmetrize,
@@ -33,9 +32,17 @@ from modham._linalg import (
 from modham.regions import phase_space_indices, region_mask
 
 
-def _to_frame(frame, op):
+def _gram_roots(state):
+    """Gram^{1/2} and Gram^{-1/2} of mu = diag(X, P), from one eigh of the
+    dense Gram matrix, independent of the frame's two block eighs."""
+    w, u = np.linalg.eigh(state.mu_gram)
+    return (u * np.sqrt(w)) @ u.T, (u / np.sqrt(w)) @ u.T
+
+
+def _to_frame(state, op):
     """``Gram^{1/2} op Gram^{-1/2}``: a mu-self-adjoint op becomes symmetric."""
-    return frame.root(frame.root(op).T, inverse=True).T
+    root, inv_root = _gram_roots(state)
+    return root @ op @ inv_root
 
 
 class TestCuttingProjection:
@@ -212,7 +219,7 @@ class TestResolventQuadrature:
         state = vacuum_state(build_harmonic_chain(n, 0.5))
         region = Region(sites)
         sub = subspace._require_standard(state, region)
-        a_sym = symmetrize(_to_frame(sub.frame, sub.A))
+        a_sym = symmetrize(_to_frame(state, sub.A))
         eye = np.eye(2 * n)
         a_sq_m1 = symmetrize(a_sym @ a_sym) - eye
         proj = sub.q_basis @ sub.q_basis.T
@@ -228,7 +235,7 @@ class TestResolventQuadrature:
         quad = lndelta_resolvent_quadrature(state, region, quad_tol=quad_tol)
         assert sub.q_basis.shape[1] == 4 * len(region)
         assert quad.n_evals == full_evals
-        assert np.linalg.norm(_to_frame(sub.frame, quad.lnDelta) - full) <= 10 * quad_tol
+        assert np.linalg.norm(_to_frame(state, quad.lnDelta) - full) <= 10 * quad_tol
         assert quad.error_bound == pytest.approx(full_err, rel=1e-6)
 
     @pytest.mark.parametrize("clip", [1e-2, 1e-4, 1e-6, 1e-8, 1e-9])
@@ -260,7 +267,7 @@ class TestResolventQuadrature:
         root_r = sub.root_q[sub.sel].T
         cols, cols_err, _ = subspace._resolvent_quadrature(sub, quad_tol, columns=root_r)
         full = lndelta_resolvent_quadrature(pure, region, quad_tol=quad_tol).lnDelta
-        full_cols = sub.q_basis.T @ sub.frame.root(full[:, sub.sel])
+        full_cols = sub.q_basis.T @ _gram_roots(pure)[0] @ full[:, sub.sel]
         assert cols_err <= quad_tol
         assert np.linalg.norm(cols - full_cols) <= 10 * quad_tol
 
@@ -394,29 +401,6 @@ def test_kernel_route_is_measured_not_copied():
     assert 0.0 < agreement.kernel_vs_blocks <= 1e-7
 
 
-def test_symmetrized_frame_takes_cond_from_its_two_block_eighs(monkeypatch, chain8):
-    _, state = chain8
-    w, _ = np.linalg.eigh(symmetrize(state.mu_gram))
-    original = np.linalg.eigh
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(original(*args, **kwargs))
-        return calls[-1]
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    frame = SymmetrizedFrame(state.X_full, state.P_full)
-    assert [vecs.shape for _, vecs in calls] == [(8, 8), (8, 8)]
-    block_w = np.concatenate([vals for vals, _ in calls])
-    assert frame.cond == float(block_w.max() / block_w.min())
-    assert frame.cond == pytest.approx(float(w.max() / w.min()), rel=1e-12)
-    # the dense roots, applied to the identity block by block
-    sqrt = frame.root(np.eye(16))
-    inv_sqrt = frame.root(np.eye(16), inverse=True)
-    assert_allclose(sqrt @ sqrt, state.mu_gram, atol=1e-12)
-    assert_allclose(sqrt @ inv_sqrt, np.eye(16), atol=1e-12)
-
-
 def _arccot_split(state, region):
     # the crosscheck's split with the region block of mn_kernels at its default sing_tol
     rc = restrict_correlators(state, region)
@@ -531,13 +515,38 @@ TRIVIAL_DIRECTIONS = pytest.mark.parametrize(
 
 
 @TRIVIAL_DIRECTIONS
+def test_frame_reads_gram_cond_and_a_off_the_two_point_function(monkeypatch, n, boundary, sites):
+    # gram_cond is that of mu = diag(X, P) from the frame's two n x n eighs;
+    # A from the gathered columns P[:, R], X[:, R] is the dense 1 - P + I P I;
+    # root_q and inv_root_q are Gram^{1/2} q and Gram^{-1/2} q
+    state = vacuum_state(build_harmonic_chain(n, 0.3, 1.0, boundary))
+    region = Region(sites)
+    w, _ = np.linalg.eigh(state.mu_gram)
+    original = np.linalg.eigh
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sub = subspace._require_standard(state, region)
+    assert shapes.count((n, n)) == 2
+    assert sub.gram_cond == pytest.approx(float(w.max() / w.min()), rel=1e-12)
+    p_cut = np.diag(region_mask(region, n).astype(float))
+    assert rel_diff(sub.A, np.eye(2 * n) - p_cut + state.I_mat @ p_cut @ state.I_mat) <= 1e-13
+    assert_allclose(sub.root_q, state.mu_gram @ sub.inv_root_q, atol=1e-12)
+    assert_allclose(sub.inv_root_q.T @ sub.root_q, np.eye(sub.q_basis.shape[1]), atol=1e-12)
+
+
+@TRIVIAL_DIRECTIONS
 def test_a_is_the_identity_on_the_trivial_directions(n, boundary, sites):
     # the pure-state identity behind the verdict, which reads the spectrum
     # of A from a_hl alone: A = 1 on the trivial directions T, and A maps
     # them nowhere into H_L
     state = vacuum_state(build_harmonic_chain(n, 0.3, 1.0, boundary))
     sub = subspace._require_standard(state, Region(sites))
-    a_sym = _to_frame(sub.frame, sub.A)
+    a_sym = _to_frame(state, sub.A)
     basis = scipy.linalg.null_space(sub.q_basis.T)
     assert basis.shape[1] == sub.trivial_dim > 0
     assert np.linalg.norm(basis.T @ a_sym @ basis - np.eye(sub.trivial_dim)) <= 1e-12
