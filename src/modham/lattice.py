@@ -18,11 +18,11 @@ Phase-space conventions used throughout the package:
   ``eps I = 2 diag(X, P)``, explicitly ``I = [[0, -2P], [2X, 0]]``;
 - the metric ``mu(f, g) = (1/2) f^T eps I g`` has Gram matrix ``diag(X, P)``.
 
-V is diagonal in sine modes (Dirichlet) or plane waves (periodic) with
-closed-form frequencies, so the vacuum X and P are each one real FFT of
-their mode values (Toeplitz minus Hankel, or circulant): no eigensolver.
-A :class:`LatticeModel` holds only ``(n_sites, mass, coupling, boundary)``
-and derives V from them on first read; a vacuum never forms V.
+V is diagonal in sine modes (Dirichlet) or plane waves (periodic), so the
+vacuum X and P are each one real FFT of their mode values (Toeplitz minus
+Hankel, or circulant), checked on the spectrum that one more FFT gives: no
+eigensolver, no n x n product.  A :class:`LatticeModel` holds only
+``(n_sites, mass, coupling, boundary)`` and derives V from them on first read.
 
 A :class:`GaussianState` stores X and P; the 2n x 2n I and ``diag(X, P)``
 are built on first use, eps (``_eps_matrix``) where needed.  Only pure
@@ -49,6 +49,7 @@ from .errors import (
 )
 
 INVARIANT_TOL = 1e-10
+_GRAM_ERROR = "mu Gram matrix not positive definite (min eig {:.3e})"
 
 
 class Boundary(str, enum.Enum):
@@ -152,23 +153,14 @@ class GaussianState:
         n = x_full.shape[0]
         if x_full.shape != (n, n) or p_full.shape != (n, n):
             raise DimensionMismatch("correlators must be square and equal-sized")
-        scale = max(1.0, frob(x_full) * frob(p_full))
-        purity = frob(4.0 * x_full @ p_full - np.eye(n)) / scale
-        if purity > INVARIANT_TOL:
-            raise InvalidParameter(
-                f"state is not pure: ||4 X P - 1|| = {purity:.3e} "
-                f"(only pure states are supported; restrict a purification "
-                f"for mixed states)"
-            )
+        _purity(frob(4.0 * x_full @ p_full - np.eye(n)), frob(x_full), frob(p_full))
         # M - clamp * 1 factorizes exactly when min eig(M) lies above the clamp
         for m in (x_full, p_full):
             try:
                 np.linalg.cholesky(symmetrize(m) - EIG_CLAMP * np.eye(n))
             except np.linalg.LinAlgError:
                 w_min = np.linalg.eigvalsh(symmetrize(m))[0]
-                raise NumericalError(
-                    f"mu Gram matrix not positive definite (min eig {w_min:.3e})"
-                ) from None
+                raise NumericalError(_GRAM_ERROR.format(w_min)) from None
         return cls(n, x_full, p_full)
 
     @cached_property
@@ -186,6 +178,15 @@ class GaussianState:
     def two_point_function(self) -> np.ndarray:
         """The complex 2n x 2n kernel G = [[X, i/2], [-i/2, P]]."""
         return _two_point_kernel(self.X_full, self.P_full)
+
+
+def _purity(residual: float, x_norm: float, p_norm: float) -> float:
+    """``||4 X P - 1|| / max(1, ||X|| ||P||)``, checked against ``INVARIANT_TOL``."""
+    purity = residual / max(1.0, x_norm * p_norm)
+    if purity > INVARIANT_TOL:
+        raise InvalidParameter(f"state is not pure: ||4 X P - 1|| = {purity:.3e} (only pure states "
+                               f"are supported; restrict a purification for mixed states)")
+    return purity
 
 
 def _two_point_kernel(x_mat: np.ndarray, p_mat: np.ndarray) -> np.ndarray:
@@ -236,16 +237,16 @@ def build_harmonic_chain(
     return LatticeModel(n_sites, mass, coupling, boundary)
 
 
-def _function_of_v(model: LatticeModel, values: np.ndarray) -> np.ndarray:
-    """The matrix f(V) from ``values = f(omega_k^2)`` in the order of
-    :func:`_mode_eigenvalues`, through one real FFT of the mode values.
+def _function_of_v(model: LatticeModel, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix f(V) from ``values = f(omega_k^2)`` in the order of :func:`_mode_eigenvalues`,
+    through one real FFT of the mode values, and its spectrum v, through one FFT of phi.
 
-    A periodic f(V) is the circulant ``phi(|i - j|)``.  A Dirichlet f(V) is
-    ``phi(|i - j|) - phi(i + j + 2)``, Toeplitz minus Hankel, where phi is the
+    A periodic f(V) is the circulant ``phi(|i - j|)``, of eigenvalues v.  A Dirichlet f(V)
+    is ``phi(|i - j|) - phi(i + j + 2)``, Toeplitz minus Hankel, where phi is the
     DCT-I of the modes: the real FFT of the even, zero-padded sequence
-    ``[0, f_1..f_n, 0, f_n..f_1]`` over 2(n + 1), even about n + 1.  f is
-    never evaluated at k = 0 or n + 1.  Every entry is gathered from phi, so
-    the result is exactly symmetric.
+    ``[0, f_1..f_n, 0, f_n..f_1]`` over 2(n + 1), even about n + 1; f is never
+    evaluated at k = 0 or n + 1.  The gather from phi is exactly symmetric and exactly
+    ``S diag(v) S``, S the orthonormal DST-I (the k = 0, n + 1 sines vanish).
     """
     n = model.n_sites
     periodic = model.boundary is Boundary.PERIODIC
@@ -254,16 +255,28 @@ def _function_of_v(model: LatticeModel, values: np.ndarray) -> np.ndarray:
     phi = np.concatenate([half, half[even.size - half.size:0:-1]])  # phi(size - d) = phi(d)
     toeplitz = sliding_window_view(np.concatenate([phi[n - 1:0:-1], phi[:n]]), n)[::-1]
     if periodic:
-        return np.ascontiguousarray(toeplitz)
-    return toeplitz - sliding_window_view(phi[2:2 * n + 1], n)
+        return np.ascontiguousarray(toeplitz), np.fft.fft(phi).real
+    return toeplitz - sliding_window_view(phi[2:2 * n + 1], n), np.fft.fft(phi).real[1:n + 1]
+
+
+def _check_mode_spectra(x_modes: np.ndarray, p_modes: np.ndarray) -> float:
+    """:meth:`GaussianState.from_correlators`' checks on the spectra v of a vacuum's stored
+    X, P, which share an orthogonal eigenbasis; returns the purity.  A Gram eigenvalue
+    passes above ``EIG_CLAMP + 8 log2(2n + 2) eps ||v||``, which bounds (Weyl) the rounding
+    of ``T - H`` (``eps ||v||``, as ``||T||, ||H|| <= ||v||``) plus the FFT's (Higham, Thm
+    24.2: ``~5 log2(2n + 2) eps ||v||``; below ``0.2 log2(2n + 2) eps ||v||`` measured)."""
+    purity = _purity(frob(4.0 * x_modes * p_modes - 1.0), frob(x_modes), frob(p_modes))
+    for v in (x_modes, p_modes):
+        if v.min() - 8.0 * np.log2(2 * v.size + 2) * np.finfo(float).eps * frob(v) <= EIG_CLAMP:
+            raise NumericalError(_GRAM_ERROR.format(v.min()))
+    return purity
 
 
 def vacuum_state(model: LatticeModel) -> GaussianState:
-    """Gaussian vacuum of a chain: ``X = V^{-1/2}/2``, ``P = V^{1/2}/2`` in
-    closed form (:func:`_function_of_v`), checked by
-    :meth:`GaussianState.from_correlators`."""
-    omega = np.sqrt(_mode_eigenvalues(
-        model.n_sites, model.mass, model.coupling, model.boundary))
-    return GaussianState.from_correlators(
-        _function_of_v(model, 0.5 / omega), _function_of_v(model, 0.5 * omega)
-    )
+    """Gaussian vacuum of a chain: ``X = V^{-1/2}/2``, ``P = V^{1/2}/2`` in closed form
+    (:func:`_function_of_v`), checked on their mode spectra (:func:`_check_mode_spectra`)."""
+    omega = np.sqrt(_mode_eigenvalues(model.n_sites, model.mass, model.coupling, model.boundary))
+    x_full, x_modes = _function_of_v(model, 0.5 / omega)
+    p_full, p_modes = _function_of_v(model, 0.5 * omega)
+    _check_mode_spectra(x_modes, p_modes)
+    return GaussianState(model.n_sites, x_full, p_full)

@@ -266,7 +266,9 @@ def run(config: RunConfig):
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        vacuum_started = time.perf_counter()
         state = vacuum_state(LatticeModel(**asdict(config.model)))
+        bundle.metadata["vacuum_seconds"] = time.perf_counter() - vacuum_started
         region = resolve_region(config)
         tol = config.tolerances
         if any(task != "entropy_scan" for task in config.tasks):

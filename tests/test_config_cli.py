@@ -326,7 +326,9 @@ class TestRunner:
             assert run(config)[1] == 0
             blobs.append([(tmp_path / "out" / name).read_bytes() for name in tables])
         assert blobs[0] == blobs[1]
-        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())["entropy_scan"]
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert meta["vacuum_seconds"] > 0.0
+        meta = meta["entropy_scan"]
         assert set(meta) == {"window_sites", "error_rows", "sweep_seconds"}
         assert (meta["window_sites"], meta["error_rows"]) == (6, 1)
         assert meta["sweep_seconds"] > 0.0

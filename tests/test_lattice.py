@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -16,7 +17,30 @@ from modham import (
     build_harmonic_chain,
     vacuum_state,
 )
-from modham.lattice import Boundary, _eps_matrix, _laplacian, _mode_eigenvalues
+from modham.lattice import (
+    Boundary,
+    _check_mode_spectra,
+    _eps_matrix,
+    _function_of_v,
+    _laplacian,
+    _mode_eigenvalues,
+    _purity,
+)
+
+
+def assert_spectral_checks_match_dense(model):
+    # the vacuum's checks on the mode spectra v of its stored X and P equal
+    # from_correlators' dense ones: purity to 1e-14, and min v the lowest
+    # eigenvalue within the margin 8 log2(2n + 2) eps ||v|| the check allows
+    n = model.n_sites
+    omega = np.sqrt(_mode_eigenvalues(n, model.mass, model.coupling, model.boundary))
+    (x, v_x), (p, v_p) = (_function_of_v(model, f) for f in (0.5 / omega, 0.5 * omega))
+    norm = np.linalg.norm
+    dense = _purity(norm(4.0 * x @ p - np.eye(n)), norm(x), norm(p))
+    assert abs(_check_mode_spectra(v_x, v_p) - dense) <= 1e-14
+    for mat, v in ((x, v_x), (p, v_p)):
+        margin = 8.0 * np.log2(2 * n + 2) * np.finfo(float).eps * norm(v)
+        assert abs(v.min() - np.linalg.eigvalsh(mat)[0]) <= margin
 
 
 class TestBuildChain:
@@ -163,6 +187,40 @@ class TestVacuumState:
             expected = 0.5 * (u * w**power) @ u.T
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
             assert np.array_equal(got, got.T)
+        assert_spectral_checks_match_dense(model)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1024])
+    @pytest.mark.parametrize("mass, boundary", [
+        (0.0, Boundary.DIRICHLET), (1e-3, Boundary.DIRICHLET), (1.0, Boundary.DIRICHLET),
+        (1e-3, Boundary.PERIODIC), (1.0, Boundary.PERIODIC),
+    ])
+    def test_mode_spectra_checks_match_dense(self, n, mass, boundary):
+        # periodic n <= 2 are the folded chains
+        assert_spectral_checks_match_dense(build_harmonic_chain(n, mass, 1.0, boundary))
+
+    def test_vacuum_builds_without_dense_checks(self, monkeypatch):
+        # the spectral checks run once, with no Cholesky and no
+        # from_correlators; the tracemalloc peak is X and P and O(n) more
+        # (4 n^2 doubles with the dense checks)
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense check on the vacuum path")
+
+        purities = []
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(GaussianState, "from_correlators", refuse)
+        monkeypatch.setattr("modham.lattice._check_mode_spectra",
+                            lambda v_x, v_p: purities.append(_check_mode_spectra(v_x, v_p)))
+        n = 1024
+        model = build_harmonic_chain(n, 1e-3)
+        tracemalloc.start()
+        try:
+            state = vacuum_state(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.X_full.shape == state.P_full.shape == (n, n)
+        assert len(purities) == 1 and purities[0] <= 1e-15
+        assert peak <= 2.5 * n * n * 8
 
     def test_from_correlators_rejects_singular_gram(self):
         # pure (4 X P = 1) but X has an eigenvalue below the clamp
@@ -175,16 +233,19 @@ class TestVacuumState:
     @pytest.mark.parametrize("small, passes", [(2e-14, True), (5e-15, False)])
     def test_gram_clamp_boundary(self, small, passes, swap):
         # pure pair with one eigenvalue of X (or P) on either side of the
-        # clamp 1e-14
-        x = np.diag([0.5, small])
-        p = np.diag([0.5, 0.25 / small])
+        # clamp 1e-14, as matrices and as a vacuum's spectra (margin 2.3e-15)
+        x = np.array([0.5, small])
+        p = np.array([0.5, 0.25 / small])
         if swap:
             x, p = p, x
         if passes:
-            assert GaussianState.from_correlators(x, p).n_sites == 2
+            assert GaussianState.from_correlators(np.diag(x), np.diag(p)).n_sites == 2
+            assert _check_mode_spectra(x, p) <= 1e-15
         else:
             with pytest.raises(NumericalError, match="Gram"):
-                GaussianState.from_correlators(x, p)
+                GaussianState.from_correlators(np.diag(x), np.diag(p))
+            with pytest.raises(NumericalError, match="Gram"):
+                _check_mode_spectra(x, p)
 
     def test_from_correlators_rejects_impure(self):
         with pytest.raises(InvalidParameter):

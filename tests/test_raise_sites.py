@@ -16,6 +16,7 @@ from modham import (
 )
 from modham._linalg import product_spectrum, rel_diff
 from modham.kernels import nested_spectra
+from modham.lattice import _check_mode_spectra
 from modham.runner import to_json_text
 
 STATE = mh.vacuum_state(mh.build_harmonic_chain(4, 1.0))
@@ -106,6 +107,15 @@ CASES = {
         lambda: mh.modular_data_full(*_raw_half(6, 0.1)),
         NumericalError, re.compile(r"exp\(ln Delta\) disagrees with \(A-1\)\^\(-1\)\(A\+1\): "
                                    r"relative residual \d\.\d{3}e-08")),
+    # a valid chain raises ZeroModeError first: the vacuum's spectral checks
+    # are reached on crafted one-mode spectra
+    "vacuum-spectra-impure": (
+        lambda: _check_mode_spectra(np.array([0.5]), np.array([1.0])),
+        InvalidParameter, "state is not pure: ||4 X P - 1|| = 1.000e+00 (only pure states are "
+        "supported; restrict a purification for mixed states)"),
+    "vacuum-mode-at-the-clamp": (
+        lambda: _check_mode_spectra(np.array([1e-14]), np.array([0.25e14])),
+        NumericalError, "mu Gram matrix not positive definite (min eig 1.000e-14)"),
     "json-of-unsupported-type": (
         lambda: to_json_text(object()), TypeError, "cannot serialize object"),
     "json-of-bools": (
