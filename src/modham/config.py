@@ -44,14 +44,6 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class RegionSpec:
-    kind: str  # "half" | "sites" | "interval"
-    sites: tuple = ()
-    start: int = 0
-    length: int = 0
-
-
-@dataclass(frozen=True)
 class Tolerances:
     route_tol: float = 1e-7
     kms_tol: float = 1e-7
@@ -75,7 +67,7 @@ class ScanConfig:
 @dataclass(frozen=True)
 class RunConfig:
     model: ModelConfig
-    region: RegionSpec
+    region: dict  # the file's region, validated: its one key, sites sorted
     tasks: tuple
     tolerances: Tolerances = Tolerances()
     output: OutputConfig = OutputConfig()
@@ -156,7 +148,7 @@ def _parse_model(raw, lenient: bool) -> ModelConfig:
     return ModelConfig(n_sites, mass, coupling, boundary)
 
 
-def _parse_region(raw, n_sites: int, lenient: bool) -> RegionSpec:
+def _parse_region(raw, n_sites: int, lenient: bool) -> dict:
     raw = _expect_mapping(raw, "region")
     kinds = [k for k in ("half", "sites", "interval") if k in raw]
     _check_keys(raw, {"half", "sites", "interval"}, "region", lenient)
@@ -168,7 +160,7 @@ def _parse_region(raw, n_sites: int, lenient: bool) -> RegionSpec:
     kind = kinds[0]
     if kind == "half":
         _expect_mapping(raw["half"], "region.half")
-        return RegionSpec(kind="half")
+        return {"half": {}}
     if kind == "sites":
         sites = _int_list(raw["sites"], "region.sites")
         if len(set(sites)) != len(sites):
@@ -180,7 +172,7 @@ def _parse_region(raw, n_sites: int, lenient: bool) -> RegionSpec:
                 f"site indices must lie in [0, {n_sites}), got {sites}",
                 "region.sites",
             )
-        return RegionSpec(kind="sites", sites=tuple(sorted(sites)))
+        return {"sites": sorted(sites)}
     interval = _expect_mapping(raw["interval"], "region.interval")
     _check_keys(interval, {"start", "length"}, "region.interval", lenient)
     start = _get_int(interval, "start", "region.interval", minimum=0)
@@ -191,7 +183,7 @@ def _parse_region(raw, n_sites: int, lenient: bool) -> RegionSpec:
             f"{n_sites} sites",
             "region.interval",
         )
-    return RegionSpec(kind="interval", start=start, length=length)
+    return {"interval": {"start": start, "length": length}}
 
 
 def _parse_tolerances(raw, lenient: bool) -> Tolerances:
@@ -300,20 +292,17 @@ def parse_config(source, lenient: bool = False) -> RunConfig:
 
 def resolve_region(config: RunConfig) -> Region:
     """Materialize the configured region against the model size."""
-    spec = config.region
-    if spec.kind == "half":
+    region = config.region
+    if "half" in region:
         return Region.half(config.model.n_sites)
-    if spec.kind == "sites":
-        return Region(spec.sites)
-    return Region.interval(spec.start, spec.length)
+    if "sites" in region:
+        return Region(region["sites"])
+    return Region.interval(**region["interval"])
 
 
 def config_to_dict(config: RunConfig) -> dict:
     """Plain-dict form of a config; ``parse_config`` round-trips it."""
     out = json.loads(json.dumps(asdict(config)))  # plain lists for tuples
-    spec = out.pop("region")
-    kind = spec.pop("kind")
-    out["region"] = {kind: {"half": {}, "sites": spec.pop("sites"), "interval": spec}[kind]}
     if config.scan is None:
         del out["scan"]
     return out

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import frob
+from ._linalg import frob, rel_diff
 from .flow import _RegionPipeline
 from .kernels import (
     DEFAULT_SING_TOL,
@@ -145,11 +145,11 @@ def _route_agreement(pipeline: _RegionPipeline, quad_tol: float) -> RouteAgreeme
     return RouteAgreement(
         region=sub.region,
         norm=norm,
-        spectral_vs_blocks=frob(gen_spectral - gen_blocks) / norm,
+        spectral_vs_blocks=rel_diff(gen_spectral, gen_blocks),
         spectral_vs_quadrature=frob(gen_spectral - gen_quad) / norm,
-        blocks_vs_quadrature=frob(gen_blocks - gen_quad) / norm,
-        split_vs_spectral=frob(split_full - i_ln_delta) / max(frob(split_full), 1e-300),
-        kernel_vs_blocks=frob(gen_kernel_form - gen_blocks) / norm,
+        blocks_vs_quadrature=rel_diff(gen_quad, gen_blocks),
+        split_vs_spectral=rel_diff(i_ln_delta, split_full),
+        kernel_vs_blocks=rel_diff(gen_kernel_form, gen_blocks),
         quad_error_bound=quad_err,
         quad_evals=quad_evals,
         gram_cond=sub.gram_cond,

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import frob, require_tolerance
+from ._linalg import frob, rel_diff, require_tolerance
 from .errors import (
     BranchCutProximity,
     FlowOverflow,
@@ -184,25 +184,18 @@ def flow_at(flow: ModularFlow, t: complex) -> np.ndarray:
 
 def kms_residual(flow: ModularFlow, t: float) -> float:
     """Relative defect of ``G^T K(t - i) = G K(t)`` at real time t."""
-    k_shift = flow_at(flow, t - 1j)
-    k_real = flow_at(flow, t)
-    lhs = flow.G_R.T @ k_shift
-    rhs = flow.G_R @ k_real
-    return frob(lhs - rhs) / frob(rhs)
+    return rel_diff(flow.G_R.T @ flow_at(flow, t - 1j), flow.G_R @ flow_at(flow, t))
 
 
 def symplectic_invariance_residual(flow: ModularFlow, t: float) -> float:
     """Relative defect of ``K(t)^T eps K(t) = eps`` at real time t."""
     k_real = flow_at(flow, float(t))
-    defect = k_real.T @ flow.eps_R @ k_real - flow.eps_R
-    return frob(defect) / frob(flow.eps_R)
+    return rel_diff(k_real.T @ flow.eps_R @ k_real, flow.eps_R)
 
 
 def group_residual(flow: ModularFlow, s: float, t: float) -> float:
     """Relative defect of the group law ``K(s + t) = K(t) K(s)``."""
-    lhs = flow_at(flow, s + t)
-    rhs = flow_at(flow, t) @ flow_at(flow, s)
-    return frob(lhs - rhs) / max(frob(rhs), 1e-300)
+    return rel_diff(flow_at(flow, s + t), flow_at(flow, t) @ flow_at(flow, s))
 
 
 class _RegionPipeline:

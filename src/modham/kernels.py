@@ -37,7 +37,8 @@ import numpy as np
 from scipy.linalg.blas import dsyr2k
 from scipy.linalg.lapack import dpotrf
 
-from ._linalg import ModeData, frob, product_spectrum, require_tolerance, symmetrize
+from ._linalg import (ModeData, product_spectrum, rel_diff, require_symmetric,
+                      require_tolerance, symmetrize)
 from .errors import (
     EmptyRegion,
     InvalidParameter,
@@ -50,7 +51,6 @@ from .lattice import GaussianState, _eps_matrix, _two_point_kernel
 from .regions import Region, validate_region
 
 POSITIVITY_TOL = 1e-10
-SYMMETRY_TOL = 1e-12
 DEFAULT_SING_TOL = 1e-10
 
 
@@ -106,12 +106,6 @@ def _asymmetry(mat: np.ndarray) -> np.ndarray:
     return norms[0] / np.maximum(norms[1], 1e-300)
 
 
-def _require_symmetric(x_asym: float, p_asym: float) -> None:
-    for name, asym in (("X_R", x_asym), ("P_R", p_asym)):
-        if asym > SYMMETRY_TOL:
-            raise NumericalError(f"{name} lost symmetry: {asym:.3e}")
-
-
 def _require_positive(c: np.ndarray) -> np.ndarray:
     if c[0] ** 2 < 0.25 - POSITIVITY_TOL:
         raise PositivityViolation(
@@ -136,7 +130,7 @@ def restrict_correlators(state: GaussianState, region: Region) -> RestrictedCorr
     x_r = np.asarray(state.X_full[grid])
     p_r = np.asarray(state.P_full[grid])
     # the last entry of _asymmetry, at a fraction of its cost
-    _require_symmetric(*(frob(m - m.T) / max(frob(m), 1e-300) for m in (x_r, p_r)))
+    require_symmetric(rel_diff(x_r, x_r.T), rel_diff(p_r, p_r.T), "_R")
     rc = RestrictedCorrelators(region, symmetrize(x_r), symmetrize(p_r))
     _require_positive(symplectic_spectrum(rc))
     return rc
@@ -167,7 +161,7 @@ def nested_spectra(state: GaussianState, site_sets) -> list:
     done, spectra = 0, {}
     for k in sorted({len(sites) for sites in site_sets}):
         try:
-            _require_symmetric(x_asym[k - 1], p_asym[k - 1])
+            require_symmetric(x_asym[k - 1], p_asym[k - 1], "_R")
             if 0 < info <= k:
                 raise NumericalError("P correlator is not positive definite")
             l_b, l_c = chol[done:k, :done], chol[done:k, done:k]

@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._linalg import EIG_CLAMP, frob, symmetrize
+from ._linalg import EIG_CLAMP, frob, rel_diff, require_symmetric, symmetrize
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -143,16 +143,18 @@ class GaussianState:
     def from_correlators(cls, x_full: np.ndarray, p_full: np.ndarray) -> "GaussianState":
         """Build the state data from the correlators X, P of a pure state.
 
-        Checks purity, ``||4 X P - 1|| <= 1e-10 max(1, ||X|| ||P||)``, which
-        also gives ``I^2 = -diag(4 P X, 4 X P) = -1``, and that the Gram
-        matrix ``diag(X, P)`` has no eigenvalue at or below 1e-14.  I and
-        the Gram matrix themselves are built on first read.
+        Checks symmetry, ``||M - M^T|| <= 1e-12 ||M||`` for M = X, P, then
+        purity, ``||4 X P - 1|| <= 1e-10 max(1, ||X|| ||P||)``, which also
+        gives ``I^2 = -diag(4 P X, 4 X P) = -1``, and that the Gram matrix
+        ``diag(X, P)`` has no eigenvalue at or below 1e-14.  I and the Gram
+        matrix themselves are built on first read.
         """
         x_full = np.asarray(x_full, dtype=float)
         p_full = np.asarray(p_full, dtype=float)
         n = x_full.shape[0]
         if x_full.shape != (n, n) or p_full.shape != (n, n):
             raise DimensionMismatch("correlators must be square and equal-sized")
+        require_symmetric(rel_diff(x_full, x_full.T), rel_diff(p_full, p_full.T))
         _purity(frob(4.0 * x_full @ p_full - np.eye(n)), frob(x_full), frob(p_full))
         # M - clamp * 1 factorizes exactly when min eig(M) lies above the clamp
         for m in (x_full, p_full):

@@ -44,7 +44,7 @@ from .errors import (
     SpectrumOutOfDomain,
 )
 from .kernels import RestrictedCorrelators, _log_ratio
-from .lattice import GaussianState
+from .lattice import _GRAM_ERROR, GaussianState
 from .regions import (
     Region,
     phase_space_indices,
@@ -116,10 +116,7 @@ class _SubspaceFrame:
         blocks = [np.linalg.eigh(symmetrize(m)) for m in (state.X_full, state.P_full)]
         w = np.concatenate([w for w, _ in blocks])
         if w.min() <= EIG_CLAMP:
-            raise NumericalError(
-                f"Gram matrix is not positive definite beyond the clamp threshold "
-                f"{EIG_CLAMP:g} (min eigenvalue {w.min():.3e})"
-            )
+            raise NumericalError(_GRAM_ERROR.format(w.min()))
         self.gram_cond = float(w.max() / w.min())
 
         def roots(v, *powers):

@@ -22,6 +22,7 @@ import json
 import time
 
 import numpy as np
+import scipy.linalg
 
 from modham import (
     Region,
@@ -46,6 +47,7 @@ from modham import (
 )
 from modham.cli import main as cli_main
 from modham.config import parse_config
+from modham.regions import region_mask
 from modham.runner import run
 
 ROUTE_TOL = 1e-7          # criterion 1
@@ -195,17 +197,11 @@ def test_criterion_4_tomita_consistency():
         md = modular_data_full(used_state, used_region)
         nn = used_state.n_sites
         eye = np.eye(2 * nn)
-        i_mat = used_state.I_mat
-
-        from modham.regions import region_mask
-
         mask = region_mask(used_region, nn)
         h = rng.standard_normal((2 * nn, 4)) * mask[:, None]
         fix = np.linalg.norm(md.S_op @ h - h) / np.linalg.norm(h)
         s_sq = np.linalg.norm(md.S_op @ md.S_op - eye) / np.linalg.norm(md.S_op)
         j_sq = np.linalg.norm(md.J_op @ md.J_op - eye)
-        import scipy.linalg
-
         polar = np.linalg.norm(
             md.S_op - md.J_op @ scipy.linalg.expm(0.5 * md.lnDelta)
         ) / np.linalg.norm(md.S_op)

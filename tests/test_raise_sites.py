@@ -79,14 +79,17 @@ CASES = {
         # ||X - X^T|| / ||X|| = sqrt(2) / sqrt(3)
         lambda: _restrict_direct(np.eye(2) + SKEW, np.eye(2)),
         NumericalError, "X_R lost symmetry: 8.165e-01"),
+    "state-of-asymmetric-X": (
+        # the restriction's check, on the full correlators
+        lambda: mh.GaussianState.from_correlators(np.eye(2) + SKEW, np.eye(2)),
+        NumericalError, "X lost symmetry: 8.165e-01"),
     "restriction-below-uncertainty": (
         lambda: _restrict_direct(0.1 * np.eye(2), 0.1 * np.eye(2)),
         PositivityViolation, "spec(X_R P_R) reaches 1.000000000000e-02 < 1/4 - 1e-10"),
     "frame-of-indefinite-gram": (
         lambda: mh.standardness_check(
             mh.GaussianState(2, np.eye(2), -np.eye(2)), mh.Region([0])),
-        NumericalError, "Gram matrix is not positive definite beyond the clamp "
-        "threshold 1e-14 (min eigenvalue -1.000e+00)"),
+        NumericalError, "mu Gram matrix not positive definite (min eig -1.000e+00)"),
     "spectrum-of-indefinite-P": (
         lambda: product_spectrum(np.eye(2), -np.eye(2)),
         NumericalError, "P correlator is not positive definite"),

@@ -311,6 +311,24 @@ class TestResolventQuadrature:
                     exact = np.array((v * f * v.T).tolist(), dtype=float)
                 assert rel_diff(got, exact) <= min(1e-9, 1.25 * rel_diff(ref, exact))
 
+    @pytest.mark.parametrize("mass", [0.1, 0.5, 1.0])
+    def test_routes_against_the_exact_block(self, mass, exact_block):
+        # the three routes of the crosscheck on the purified 8-site half at
+        # clip 1e-9, judged against the block route at 60 digits on the same
+        # double X_R, P_R; measured: (b) 3.3e-9, 2.5e-9, 6.7e-10, (a) 1.1e-8,
+        # 6.0e-9, 3.2e-8, (c) 6.1e-9, 1.2e-8, 3.2e-8 for m = 0.1, 0.5, 1
+        state = vacuum_state(build_harmonic_chain(8, mass))
+        pure, region, _ = regularized_instance(state, Region.half(8), 1e-9)
+        rc = restrict_correlators(pure, region)
+        exact = exact_block(rc.X_R, rc.P_R)
+        sub = subspace._require_standard(pure, region)
+        grid = np.ix_(sub.sel, sub.sel)
+        spectral = sub.lift(subspace._spectral_lndelta(sub), times_i=True)[grid]
+        cols, _, _ = subspace._resolvent_quadrature(sub, 1e-10, columns=sub.root_q[sub.sel].T)
+        assert rel_diff(mn_kernels(rc).L_block, exact) <= 1e-8
+        assert rel_diff(spectral, exact) <= 1e-7
+        assert rel_diff(sub.i_inv_root_q[sub.sel] @ cols, exact) <= 1e-7
+
     def test_no_spectral_step(self, monkeypatch):
         # route (c) certifies route (a), which takes eigh of a_hl: with every
         # eigensolver and the SVD patched to raise, the quadrature still runs
@@ -467,10 +485,10 @@ class TestArccotSplit:
         (32, 0.05, 7, 5e-8),  # gap 9.2e-11, below the default sing_tol
     ])
     def test_complement_block_against_40_digit_reference(self, n, mass, length, bound,
-                                                         sine_mode_correlators):
+                                                         sine_mode_correlators, exact_block):
         # the reference restricts the complement at 40 digits and takes its own
-        # Williamson frame: mp.cholesky, mp.eigsy, then f on the modes with
-        # c - 1/2 > 1e-25 (the rest carry ln Delta = 0)
+        # Williamson frame, with f on the modes with c - 1/2 > 1e-25 (the rest
+        # carry ln Delta = 0); the complement block is minus the block formula
         state = vacuum_state(build_harmonic_chain(n, mass))
         region = Region.interval((n - length) // 2, length)
         comp = region.complement(n).sites
@@ -478,20 +496,8 @@ class TestArccotSplit:
         block = mn_kernels(rc, sing_tol=1e-11).L_block
         split = subspace._arccot_split(subspace._require_standard(state, region), rc, block)
         x, p = sine_mode_correlators(n, mass)
-        with mpmath.workdps(40):
-            x_c, p_c = (mpmath.matrix([[m[i, j] for j in comp] for i in comp]) for m in (x, p))
-            chol = mpmath.cholesky(p_c)
-            lam, vecs = mpmath.eigsy(chol.T * x_c * chol)
-            frame, frame_inv = chol * vecs, vecs.T * mpmath.inverse(chol)
-            c = [mpmath.sqrt(v) for v in lam]
-            f = [mpmath.log((2 * v + 1) / (2 * v - 1)) / (2 * v) if v - 0.5 > 1e-25 else 0
-                 for v in c]
-            m_c = frame * mpmath.diag(f) * frame.T
-            n_c = frame_inv.T * mpmath.diag([v**2 * w for v, w in zip(c, f)]) * frame_inv
-            k = len(comp)
-            ref = np.zeros((2 * k, 2 * k))
-            ref[:k, k:] = -2.0 * np.array(m_c.tolist(), dtype=float)
-            ref[k:, :k] = 2.0 * np.array(n_c.tolist(), dtype=float)
+        x_c, p_c = ([[m[i, j] for j in comp] for i in comp] for m in (x, p))
+        ref = -exact_block(x_c, p_c, dps=40, floor=1e-25)
         sel = phase_space_indices(region.complement(n), n)
         got = split[np.ix_(sel, sel)]
         assert np.linalg.norm(got - ref) <= bound * np.linalg.norm(ref)
