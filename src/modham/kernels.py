@@ -125,10 +125,7 @@ def restrict_correlators(state: GaussianState, region: Region) -> RestrictedCorr
     if len(region) == 0:
         raise EmptyRegion("cannot restrict correlators to an empty region")
     validate_region(region, state.n_sites)
-    idx = region.indices()
-    grid = np.ix_(idx, idx)
-    x_r = np.asarray(state.X_full[grid])
-    p_r = np.asarray(state.P_full[grid])
+    x_r, p_r = state.gather(region.indices(), region.indices())
     # the last entry of _asymmetry, at a fraction of its cost
     require_symmetric(rel_diff(x_r, x_r.T), rel_diff(p_r, p_r.T), "_R")
     rc = RestrictedCorrelators(region, symmetrize(x_r), symmetrize(p_r))
@@ -153,7 +150,7 @@ def nested_spectra(state: GaussianState, site_sets) -> list:
         window += sorted(set(sites).difference(window))
         if len(window) != len(sites):
             raise InvalidParameter("the site sets of a sweep must be nested")
-    x_w, p_w = (mat[np.ix_(window, window)] for mat in (state.X_full, state.P_full))
+    x_w, p_w = state.gather(window, window)
     x_asym, p_asym = _asymmetry(x_w), _asymmetry(p_w)
     x_w = symmetrize(x_w)
     chol, info = dpotrf(symmetrize(p_w), lower=True)

@@ -19,13 +19,15 @@ Phase-space conventions used throughout the package:
 - the metric ``mu(f, g) = (1/2) f^T eps I g`` has Gram matrix ``diag(X, P)``.
 
 V is diagonal in sine modes (Dirichlet) or plane waves (periodic), so the
-vacuum X and P are each one real FFT of their mode values (Toeplitz minus
-Hankel, or circulant), checked on the spectrum that one more FFT gives: no
-eigensolver, no n x n product.  A :class:`LatticeModel` holds only
-``(n_sites, mass, coupling, boundary)`` and derives V from them on first read.
+vacuum X and P are each fixed by a symbol phi, one real FFT of their mode
+values (Toeplitz minus Hankel, or circulant), checked on the spectrum that one
+more FFT gives: no eigensolver, no n x n product.  A :class:`LatticeModel`
+holds only ``(n_sites, mass, coupling, boundary)`` and derives V on first read.
 
-A :class:`GaussianState` stores X and P; the 2n x 2n I and ``diag(X, P)``
-are built on first use, eps (``_eps_matrix``) where needed.  Only pure
+A :class:`GaussianState` stores X and P, and ``gather(rows, cols)`` reads a
+block; a vacuum keeps views of the symbols, gathers blocks from them and
+builds X and P on first read.  The 2n x 2n I and ``diag(X, P)`` are built on
+first use, eps (``_eps_matrix``) where needed.  Only pure
 states with vanishing symmetric phi-pi cross correlations are supported.
 Mixed states are reached by restricting a pure state on a larger lattice;
 see :func:`modham.kernels.purify_restriction`.
@@ -131,8 +133,9 @@ class LatticeModel:
 class GaussianState:
     """Pure Gaussian state data on the full lattice.
 
-    Holds the correlators; the complex structure and the Gram matrix of
-    ``mu`` are built on first read.  All arrays are treated as immutable.
+    Holds the correlators, of which :meth:`gather` reads a block; the complex
+    structure and the Gram matrix of ``mu`` are built on first read, and so are
+    a :func:`vacuum_state`'s X and P.  All arrays are treated as immutable.
     """
 
     n_sites: int
@@ -180,6 +183,25 @@ class GaussianState:
     def two_point_function(self) -> np.ndarray:
         """The complex 2n x 2n kernel G = [[X, i/2], [-i/2, P]]."""
         return _two_point_kernel(self.X_full, self.P_full)
+
+    def gather(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+        """``(X[rows, cols], P[rows, cols])`` on the grid of two sequences of sites."""
+        grid = np.ix_(rows, cols)
+        return self.X_full[grid], self.P_full[grid]
+
+
+class _ChainVacuum(GaussianState):
+    """A chain vacuum as views of the symbols of X and P: blocks are gathered from them."""
+
+    def __init__(self, model: LatticeModel, *phis: np.ndarray):
+        vars(self).update(n_sites=model.n_sites, windows=[_windows(model, phi) for phi in phis])
+
+    def gather(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+        grid = np.ix_(rows, cols)
+        return tuple(_block(windows, grid) for windows in self.windows)
+
+    X_full = cached_property(lambda self: _block(self.windows[0], ...))
+    P_full = cached_property(lambda self: _block(self.windows[1], ...))
 
 
 def _purity(residual: float, x_norm: float, p_norm: float) -> float:
@@ -239,9 +261,9 @@ def build_harmonic_chain(
     return LatticeModel(n_sites, mass, coupling, boundary)
 
 
-def _function_of_v(model: LatticeModel, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The matrix f(V) from ``values = f(omega_k^2)`` in the order of :func:`_mode_eigenvalues`,
-    through one real FFT of the mode values, and its spectrum v, through one FFT of phi.
+def _symbol(model: LatticeModel, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symbol phi of f(V), ``values = f(omega_k^2)`` in :func:`_mode_eigenvalues`' order,
+    through one real FFT of the mode values, and the spectrum v of f(V), through one FFT of phi.
 
     A periodic f(V) is the circulant ``phi(|i - j|)``, of eigenvalues v.  A Dirichlet f(V)
     is ``phi(|i - j|) - phi(i + j + 2)``, Toeplitz minus Hankel, where phi is the
@@ -250,15 +272,27 @@ def _function_of_v(model: LatticeModel, values: np.ndarray) -> tuple[np.ndarray,
     evaluated at k = 0 or n + 1.  The gather from phi is exactly symmetric and exactly
     ``S diag(v) S``, S the orthonormal DST-I (the k = 0, n + 1 sines vanish).
     """
-    n = model.n_sites
     periodic = model.boundary is Boundary.PERIODIC
     even = values if periodic else np.concatenate([[0.0], values, [0.0], values[::-1]])
     half = np.fft.rfft(even).real / even.size
     phi = np.concatenate([half, half[even.size - half.size:0:-1]])  # phi(size - d) = phi(d)
+    spectrum = np.fft.fft(phi).real
+    return phi, spectrum if periodic else spectrum[1:model.n_sites + 1]
+
+
+def _windows(model: LatticeModel, phi: np.ndarray) -> tuple:
+    """The n x n views Toeplitz ``phi(|i - j|)`` and, Dirichlet, Hankel ``phi(i + j + 2)``."""
+    n = model.n_sites
     toeplitz = sliding_window_view(np.concatenate([phi[n - 1:0:-1], phi[:n]]), n)[::-1]
-    if periodic:
-        return np.ascontiguousarray(toeplitz), np.fft.fft(phi).real
-    return toeplitz - sliding_window_view(phi[2:2 * n + 1], n), np.fft.fft(phi).real[1:n + 1]
+    if model.boundary is Boundary.PERIODIC:
+        return (toeplitz,)
+    return toeplitz, sliding_window_view(phi[2:2 * n + 1], n)
+
+
+def _block(windows: tuple, index) -> np.ndarray:
+    """f(V)[index] from its :func:`_windows`, Toeplitz minus Hankel entrywise; ``...`` is all."""
+    toeplitz = windows[0][index]
+    return toeplitz - windows[1][index] if len(windows) == 2 else np.ascontiguousarray(toeplitz)
 
 
 def _check_mode_spectra(x_modes: np.ndarray, p_modes: np.ndarray) -> float:
@@ -275,10 +309,9 @@ def _check_mode_spectra(x_modes: np.ndarray, p_modes: np.ndarray) -> float:
 
 
 def vacuum_state(model: LatticeModel) -> GaussianState:
-    """Gaussian vacuum of a chain: ``X = V^{-1/2}/2``, ``P = V^{1/2}/2`` in closed form
-    (:func:`_function_of_v`), checked on their mode spectra (:func:`_check_mode_spectra`)."""
+    """Gaussian vacuum of a chain: ``X = V^{-1/2}/2``, ``P = V^{1/2}/2`` held as their symbols
+    (:func:`_symbol`), checked on their mode spectra (:func:`_check_mode_spectra`)."""
     omega = np.sqrt(_mode_eigenvalues(model.n_sites, model.mass, model.coupling, model.boundary))
-    x_full, x_modes = _function_of_v(model, 0.5 / omega)
-    p_full, p_modes = _function_of_v(model, 0.5 * omega)
+    (phi_x, x_modes), (phi_p, p_modes) = (_symbol(model, f) for f in (0.5 / omega, 0.5 * omega))
     _check_mode_spectra(x_modes, p_modes)
-    return GaussianState(model.n_sites, x_full, p_full)
+    return _ChainVacuum(model, phi_x, phi_p)

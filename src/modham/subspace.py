@@ -389,9 +389,9 @@ def _arccot_split(sub: _SubspaceFrame, rc: RestrictedCorrelators, block) -> np.n
     """
     state, n = sub.state, sub.state.n_sites
     comp = sub.region.complement(n).indices()
-    grid = np.ix_(comp, sub.region.indices())
+    x_cr, p_cr = state.gather(comp, sub.region.indices())
     c, frame, frame_inv = rc.modes
-    a, p = state.X_full[grid] @ frame, state.P_full[grid] @ frame_inv.T
+    a, p = x_cr @ frame, p_cr @ frame_inv.T
     vals = _log_ratio(c) / -np.einsum("ij,ij->j", a, p)
     out = np.zeros((2 * n, 2 * n))
     out[np.ix_(sub.sel, sub.sel)] = block

@@ -48,6 +48,21 @@ def count_calls(monkeypatch, names):
     return counts
 
 
+def dense_builds(monkeypatch):
+    """Record every dense n x n correlator a vacuum builds from its symbol."""
+    from modham import lattice
+
+    built, original = [], lattice._block
+
+    def recorded(windows, index):
+        if index is Ellipsis:
+            built.append(windows)
+        return original(windows, index)
+
+    monkeypatch.setattr(lattice, "_block", recorded)
+    return built
+
+
 def counted_frames(monkeypatch):
     """Record every subspace frame build."""
     from modham import subspace
@@ -423,8 +438,11 @@ class TestRunner:
         assert len(frames) == 1
 
     def test_scan_reads_restrictions_only(self, tmp_path, monkeypatch):
-        # a scan-only run builds no 2n x 2n state field and no mode basis
+        # a scan-only run builds no 2n x 2n state field, no mode basis and no
+        # dense n x n correlator: its blocks are gathered from the symbols
         import modham.runner as runner_module
+
+        built = dense_builds(monkeypatch)
 
         states = []
         original = runner_module.vacuum_state
@@ -444,15 +462,15 @@ class TestRunner:
         )))
         assert cli_main(["run", str(path)]) == 0
         (state,) = states
-        assert not {"I_mat", "mu_gram", "epsilon"} & set(vars(state))
-        assert counts["product_spectrum"] == 0
+        assert not {"I_mat", "mu_gram", "epsilon", "X_full", "P_full"} & set(vars(state))
+        assert counts["product_spectrum"] == 0 and built == []
         rows = json.loads((tmp_path / "out" / "entropy_scan.json").read_text())["rows"]
         assert [("error" in row) for row in rows] == [False] * 4 + [True]
 
     def test_raw_run_solves_no_eigenproblem_above_n(self, tmp_path, monkeypatch):
         # the frame diagonalizes X and P once each; everything else lives on
         # the 4r-dimensional H_L or on restrictions, and no dense 2n x 2n
-        # state field is built
+        # state field is built; the frame builds the dense X and P once each
         import modham.runner as runner_module
 
         states = []
@@ -470,6 +488,7 @@ class TestRunner:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, sized)
+        built = dense_builds(monkeypatch)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(minimal_config(
             model={"n_sites": 64, "mass": 0.3},
@@ -481,6 +500,8 @@ class TestRunner:
         (state,) = states
         assert max(sizes) == 64 and sizes.count(64) == 2
         assert not {"I_mat", "mu_gram"} & set(vars(state))
+        assert len(built) == 2 and built[0] is not built[1]
+        assert {"X_full", "P_full"} <= set(vars(state))
 
     def test_entropy_scan_returns_the_rows_run_writes(self, tmp_path):
         config = parse_config(minimal_config(

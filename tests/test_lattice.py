@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import hankel, toeplitz
 
 from modham import (
     DimensionMismatch,
@@ -17,14 +18,17 @@ from modham import (
     build_harmonic_chain,
     vacuum_state,
 )
+from modham.kernels import nested_spectra
 from modham.lattice import (
     Boundary,
     _check_mode_spectra,
     _eps_matrix,
-    _function_of_v,
+    _block,
     _laplacian,
     _mode_eigenvalues,
     _purity,
+    _symbol,
+    _windows,
 )
 
 
@@ -34,7 +38,8 @@ def assert_spectral_checks_match_dense(model):
     # eigenvalue within the margin 8 log2(2n + 2) eps ||v|| the check allows
     n = model.n_sites
     omega = np.sqrt(_mode_eigenvalues(n, model.mass, model.coupling, model.boundary))
-    (x, v_x), (p, v_p) = (_function_of_v(model, f) for f in (0.5 / omega, 0.5 * omega))
+    (phi_x, v_x), (phi_p, v_p) = (_symbol(model, f) for f in (0.5 / omega, 0.5 * omega))
+    x, p = (_block(_windows(model, phi), ...) for phi in (phi_x, phi_p))
     norm = np.linalg.norm
     dense = _purity(norm(4.0 * x @ p - np.eye(n)), norm(x), norm(p))
     assert abs(_check_mode_spectra(v_x, v_p) - dense) <= 1e-14
@@ -220,7 +225,61 @@ class TestVacuumState:
             tracemalloc.stop()
         assert state.X_full.shape == state.P_full.shape == (n, n)
         assert len(purities) == 1 and purities[0] <= 1e-15
-        assert peak <= 2.5 * n * n * 8
+        assert peak <= 0.05 * n * n * 8  # the symbols; 2.03 n^2 with dense X and P
+
+    def test_vacuum_scan_stays_below_the_dense_pair(self):
+        # the sweep of a 1024-site scan reads one 256-site window of X and P
+        n = 1024
+        model = build_harmonic_chain(n, 1e-3)
+        tracemalloc.start()
+        try:
+            state = vacuum_state(model)
+            starts = {length: (n - length) // 2 for length in range(8, 257)}
+            spectra = nested_spectra(state, [range(start, start + length)
+                                             for length, start in starts.items()])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(isinstance(c, Exception) for c in spectra)
+        assert not {"X_full", "P_full"} & set(vars(state))
+        assert peak <= 0.5 * n * n * 8  # 0.385 n^2 doubles; 2.381 n^2 with dense X and P
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
+    @pytest.mark.parametrize("mass", [1e-3, 1.0])
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_gather_is_the_dense_block(self, n, mass, boundary):
+        # periodic n <= 2 are the folded chains
+        state = vacuum_state(build_harmonic_chain(n, mass, 1.0, boundary))
+        dense = GaussianState(n, state.X_full, state.P_full)
+        rng = np.random.default_rng(n)
+        sites = np.sort(rng.choice(n, size=max(1, n // 3), replace=False))
+        others = np.setdiff1d(np.arange(n), sites)
+        grids = [(sites, sites), (sites[::-1], rng.permutation(sites)), (others, sites),
+                 (sites[-1:], range(n)), ([], sites), (sites, [])]
+        for rows, cols in grids:
+            grid = np.ix_(rows, cols)
+            expected = (state.X_full[grid], state.P_full[grid])
+            for gathered in (state.gather(rows, cols), dense.gather(rows, cols)):
+                assert all(np.array_equal(got, want) and got.shape == want.shape
+                           for got, want in zip(gathered, expected))
+        for gathering in (state, dense):  # numpy's bounds check, as on the dense pair
+            with pytest.raises(IndexError):
+                gathering.gather(sites, [n])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_dense_form_is_toeplitz_minus_hankel(self, n, boundary):
+        # the lazy X and P, byte for byte: phi(|i - j|) - phi(i + j + 2), or phi(|i - j|)
+        model = build_harmonic_chain(n, 0.3, 1.0, boundary)
+        state = vacuum_state(model)
+        omega = np.sqrt(_mode_eigenvalues(n, model.mass, model.coupling, model.boundary))
+        for mode_values, name in ((0.5 / omega, "X_full"), (0.5 * omega, "P_full")):
+            phi, _ = _symbol(model, mode_values)
+            expected = toeplitz(phi[:n])
+            if boundary is Boundary.DIRICHLET:
+                expected = expected - hankel(phi[2:n + 2], phi[n + 1:2 * n + 1])
+            assert np.array_equal(getattr(state, name), expected)
+            assert getattr(state, name) is getattr(state, name)  # built once
 
     def test_from_correlators_rejects_singular_gram(self):
         # pure (4 X P = 1) but X has an eigenvalue below the clamp
