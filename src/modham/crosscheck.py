@@ -2,9 +2,10 @@
 
 Route (a) is full-space spectral calculus (``2 arcoth`` of ``1 - P + IPI``),
 route (b) the M/N block formula on the restricted correlators, route (c) the
-adaptive resolvent quadrature, which reduces ``A^2 - 1`` to tridiagonal form
-by one Householder similarity and computes no eigenvalue, while route (a)
-takes ``eigh`` of A and never forms A^2.  All three must produce the same
+resolvent integral as one trapezoid sum in s = tanh t, which reduces
+``A^2 - 1`` to tridiagonal form by one Householder similarity and computes
+no eigenvalue, while route (a) takes ``eigh`` of A and never forms A^2.
+All three must produce the same
 region block of ``I ln Delta``; that three-route comparison at the route
 tolerance is the certificate.  Route (a) evaluates ``ln Delta`` only: the
 Tomita operator S, the conjugation J, Delta itself and the ``exp(ln Delta)``
@@ -74,7 +75,7 @@ class RouteAgreement:
     quad_error_bound: float
     quad_evals: int
     gram_cond: float  # cond of the Gram matrix mu, from the standardness frame
-    a_gap: float  # min |eig A on H_L| - 1, which sets the quadrature's cost
+    a_gap: float  # min |eig A on H_L| - 1; the quadrature's cost grows like ln(1/a_gap)
 
     @property
     def max_residual(self) -> float:

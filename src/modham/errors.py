@@ -51,7 +51,7 @@ class SpectrumOutOfDomain(ModhamError):
 
 
 class QuadratureNotConverged(ModhamError):
-    """Adaptive quadrature hit its evaluation cap before reaching tolerance."""
+    """The resolvent quadrature hit its evaluation cap before reaching tolerance."""
 
     def __init__(self, message: str, achieved_error: float = float("nan")):
         super().__init__(message)

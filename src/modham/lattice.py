@@ -26,8 +26,8 @@ holds only ``(n_sites, mass, coupling, boundary)`` and derives V on first read.
 
 A :class:`GaussianState` stores X and P, and ``gather(rows, cols)`` reads a
 block; a vacuum keeps views of the symbols, gathers blocks from them and
-builds X and P on first read.  The 2n x 2n I and ``diag(X, P)`` are built on
-first use, eps (``_eps_matrix``) where needed.  Only pure
+builds X and P on first read.  No 2n x 2n I or ``diag(X, P)`` is formed:
+the subspace frame applies them block by block.  Only pure
 states with vanishing symmetric phi-pi cross correlations are supported.
 Mixed states are reached by restricting a pure state on a larger lattice;
 see :func:`modham.kernels.purify_restriction`.
@@ -133,9 +133,9 @@ class LatticeModel:
 class GaussianState:
     """Pure Gaussian state data on the full lattice.
 
-    Holds the correlators, of which :meth:`gather` reads a block; the complex
-    structure and the Gram matrix of ``mu`` are built on first read, and so are
-    a :func:`vacuum_state`'s X and P.  All arrays are treated as immutable.
+    Holds the correlators, of which :meth:`gather` reads a block; a
+    :func:`vacuum_state`'s X and P are built on first read.  All arrays are
+    treated as immutable.
     """
 
     n_sites: int
@@ -149,8 +149,7 @@ class GaussianState:
         Checks symmetry, ``||M - M^T|| <= 1e-12 ||M||`` for M = X, P, then
         purity, ``||4 X P - 1|| <= 1e-10 max(1, ||X|| ||P||)``, which also
         gives ``I^2 = -diag(4 P X, 4 X P) = -1``, and that the Gram matrix
-        ``diag(X, P)`` has no eigenvalue at or below 1e-14.  I and the Gram
-        matrix themselves are built on first read.
+        ``diag(X, P)`` has no eigenvalue at or below 1e-14.
         """
         x_full = np.asarray(x_full, dtype=float)
         p_full = np.asarray(p_full, dtype=float)
@@ -167,22 +166,6 @@ class GaussianState:
                 w_min = np.linalg.eigvalsh(symmetrize(m))[0]
                 raise NumericalError(_GRAM_ERROR.format(w_min)) from None
         return cls(n, x_full, p_full)
-
-    @cached_property
-    def I_mat(self) -> np.ndarray:
-        """The complex structure ``I = [[0, -2P], [2X, 0]]``."""
-        zero = np.zeros_like(self.X_full)
-        return np.block([[zero, -2.0 * self.P_full], [2.0 * self.X_full, zero]])
-
-    @cached_property
-    def mu_gram(self) -> np.ndarray:
-        """The Gram matrix ``diag(X, P)`` of the metric ``mu``."""
-        zero = np.zeros_like(self.X_full)
-        return np.block([[self.X_full, zero], [zero, self.P_full]])
-
-    def two_point_function(self) -> np.ndarray:
-        """The complex 2n x 2n kernel G = [[X, i/2], [-i/2, P]]."""
-        return _two_point_kernel(self.X_full, self.P_full)
 
     def gather(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
         """``(X[rows, cols], P[rows, cols])`` on the grid of two sequences of sites."""

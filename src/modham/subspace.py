@@ -33,7 +33,7 @@ from scipy.linalg.lapack import dptsv
 
 from ._linalg import (
     EIG_CLAMP,
-    adaptive_matrix_quadrature,
+    frob,
     rel_diff,
     require_tolerance,
     symmetrize,
@@ -41,6 +41,7 @@ from ._linalg import (
 from .errors import (
     NotStandard,
     NumericalError,
+    QuadratureNotConverged,
     SpectrumOutOfDomain,
 )
 from .kernels import RestrictedCorrelators, _log_ratio
@@ -54,6 +55,7 @@ from .regions import (
 STANDARD_EIG_TOL = 1e-9
 RANK_TOL = 1e-10
 CONSISTENCY_TOL = 1e-8
+MAX_QUAD_EVALS = 200_000
 
 
 @dataclass(frozen=True)
@@ -325,23 +327,22 @@ def lndelta_resolvent_quadrature(
     """ln Delta from the resolvent integral, no spectral calculus involved.
 
     Integrates ``2 A (A^2 - s^2)^{-1}`` over s in (0, 1] (the substitution
-    t = 1/s of the arcoth resolvent integral over t in [1, inf)), graded by
-    s = 1 - u^2 towards the steep end, using adaptive Gauss-Kronrod panels and
-    tridiagonal solves (:func:`_resolvent_quadrature`) that share no step with
-    route (a), which takes ``eigh`` of A and never forms A^2.  Both H_L and its
-    mu-orthogonal complement are invariant under A, and ln Delta vanishes on
-    the complement, so the solves run in the 4r-dimensional orthonormal basis
-    of H_L (r region sites) and the integral is lifted to phase space once at
-    the end.  The lift is an isometry, so the Frobenius error estimate, the
-    adaptive panels and ``n_evals`` are those of the full-space integrand;
-    ``quad_tol`` is an absolute bound on that estimate for the whole ln Delta.
+    t = 1/s of the arcoth resolvent integral over t in [1, inf)), as one
+    trapezoid sum in s = tanh t over tridiagonal solves
+    (:func:`_resolvent_quadrature`) that share no step with route (a), which
+    takes ``eigh`` of A and never forms A^2.  Both H_L and its mu-orthogonal
+    complement are invariant under A, and ln Delta vanishes on the
+    complement, so the solves run in the 4r-dimensional orthonormal basis of
+    H_L (r region sites) and the integral is lifted to phase space once at
+    the end.  The lift is an isometry, so the nodes, the Frobenius error
+    estimate and ``n_evals`` are those of the full-space integrand;
+    ``quad_tol`` is an absolute bound on that estimate, the measured
+    difference of the last two step sizes, for the whole ln Delta.
 
-    Raises :class:`QuadratureNotConverged` when the error bound cannot be
-    pushed below ``quad_tol`` within the 200 000-evaluation cap of
-    :func:`modham._linalg.adaptive_matrix_quadrature`;
-    regions with machine-degenerate modes stall this way.  Raises
-    :class:`NumericalError` when a resolvent ``A^2 - s^2`` is not positive
-    definite to its tridiagonal LDL^T factorization.
+    Raises :class:`QuadratureNotConverged` when that difference cannot be
+    pushed below ``quad_tol`` within ``MAX_QUAD_EVALS`` (200 000) solves.
+    Raises :class:`NumericalError` when a resolvent ``A^2 - s^2`` is not
+    positive definite to its tridiagonal LDL^T factorization.
     """
     sub = _require_standard(state, region)
     integral, err, n_evals = _resolvent_quadrature(sub, quad_tol)
@@ -350,29 +351,62 @@ def lndelta_resolvent_quadrature(
 
 def _resolvent_quadrature(sub: _SubspaceFrame, quad_tol: float, columns=None):
     """``(integral, error_bound, n_evals)`` in the basis ``q_basis``, or the
-    integral times ``columns``; the bound is the absolute Frobenius estimate of
-    what is returned.  With s = 1 - u^2, ``A^2 - s^2 = (A^2 - 1) + u^2 (2 - u^2)``
-    is SPD when every |eig a_hl| > 1, and ``A^2 - (1 - u^2)^2`` would cancel.
-    One Householder reduction ``Q^T (A^2 - 1) Q = T`` (``dgehrd``) makes T
-    tridiagonal: each node is an O(k m) ``dptsv`` solve of T + u^2 (2 - u^2)
-    against ``Q^T 2 A columns``, not an O(k^3 + k^2 m) dense Cholesky; Q lifts
+    integral times ``columns``.  With s = tanh t the integral is
+    ``int_0^inf 2 A ((A^2 - 1) + sech^2 t)^{-1} sech^2 t dt``: the resolvent is
+    SPD when every |eig a_hl| > 1, and ``A^2 - tanh^2 t`` would cancel.  For an
+    eigenvalue l > 0 of A^2 - 1 the integrand 2 a / (l cosh^2 t + 1) is even in
+    t with its poles on Im t = +-pi/2 whatever l is, so the trapezoid sum
+    ``h (f(0) / 2 + sum_k f(k h))`` converges like exp(-pi^2 / h) uniformly in
+    the gap (Trefethen and Weideman, SIAM Rev. 56 (2014) 385).  h starts at 1
+    and halves, each halving adding the odd nodes only, until the measured
+    ``||I_h - I_{h/2}||_F``, the returned bound, is at most ``quad_tol``; a
+    sweep ends past t = 1 at its first term below 1e-3 ``quad_tol``, where the
+    terms decay like exp(-2 t).  One Householder reduction
+    ``Q^T (A^2 - 1) Q = T`` (``dgehrd``) makes T tridiagonal: each node is an
+    O(k m) ``dptsv`` solve of T + sech^2 t against ``Q^T 2 A columns``; Q lifts
     the integral once and, being orthogonal, moves the bound by rounding only."""
     require_tolerance("quad_tol", quad_tol)
     a_hl = sub.a_hl
     tri, q = scipy.linalg.hessenberg(symmetrize(a_hl @ a_hl) - np.eye(len(a_hl)), calc_q=True)
     diag, off = np.diag(tri), np.diag(tri, -1)
     rhs = np.asfortranarray(q.T @ (2.0 * (a_hl if columns is None else a_hl @ columns)))
+    n_evals, err = 0, np.inf
 
-    def integrand(u: float) -> np.ndarray:
-        _, _, sol, info = dptsv(diag + u * u * (2.0 - u * u), off, rhs)
+    def node(t: float) -> np.ndarray:
+        nonlocal n_evals
+        if n_evals >= MAX_QUAD_EVALS:
+            raise QuadratureNotConverged(
+                f"quadrature error {err:.3e} above tolerance {quad_tol:.3e} "
+                f"after {n_evals} evaluations",
+                achieved_error=err,
+            )
+        decay = np.exp(-2.0 * t)
+        sech_sq = 4.0 * decay / (1.0 + decay) ** 2  # underflows to 0, never overflows
+        _, _, sol, info = dptsv(diag + sech_sq, off, rhs)
         if info > 0:
             raise NumericalError(
-                f"resolvent A^2 - s^2 not positive definite at s = {1.0 - u * u!r}: "
+                f"resolvent A^2 - s^2 not positive definite at "
+                f"s = {float((1.0 - decay) / (1.0 + decay))!r}: "
                 f"Cholesky pivot {info} of {a_hl.shape[0]}"
             )
-        return 2.0 * u * sol
+        n_evals += 1
+        return sech_sq * sol
 
-    integral, err, n_evals = adaptive_matrix_quadrature(integrand, 0.0, 1.0, abs_tol=quad_tol)
+    def sweep(h: float, stride: int) -> np.ndarray:
+        """h times the sum of the nodes k h for k = 1, 1 + stride, ... to the sweep's end."""
+        total, k = 0.0, 1
+        while True:
+            share = h * node(k * h)
+            total = total + share
+            if k * h > 1.0 and frob(share) < 1e-3 * quad_tol:
+                return total
+            k += stride
+
+    h, integral = 1.0, 0.5 * node(0.0) + sweep(1.0, 1)
+    while err > quad_tol:
+        h *= 0.5
+        finer = 0.5 * integral + sweep(h, 2)
+        err, integral = frob(finer - integral), finer
     return q @ integral, err, n_evals
 
 

@@ -173,13 +173,26 @@ def test_every_export_has_a_reader():
     assert not unread, f"modham exports names only unit tests read: {unread}"
 
 
+def _public_code(tree):
+    """Public module-level functions and classes, and the public methods and
+    properties of public classes, by name, with their nodes."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for definition, name in _definitions(tree):
+        if _is_private(name) or not isinstance(definition, (*functions, ast.ClassDef)):
+            continue
+        yield definition, name
+        if isinstance(definition, ast.ClassDef):
+            yield from ((node, f"{name}.{node.name}") for node in definition.body
+                        if isinstance(node, functions) and not node.name.startswith("_"))
+
+
 def test_no_public_code_serves_unit_tests_alone():
-    # a public function or class is read outside its definition and its
-    # export; one that only unit tests call belongs in the tests
+    # a public function, class, method or property is read outside its
+    # definition and its export; one that only unit tests call belongs in
+    # the tests
     exports = {id(export) for export in EXPORTS}
     unread = [f"{module}.{name}" for module, tree in SOURCES.items()
-              for definition, name in _definitions(tree)
-              if isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-              and not _is_private(name)
-              and not _has_reader(name, {id(node) for node in ast.walk(definition)} | exports)]
+              for definition, name in _public_code(tree)
+              if not _has_reader(name.rpartition(".")[2],
+                                 {id(node) for node in ast.walk(definition)} | exports)]
     assert not unread, f"src/ defines public code only unit tests read: {unread}"

@@ -31,6 +31,8 @@ from modham.lattice import (
     _windows,
 )
 
+from dense_forms import complex_structure, mu_gram, two_point_function
+
 
 def assert_spectral_checks_match_dense(model):
     # the vacuum's checks on the mode spectra v of its stored X and P equal
@@ -146,24 +148,25 @@ class TestVacuumState:
     def test_state_invariants(self, n, m):
         state = vacuum_state(build_harmonic_chain(n, m))
         eye = np.eye(2 * n)
-        assert np.linalg.norm(state.I_mat @ state.I_mat + eye) <= 1e-10
+        i_mat = complex_structure(state)
+        assert np.linalg.norm(i_mat @ i_mat + eye) <= 1e-10
         assert np.linalg.norm(4.0 * state.X_full @ state.P_full - np.eye(n)) <= 1e-10
-        gram = state.mu_gram
+        gram = mu_gram(state)
         assert_allclose(gram, gram.T, atol=1e-14)
         assert np.linalg.eigvalsh(gram).min() > 0
 
     def test_complex_structure_matches_two_point_function(self, chain8):
         # eps I = 2 Re G with G = [[X, i/2], [-i/2, P]]
         _, state = chain8
-        g = state.two_point_function()
+        g, i_mat = two_point_function(state), complex_structure(state)
         eps = _eps_matrix(8)
-        assert_allclose(eps @ state.I_mat, 2.0 * g.real, atol=1e-12)
-        assert_allclose(2.0 * g, eps @ state.I_mat + 1j * eps, atol=1e-12)
+        assert_allclose(eps @ i_mat, 2.0 * g.real, atol=1e-12)
+        assert_allclose(2.0 * g, eps @ i_mat + 1j * eps, atol=1e-12)
 
     def test_sigma_mu_invariance_as_matrices(self, chain8):
         _, state = chain8
-        i_mat = state.I_mat
-        assert np.linalg.norm(i_mat.T @ state.mu_gram @ i_mat - state.mu_gram) <= 1e-10
+        i_mat, gram = complex_structure(state), mu_gram(state)
+        assert np.linalg.norm(i_mat.T @ gram @ i_mat - gram) <= 1e-10
         half_eps = 0.5 * _eps_matrix(8)
         assert np.linalg.norm(i_mat.T @ half_eps @ i_mat - half_eps) <= 1e-10
 
@@ -318,7 +321,7 @@ def sigma(f, g):
 
 def mu(state, f, g):
     """The metric f^T diag(X, P) g of stacked 2n initial data."""
-    return f.T @ state.mu_gram @ g
+    return f.T @ mu_gram(state) @ g
 
 
 class TestBilinearForms:
@@ -346,7 +349,7 @@ class TestBilinearForms:
         # columns are 100 random pairs; I preserves sigma and mu, and
         # sigma(f, I g) = mu(f, g)
         _, state = chain8
-        i_mat = state.I_mat
+        i_mat = complex_structure(state)
         f, g = rng.standard_normal((2, 16, 100))
         jf, jg = i_mat @ f, i_mat @ g
         scale = np.outer(np.linalg.norm(f, axis=0), np.linalg.norm(g, axis=0))
@@ -399,7 +402,8 @@ class TestPeriodicBoundary:
 def test_mu_gram_from_symplectic_and_complex_structure(chain8):
     # the Gram matrix of mu is (1/2) eps I
     _, state = chain8
-    assert_allclose(state.mu_gram, 0.5 * _eps_matrix(8) @ state.I_mat, atol=1e-13)
+    assert_allclose(mu_gram(state), 0.5 * _eps_matrix(8) @ complex_structure(state),
+                    atol=1e-13)
 
 
 @pytest.mark.parametrize("boundary", list(Boundary))

@@ -46,6 +46,8 @@ from modham.runner import (
     _scan_rows,
 )
 
+from dense_forms import complex_structure, mu_gram
+
 ROUTE_TOL = 1e-7
 KMS_TOL = 1e-7
 MIN_GAP = 1e-6
@@ -275,7 +277,7 @@ def test_tomita_algebra_with_trivial_directions(case):
     assume(minimal_gap(state, region) >= MIN_GAP)
     md = modular_data_full(state, region)
     n = state.n_sites
-    eye, i_mat, gram = np.eye(2 * n), state.I_mat, state.mu_gram
+    eye, i_mat, gram = np.eye(2 * n), complex_structure(state), mu_gram(state)
     h = eye[:, phase_space_indices(region, n)]
     assert np.linalg.norm(md.S_op @ h - h) <= 1e-8 * np.linalg.norm(h)
     norm_s = np.linalg.norm(md.S_op)

@@ -13,6 +13,7 @@ from modham import (
     NumericalError,
     PositivityViolation,
     SpectrumOutOfDomain,
+    TruncationNotConverged,
 )
 from modham._linalg import product_spectrum, rel_diff
 from modham.kernels import nested_spectra
@@ -119,6 +120,13 @@ CASES = {
     "vacuum-mode-at-the-clamp": (
         lambda: _check_mode_spectra(np.array([1e-14]), np.array([0.25e14])),
         NumericalError, "mu Gram matrix not positive definite (min eig 1.000e-14)"),
+    "fock-oracle-truncation": (
+        # the periodic pair's soft mode (omega = 0.1) is squeezed far off the
+        # site oscillators (omega = 1.42): 8 quanta per site do not hold it
+        lambda: mh.oracle_reduced_density_matrix(
+            mh.build_harmonic_chain(2, 0.1, 1.0, "periodic"), n_max=8),
+        TruncationNotConverged,
+        re.compile(r"entropy moved by \d\.\d{3}e-02 when raising n_max from 8 to 12")),
     "json-of-unsupported-type": (
         lambda: to_json_text(object()), TypeError, "cannot serialize object"),
     "json-of-bools": (

@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
-from scipy.linalg.lapack import dposv
+from scipy.integrate import quad_vec
+from scipy.linalg.lapack import dposv, dptsv
 
 import modham
 from modham import (
@@ -24,18 +27,16 @@ from modham import (
     vacuum_state,
 )
 from modham import subspace
-from modham._linalg import (
-    adaptive_matrix_quadrature,
-    rel_diff,
-    symmetrize,
-)
+from modham._linalg import rel_diff, symmetrize
 from modham.regions import phase_space_indices, region_mask
+
+from dense_forms import complex_structure, mu_gram
 
 
 def _gram_roots(state):
     """Gram^{1/2} and Gram^{-1/2} of mu = diag(X, P), from one eigh of the
     dense Gram matrix, independent of the frame's two block eighs."""
-    w, u = np.linalg.eigh(state.mu_gram)
+    w, u = np.linalg.eigh(mu_gram(state))
     return (u * np.sqrt(w)) @ u.T, (u / np.sqrt(w)) @ u.T
 
 
@@ -69,8 +70,9 @@ class TestMuAdjoint:
         # the mu-adjoint Gram^{-1} P^T Gram of the cutting projection is -I P I
         _, state = chain8
         p_cut = np.diag(region_mask(center_region, 8).astype(float))
-        expected = -state.I_mat @ p_cut @ state.I_mat
-        gram = state.mu_gram
+        i_mat = complex_structure(state)
+        expected = -i_mat @ p_cut @ i_mat
+        gram = mu_gram(state)
         assert np.linalg.norm(gram @ expected - p_cut.T @ gram) <= 1e-10
 
 
@@ -112,7 +114,7 @@ def data8():
 class TestModularData:
     def test_a_operator_structure(self, data8):
         state, md = data8
-        gram = state.mu_gram
+        gram = mu_gram(state)
         # mu-self-adjoint and spectrum outside (-1, 1)
         assert np.linalg.norm(gram @ md.A - md.A.T @ gram) <= 1e-10
         sym = scipy.linalg.sqrtm(gram).real
@@ -128,13 +130,13 @@ class TestModularData:
     def test_tomita_algebra(self, data8):
         state, md = data8
         eye = np.eye(16)
-        i_mat = state.I_mat
+        i_mat = complex_structure(state)
         norm_s = np.linalg.norm(md.S_op)
         assert np.linalg.norm(md.S_op @ md.S_op - eye) <= 1e-7 * norm_s
         assert np.linalg.norm(md.S_op @ i_mat + i_mat @ md.S_op) <= 1e-7 * norm_s
         assert np.linalg.norm(md.J_op @ md.J_op - eye) <= 1e-8
         assert np.linalg.norm(md.J_op @ i_mat + i_mat @ md.J_op) <= 1e-7
-        gram = state.mu_gram
+        gram = mu_gram(state)
         assert np.linalg.norm(md.J_op.T @ gram @ md.J_op - gram) <= 1e-8 * np.linalg.norm(gram)
 
     def test_polar_decomposition(self, data8):
@@ -144,13 +146,13 @@ class TestModularData:
 
     def test_lndelta_mu_self_adjoint(self, data8):
         state, md = data8
-        gram = state.mu_gram
+        gram = mu_gram(state)
         scale = np.linalg.norm(gram) * max(np.linalg.norm(md.lnDelta), 1.0)
         assert np.linalg.norm(gram @ md.lnDelta - md.lnDelta.T @ gram) <= 1e-9 * scale
 
     def test_delta_positive_and_consistent(self, data8):
         state, md = data8
-        sym = scipy.linalg.sqrtm(state.mu_gram).real
+        sym = scipy.linalg.sqrtm(mu_gram(state)).real
         eigs = np.linalg.eigvalsh(sym @ md.Delta @ np.linalg.inv(sym))
         assert eigs.min() > 0
         assert md.consistency_residual <= 1e-8
@@ -175,16 +177,43 @@ class TestModularData:
             modular_data_full(state, Region(range(8)))
 
 
+def _tanh_trapezoid(integrand, quad_tol):
+    """Route (c)'s rule on the sech^2-weighted ``integrand(t)``, for the tests:
+    ``h (f(0) / 2 + sum_k f(k h))``, h halving from 1 until two sums differ by
+    at most ``quad_tol``, each sweep ending past t = 1 at its first term with
+    ``h ||f|| < 1e-3 quad_tol``.  Returns the integral, the last difference
+    and the number of evaluations."""
+    values = [integrand(0.0)]
+
+    def sweep(h, stride):
+        total, k = 0.0, 1
+        while True:
+            values.append(integrand(k * h))
+            total = total + h * values[-1]
+            if k * h > 1.0 and h * np.linalg.norm(values[-1]) < 1e-3 * quad_tol:
+                return total
+            k += stride
+
+    h, integral, err = 1.0, 0.5 * values[0] + sweep(1.0, 1), np.inf
+    while err > quad_tol:
+        h /= 2
+        finer = 0.5 * integral + sweep(h, 2)
+        err, integral = np.linalg.norm(finer - integral), finer
+    return integral, err, len(values)
+
+
+def _sech_sq(t):
+    return 1.0 / np.cosh(t) ** 2
+
+
 class TestResolventQuadrature:
     def test_scalar_toy_closed_form(self):
-        # 2 A (A^2 - s^2)^{-1} integrated over [0, 1] equals 2 arcoth(A)
-        a = 2.0 * np.eye(2)
-
-        def integrand(s):
-            return 2.0 * np.linalg.solve(a @ a - s * s * np.eye(2), a)
-
-        integral, err, _ = adaptive_matrix_quadrature(integrand, 0.0, 1.0, 1e-10)
-        assert_allclose(integral, np.log(3.0) * np.eye(2), atol=1e-10)
+        # 2 A (A^2 - s^2)^{-1} integrated over [0, 1] equals 2 arcoth(A), on
+        # eigenvalues of either sign at gaps |a| - 1 from 2 down to 1e-4
+        eigs = np.array([2.0, -3.0, 1.5, 1.0 + 1e-4])
+        frame = SimpleNamespace(a_hl=np.diag(eigs))
+        integral, err, _ = subspace._resolvent_quadrature(frame, 1e-10)
+        assert_allclose(integral, np.diag(np.log((eigs + 1.0) / (eigs - 1.0))), atol=1e-10)
         assert err <= 1e-10
 
     def test_agrees_with_spectral_route(self, chain8, center_region):
@@ -212,8 +241,8 @@ class TestResolventQuadrature:
         ids=["interval3", "two_intervals"],
     )
     def test_reduced_basis_matches_full_space_integrand(self, n, sites):
-        # the full-space integrand, graded by s = 1 - u^2 as the route is,
-        # 2u proj ((A^2 - 1) + u^2 (2 - u^2))^-1 2 proj A proj, solved with
+        # the full-space integrand in s = tanh t, as the route's,
+        # sech^2 t proj ((A^2 - 1) + sech^2 t)^-1 2 proj A proj, solved with
         # 2n x 2n systems, against the route's solves in the H_L basis
         quad_tol = 1e-10
         state = vacuum_state(build_harmonic_chain(n, 0.5))
@@ -225,24 +254,23 @@ class TestResolventQuadrature:
         proj = sub.q_basis @ sub.q_basis.T
         numerator = 2.0 * proj @ a_sym @ proj
 
-        def full_integrand(u):
-            shift = u * u * (2.0 - u * u)
-            return 2.0 * u * proj @ np.linalg.solve(a_sq_m1 + shift * eye, numerator)
+        def full_integrand(t):
+            shift = _sech_sq(t)
+            return shift * proj @ np.linalg.solve(a_sq_m1 + shift * eye, numerator)
 
-        full, full_err, full_evals = adaptive_matrix_quadrature(
-            full_integrand, 0.0, 1.0, abs_tol=quad_tol
-        )
+        full, full_err, full_evals = _tanh_trapezoid(full_integrand, quad_tol)
         quad = lndelta_resolvent_quadrature(state, region, quad_tol=quad_tol)
         assert sub.q_basis.shape[1] == 4 * len(region)
         assert quad.n_evals == full_evals
         assert np.linalg.norm(_to_frame(state, quad.lnDelta) - full) <= 10 * quad_tol
-        assert quad.error_bound == pytest.approx(full_err, rel=1e-6)
+        assert max(quad.error_bound, full_err) <= quad_tol
 
     @pytest.mark.parametrize("clip", [1e-2, 1e-4, 1e-6, 1e-8, 1e-9])
     @pytest.mark.parametrize("mass", [0.1, 0.5])
-    def test_graded_rule_matches_plain_rule_in_fewer_evaluations(self, mass, clip):
-        # the plain integrand 2 A (A^2 - s^2)^-1 over s, built here only, against
-        # the route's graded s = 1 - u^2 on purified halves with gaps down to 1e-9
+    def test_tanh_rule_matches_plain_rule_in_fewer_evaluations(self, mass, clip):
+        # the plain integrand 2 A (A^2 - s^2)^-1 over s, built here only and
+        # integrated by scipy's adaptive Gauss-Kronrod quad_vec, against the
+        # route's tanh rule on purified halves with gaps down to 1e-9
         quad_tol = 1e-10
         state = vacuum_state(build_harmonic_chain(8, mass))
         pure, region, _ = regularized_instance(state, Region.half(8), clip)
@@ -254,14 +282,18 @@ class TestResolventQuadrature:
         def plain(s):
             return np.linalg.solve(a_sq - s * s * eye, 2.0 * a_hl)
 
-        plain_hl, _, plain_evals = adaptive_matrix_quadrature(plain, 0.0, 1.0, quad_tol)
-        graded_hl, graded_err, graded_evals = subspace._resolvent_quadrature(sub, quad_tol)
+        # the relative target keeps quad_vec's estimate off the plain
+        # integrand's rounding floor at gap 1e-9 (with epsabs alone it
+        # stalls after 4.4e6 evaluations at m = 0.1)
+        plain_hl, _, info = quad_vec(plain, 0.0, 1.0, epsabs=quad_tol, epsrel=1e-11,
+                                     full_output=True)
+        tanh_hl, tanh_err, tanh_evals = subspace._resolvent_quadrature(sub, quad_tol)
         spectral_hl = subspace._spectral_lndelta(sub)
-        assert graded_err <= quad_tol
-        assert rel_diff(graded_hl, plain_hl) <= 1e-10
-        assert rel_diff(graded_hl, spectral_hl) <= 1e-7
+        assert info.success and tanh_err <= quad_tol
+        assert rel_diff(tanh_hl, plain_hl) <= 1e-10
+        assert rel_diff(tanh_hl, spectral_hl) <= 1e-7
         assert rel_diff(plain_hl, spectral_hl) <= 1e-7
-        assert graded_evals < plain_evals
+        assert tanh_evals < info.neval
 
         # the crosscheck's region columns are those of the public full integral
         root_r = sub.root_q[sub.sel].T
@@ -273,11 +305,12 @@ class TestResolventQuadrature:
 
     @pytest.mark.parametrize("clip", [1e-2, 1e-4, 1e-6, 1e-8, 1e-9])
     @pytest.mark.parametrize("mass", [0.1, 0.5])
-    def test_tridiagonal_solves_match_dense_cholesky(self, mass, clip):
-        # the graded integrand without the Householder reduction, one dense
-        # Cholesky solve of (A^2 - 1) + u^2 (2 - u^2) per node, on the purified
-        # halves of the graded-rule test; both for the full H_L integral and
-        # for the crosscheck's region columns
+    def test_tridiagonal_solves_match_dense_cholesky(self, monkeypatch, mass, clip):
+        # the integrand without the Householder reduction, one dense Cholesky
+        # solve of (A^2 - 1) + sech^2 t per node, on the purified halves of the
+        # plain-rule test, compared node for node with the route's tridiagonal
+        # solves lifted by Q; both for the full H_L integral and for the
+        # crosscheck's region columns
         quad_tol = 1e-10
         state = vacuum_state(build_harmonic_chain(8, mass))
         pure, region, _ = regularized_instance(state, Region.half(8), clip)
@@ -285,24 +318,38 @@ class TestResolventQuadrature:
         a_hl = sub.a_hl
         eye = np.eye(a_hl.shape[0])
         a_sq_m1 = symmetrize(a_hl @ a_hl) - eye
+        _, q = scipy.linalg.hessenberg(a_sq_m1, calc_q=True)
+        tridiagonal = []
+
+        def recorded(*args):
+            out = dptsv(*args)
+            tridiagonal.append(q @ out[2])
+            return out
+
+        monkeypatch.setattr(subspace, "dptsv", recorded)
         for columns in (None, sub.root_q[sub.sel].T):
             rhs = 2.0 * (a_hl if columns is None else a_hl @ columns)
+            dense = []
 
-            def dense(u, rhs=rhs):
-                _, sol, info = dposv(a_sq_m1 + u * u * (2.0 - u * u) * eye, rhs)
+            def weighted(t, rhs=rhs):
+                _, sol, info = dposv(a_sq_m1 + _sech_sq(t) * eye, rhs)
                 assert info == 0
-                return 2.0 * u * sol
+                dense.append(sol)
+                return _sech_sq(t) * sol
 
-            ref, _, ref_evals = adaptive_matrix_quadrature(dense, 0.0, 1.0, quad_tol)
+            tridiagonal.clear()
+            ref, _, ref_evals = _tanh_trapezoid(weighted, quad_tol)
             got, err, evals = subspace._resolvent_quadrature(sub, quad_tol, columns=columns)
             assert err <= quad_tol
+            assert evals == ref_evals == len(tridiagonal)
+            # two backward-stable solves differ by rounding times the
+            # condition number of (A^2 - 1) + sech^2 t, which grows like 1/gap
+            assert max(map(rel_diff, tridiagonal, dense)) <= 1e-16 / clip
             if clip >= 1e-6:
-                assert evals == ref_evals
                 assert rel_diff(got, ref) <= 1e-12
                 continue
-            # the Kronrod-Gauss estimate is rounding noise here, so the panels
-            # may differ; the two rules agree to 1e-10 and lie equally far from
-            # 2 arcoth of the same a_hl at 40 digits
+            # at gaps of 1e-8 and below the two sums agree to 1e-10 and lie
+            # equally far from 2 arcoth of the same a_hl at 40 digits
             assert rel_diff(got, ref) <= 1e-10
             if columns is None:
                 with mpmath.workdps(40):
@@ -347,16 +394,20 @@ class TestResolventQuadrature:
             monkeypatch.setattr(module, name, forbidden)
         got = subspace._resolvent_quadrature(sub, 1e-10, columns=columns)
         assert np.array_equal(got[0], expected[0])
-        assert got[1:] == expected[1:] and got[2] == 345
+        assert got[1:] == expected[1:] and got[2] == 164
 
-    def test_evaluation_cap(self):
-        # a spike the 15-point rule cannot resolve within one refinement
-        def nasty(s):
-            return np.array([[1.0 / (abs(s - 0.3) + 1e-14)]])
-
+    def test_evaluation_cap(self, monkeypatch):
+        # the cap stops the rule mid-sweep and reports the last measured
+        # difference, which has not reached the tolerance
+        state = vacuum_state(build_harmonic_chain(8, 0.5))
+        sub = subspace._require_standard(state, Region.interval(3, 2))
+        full = subspace._resolvent_quadrature(sub, 1e-10)
+        monkeypatch.setattr(subspace, "MAX_QUAD_EVALS", full[2] - 10)
         with pytest.raises(QuadratureNotConverged) as info:
-            adaptive_matrix_quadrature(nasty, 0.0, 1.0, 1e-12, max_evals=60)
-        assert info.value.achieved_error > 0
+            subspace._resolvent_quadrature(sub, 1e-10)
+        assert 1e-10 < info.value.achieved_error < np.inf
+        assert str(info.value) == (f"quadrature error {info.value.achieved_error:.3e} above "
+                                   f"tolerance 1.000e-10 after {full[2] - 10} evaluations")
 
 
 def test_route_agreement_builds_one_frame(monkeypatch, chain8, center_region):
@@ -399,16 +450,42 @@ def test_frame_decomposes_a_hl_once(monkeypatch):
 
 @pytest.mark.parametrize(
     "region, clip, cap",
-    [(Region.half(64), 1e-4, 400), (Region.interval(30, 3), None, 300)],
+    [(Region.half(64), 1e-4, 170), (Region.interval(30, 3), None, 170)],
     ids=["clipped_half", "centered3"],
 )
 def test_route_agreement_evaluation_count_is_pinned(region, clip, cap):
-    # integrand evaluations are deterministic: the graded rule takes 345 and
-    # 285 here, the plain s-rule took 675 and 615
+    # solves are deterministic: the tanh rule takes 164 and 161 here, the
+    # graded Gauss-Kronrod panels took 345 and 285, the plain s-rule 675 and 615
     state = vacuum_state(build_harmonic_chain(64, 0.3))
     if clip is not None:
         state, region, _ = regularized_instance(state, region, clip)
     assert route_agreement(state, region).quad_evals <= cap
+
+
+def test_certify_configurations_take_at_most_648_solves():
+    # route (c) on the benchmark's four certify configurations: 161, 140, 164
+    # and 161 solves, 626 in all, where the Gauss-Kronrod panels took 285,
+    # 165, 345 and 285 (1080); the bound is 60% of that
+    small, large = (vacuum_state(build_harmonic_chain(n, 0.3)) for n in (64, 128))
+    half = regularized_instance(small, Region.half(64), 1e-4)[:2]
+    cases = [((small, Region.interval(30, 3)), 285), ((large, Region.interval(62, 3)), 285),
+             ((small, Region([29, 30, 33, 34])), 165), (half, 345)]
+    counts = [route_agreement(*case).quad_evals for case, _ in cases]
+    assert all(count < before for count, (_, before) in zip(counts, cases))
+    assert sum(counts) <= 648
+
+
+def test_absolute_tolerance_converges_on_a_large_generator():
+    # the purified 16-site half at gap 2e-9, where ||ln Delta|| is about 95:
+    # the Gauss-Kronrod panels stalled at 3.7e-10 > quad_tol 1e-10 after
+    # 200 025 evaluations; the tanh rule converges in 785 solves
+    state = vacuum_state(build_harmonic_chain(16, 0.1))
+    pure, region, _ = regularized_instance(state, Region.half(16), 2e-9)
+    agreement = route_agreement(pure, region, quad_tol=1e-10)
+    assert agreement.quad_error_bound <= 1e-10
+    assert agreement.quad_evals <= 1000
+    assert agreement.spectral_vs_quadrature <= 1e-7
+    assert agreement.blocks_vs_quadrature <= 1e-7
 
 
 def test_kernel_route_is_measured_not_copied():
@@ -431,14 +508,14 @@ class TestArccotSplit:
         _, state = chain8
         md = modular_data_full(state, center_region)
         split = _arccot_split(state, center_region)
-        full = state.I_mat @ md.lnDelta
+        full = complex_structure(state) @ md.lnDelta
         assert np.linalg.norm(split - full) <= 1e-8 * np.linalg.norm(full)
 
     def test_off_blocks_vanish(self, chain8, center_region):
         # I ln Delta leaves both the region and its complement invariant
         _, state = chain8
         md = modular_data_full(state, center_region)
-        full = state.I_mat @ md.lnDelta
+        full = complex_structure(state) @ md.lnDelta
         mask = region_mask(center_region, 8)
         off = full[np.ix_(mask, ~mask)]
         off2 = full[np.ix_(~mask, mask)]
@@ -468,7 +545,7 @@ class TestArccotSplit:
         pure, region, _ = regularized_instance(state, Region.half(16), 1e-6)
         md = modular_data_full(pure, region)
         split = _arccot_split(pure, region)
-        full = pure.I_mat @ md.lnDelta
+        full = complex_structure(pure) @ md.lnDelta
         assert np.linalg.norm(split - full) <= 1e-7 * np.linalg.norm(full)
 
     def test_region_block_equals_mn(self, chain8, center_region):
@@ -527,7 +604,7 @@ def test_frame_reads_gram_cond_and_a_off_the_two_point_function(monkeypatch, n, 
     # root_q and inv_root_q are Gram^{1/2} q and Gram^{-1/2} q
     state = vacuum_state(build_harmonic_chain(n, 0.3, 1.0, boundary))
     region = Region(sites)
-    w, _ = np.linalg.eigh(state.mu_gram)
+    w, _ = np.linalg.eigh(mu_gram(state))
     original = np.linalg.eigh
     shapes = []
 
@@ -540,8 +617,9 @@ def test_frame_reads_gram_cond_and_a_off_the_two_point_function(monkeypatch, n, 
     assert shapes.count((n, n)) == 2
     assert sub.gram_cond == pytest.approx(float(w.max() / w.min()), rel=1e-12)
     p_cut = np.diag(region_mask(region, n).astype(float))
-    assert rel_diff(sub.A, np.eye(2 * n) - p_cut + state.I_mat @ p_cut @ state.I_mat) <= 1e-13
-    assert_allclose(sub.root_q, state.mu_gram @ sub.inv_root_q, atol=1e-12)
+    i_mat = complex_structure(state)
+    assert rel_diff(sub.A, np.eye(2 * n) - p_cut + i_mat @ p_cut @ i_mat) <= 1e-13
+    assert_allclose(sub.root_q, mu_gram(state) @ sub.inv_root_q, atol=1e-12)
     assert_allclose(sub.inv_root_q.T @ sub.root_q, np.eye(sub.q_basis.shape[1]), atol=1e-12)
 
 
