@@ -48,7 +48,10 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def require_tolerance(name: str, value: float) -> None:
-    """Raise :class:`InvalidParameter` unless ``value`` is finite and positive."""
+    """Raise :class:`InvalidParameter` unless ``value`` is a real number (not a
+    bool) that is finite and positive."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidParameter(f"{name} must be a real number, got {value!r}")
     if not 0 < value < np.inf:
         raise InvalidParameter(f"{name} must be finite and positive, got {value!r}")
 

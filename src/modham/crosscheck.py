@@ -11,10 +11,10 @@ tolerance is the certificate.  Route (a) evaluates ``ln Delta`` only: the
 Tomita operator S, the conjugation J, Delta itself and the ``exp(ln Delta)``
 consistency gate belong to :func:`modham.subspace.modular_data_full`, and no
 route reads them.  Routes (a) and (c) share the standardness frame of
-(state, region) and lift from H_L through its factors in O(n^2 r): route (a)
-to the full ``I ln Delta``, route (c) to its region block from the region
-columns alone, which are all it integrates, so ``quad_error_bound`` bounds
-the compared block.  Two supplementary residuals follow.  The subspace split
+(state, region), built on the Cholesky factors of X and P, and lift from H_L
+through its factors in O(n^2 r): route (a) to the full ``I ln Delta``, route
+(c) to its region block from the region columns alone, which are all it
+integrates, so ``quad_error_bound`` bounds the compared block.  Two supplementary residuals follow.  The subspace split
 (region block minus complement block) is compared with the full-space route.
 Its region block is route (b)'s ``L_block`` and its complement block comes from
 the region's mode frame through the purity of the state (a vacuum, or a
@@ -74,7 +74,7 @@ class RouteAgreement:
     kernel_vs_blocks: float
     quad_error_bound: float
     quad_evals: int
-    gram_cond: float  # cond of the Gram matrix mu, from the standardness frame
+    frame_cond: float  # s_max / s_min of the standardness frame's system, which RANK_TOL judges
     a_gap: float  # min |eig A on H_L| - 1; the quadrature's cost grows like ln(1/a_gap)
 
     @property
@@ -130,7 +130,7 @@ def _route_agreement(pipeline: _RegionPipeline, quad_tol: float) -> RouteAgreeme
     """:func:`route_agreement` on a pipeline's standardness ``frame``, its
     restriction ``rc_flow`` and the kernels of that restriction."""
     sub, rc, kernels = pipeline.frame, pipeline.rc_flow, pipeline.kernels
-    # I ln Delta = (I Gram^{-1/2} q) ln_hl (Gram^{1/2} q)^T, lifted in O(n^2 r)
+    # I ln Delta = (I L^{-T} q) ln_hl (L q)^T, with diag(X, P) = L L^T, lifted in O(n^2 r)
     i_ln_delta = sub.lift(_spectral_lndelta(sub), times_i=True)
     gen_spectral = i_ln_delta[np.ix_(sub.sel, sub.sel)]
     gen_blocks = kernels.L_block
@@ -153,6 +153,6 @@ def _route_agreement(pipeline: _RegionPipeline, quad_tol: float) -> RouteAgreeme
         kernel_vs_blocks=rel_diff(gen_kernel_form, gen_blocks),
         quad_error_bound=quad_err,
         quad_evals=quad_evals,
-        gram_cond=sub.gram_cond,
+        frame_cond=sub.frame_cond,
         a_gap=float(np.min(np.abs(sub.eigs))) - 1.0,
     )

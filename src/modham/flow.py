@@ -213,8 +213,6 @@ class _RegionPipeline:
 
     def __init__(self, state: GaussianState, region: Region, clip, sing_tol):
         self.clip, self.sing_tol = clip, sing_tol
-        # an explicit clip fixes the gap; the branch guard must sit below it
-        self.branch_tol = BRANCH_TOL if clip is None else min(BRANCH_TOL, 0.5 * clip)
         if clip is None or not 0 < len(region) < state.n_sites:
             # an empty or full region raises here, clip or not
             self.frame = _require_standard(state, region)
@@ -222,6 +220,8 @@ class _RegionPipeline:
         self.rc_flow, self.clipped = self.rc, ()
         if clip is not None:
             self.rc_flow, self.clipped = regularize_correlators(self.rc, clip)
+        # an explicit clip, checked above, fixes the gap; the branch guard must sit below it
+        self.branch_tol = BRANCH_TOL if clip is None else min(BRANCH_TOL, 0.5 * clip)
 
     @cached_property
     def frame(self):

@@ -107,9 +107,12 @@ def _asymmetry(mat: np.ndarray) -> np.ndarray:
 
 
 def _require_positive(c: np.ndarray) -> np.ndarray:
-    if c[0] ** 2 < 0.25 - POSITIVITY_TOL:
+    """An ascending c-spectrum, once its first entry has ``c |c| >= 1/4 - POSITIVITY_TOL``
+    (``c |c|`` is the spectrum c^2 of X_R P_R, and negative for an unphysical c < 0)."""
+    signed_square = c[0] * abs(c[0])
+    if signed_square < 0.25 - POSITIVITY_TOL:
         raise PositivityViolation(
-            f"spec(X_R P_R) reaches {c[0]**2:.12e} < 1/4 - {POSITIVITY_TOL:g}"
+            f"spec(X_R P_R) reaches {signed_square:.12e} < 1/4 - {POSITIVITY_TOL:g}"
         )
     return c
 
@@ -255,12 +258,17 @@ def entanglement_entropy(kernels) -> float:
     Accepts a :class:`RegionKernels` instance or a bare array of C
     eigenvalues.  The contribution of a mode is
     ``(c + 1/2) ln(c + 1/2) - (c - 1/2) ln(c - 1/2)``, continuously extended
-    to zero at c = 1/2.
+    to zero at c = 1/2.  A non-finite c raises :class:`InvalidParameter`, and
+    a c below 1/2 by more than the restriction's check allows raises
+    :class:`PositivityViolation`.
     """
     if isinstance(kernels, RegionKernels):
-        c = np.asarray(kernels.c_spectrum, dtype=float)
-    else:
-        c = np.asarray(kernels, dtype=float)
+        kernels = kernels.c_spectrum
+    c = np.asarray(kernels, dtype=float)
+    if not np.isfinite(c).all():
+        raise InvalidParameter(f"entropy of a non-finite c-spectrum: {c.tolist()}")
+    if c.size:
+        _require_positive(np.sort(c, axis=None))
     cp = c + 0.5
     cm = np.clip(c - 0.5, 0.0, None)
     plus = cp * np.log(cp)

@@ -158,13 +158,8 @@ class GaussianState:
             raise DimensionMismatch("correlators must be square and equal-sized")
         require_symmetric(rel_diff(x_full, x_full.T), rel_diff(p_full, p_full.T))
         _purity(frob(4.0 * x_full @ p_full - np.eye(n)), frob(x_full), frob(p_full))
-        # M - clamp * 1 factorizes exactly when min eig(M) lies above the clamp
         for m in (x_full, p_full):
-            try:
-                np.linalg.cholesky(symmetrize(m) - EIG_CLAMP * np.eye(n))
-            except np.linalg.LinAlgError:
-                w_min = np.linalg.eigvalsh(symmetrize(m))[0]
-                raise NumericalError(_GRAM_ERROR.format(w_min)) from None
+            _gram_factor(m)
         return cls(n, x_full, p_full)
 
     def gather(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
@@ -185,6 +180,17 @@ class _ChainVacuum(GaussianState):
 
     X_full = cached_property(lambda self: _block(self.windows[0], ...))
     P_full = cached_property(lambda self: _block(self.windows[1], ...))
+
+
+def _gram_factor(m: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of the symmetric part of X or P, or :class:`NumericalError` when
+    its min eig is at or below ``EIG_CLAMP``, where ``M - clamp * 1`` has no factor."""
+    m = symmetrize(m)
+    try:
+        np.linalg.cholesky(m - EIG_CLAMP * np.eye(len(m)))
+    except np.linalg.LinAlgError:
+        raise NumericalError(_GRAM_ERROR.format(np.linalg.eigvalsh(m)[0])) from None
+    return np.linalg.cholesky(m)
 
 
 def _purity(residual: float, x_norm: float, p_norm: float) -> float:

@@ -17,7 +17,14 @@ class Region:
     sites: tuple
 
     def __init__(self, sites: Iterable[int]):
-        sites = tuple(int(s) for s in sites)
+        try:
+            sites = tuple(sites)
+        except TypeError:
+            raise InvalidParameter(f"region sites must be an iterable, got {sites!r}") from None
+        for s in sites:  # inline: a region is built per restriction
+            if type(s) is not int and not isinstance(s, np.integer):
+                raise InvalidParameter(f"region site must be an integer, got {s!r}")
+        sites = tuple(map(int, sites))
         if any(s < 0 for s in sites):
             raise InvalidParameter(f"negative site index in region: {sites}")
         if len(set(sites)) != len(sites):
@@ -29,13 +36,14 @@ class Region:
 
     @classmethod
     def interval(cls, start: int, length: int) -> "Region":
+        start, length = _index("interval start", start), _index("interval length", length)
         if length < 0:
             raise InvalidParameter(f"interval length must be non-negative: {length}")
         return cls(range(start, start + length))
 
     @classmethod
     def half(cls, n_sites: int) -> "Region":
-        return cls(range(n_sites // 2))
+        return cls(range(_index("n_sites", n_sites) // 2))
 
     def complement(self, n_sites: int) -> "Region":
         inside = set(self.sites)
@@ -43,6 +51,14 @@ class Region:
 
     def indices(self) -> np.ndarray:
         return np.asarray(self.sites, dtype=int)
+
+
+def _index(name: str, value) -> int:
+    """``value`` as an int; :class:`InvalidParameter` unless it is an int or
+    numpy integer (a bool's type is bool), never a float or a string that rounds to one."""
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def validate_region(region: Region, n_sites: int):

@@ -243,7 +243,7 @@ def _task_crosscheck(pipeline, tol, bundle: ResultBundle):
     agreement = _route_agreement(pipeline, tol.quad_tol)
     report = _fields(agreement, "region")
     # the conditioning of the frame and the quadrature is a trace, not data
-    bundle.metadata["crosscheck"] = {key: report.pop(key) for key in ("gram_cond", "a_gap")}
+    bundle.metadata["crosscheck"] = {key: report.pop(key) for key in ("frame_cond", "a_gap")}
     report["generator_norm"] = report.pop("norm")
     bundle.reports["crosscheck"] = {**report, "regularized_modes": list(clipped)}
     return agreement.max_residual <= tol.route_tol

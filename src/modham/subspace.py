@@ -9,8 +9,8 @@ its mu-adjoint is ``-I P I``.
 The central operator is ``A = 1 - P + I P I``.  It is mu-self-adjoint, its
 mu-spectrum avoids the open interval (-1, 1), and the modular operator of
 the subspace satisfies ``Delta = (A - 1)^{-1} (A + 1)`` together with
-``ln Delta = 2 arcoth(A)``, understood through spectral calculus in the
-Gram-symmetrized frame.
+``ln Delta = 2 arcoth(A)``, understood through spectral calculus on the
+symmetric ``L^T A L^{-T}``, L the Cholesky factor of the Gram matrix.
 
 Lattice caveat: for a region of fewer than half the sites, L + I L is a
 proper subspace of phase space (the lattice complex structure is not
@@ -32,7 +32,6 @@ import scipy.linalg
 from scipy.linalg.lapack import dptsv
 
 from ._linalg import (
-    EIG_CLAMP,
     frob,
     rel_diff,
     require_tolerance,
@@ -45,7 +44,7 @@ from .errors import (
     SpectrumOutOfDomain,
 )
 from .kernels import RestrictedCorrelators, _log_ratio
-from .lattice import _GRAM_ERROR, GaussianState
+from .lattice import GaussianState, _gram_factor
 from .regions import (
     Region,
     phase_space_indices,
@@ -98,59 +97,54 @@ class QuadratureResult:
 
 
 class _SubspaceFrame:
-    """Symmetrized-frame data of H_L = L + I L for one (state, region) pair.
+    """Frame data of H_L = L + I L for one (state, region) pair.
 
-    Conjugating the mu-self-adjoint A with Gram^{1/2}, where Gram is
-    ``diag(X, P)``, makes it symmetric.  The roots come from one ``eigh`` each
-    of X and P, and an eigenvalue at or below ``EIG_CLAMP`` raises
-    :class:`NumericalError`, never silently regularized; ``gram_cond`` is
-    the condition number of Gram.  Beyond those, everything takes
-    O(n^2 r): ``q_basis`` spans H_L in the frame, operators move in and out
-    as thin factors, and only :func:`modular_data_full` reads the dense
+    With the block Cholesky factor L of the Gram matrix ``diag(X, P) = L L^T``
+    (any F with ``F^T F = Gram`` gives the same ``a_hl``), ``L^T A L^{-T}`` is
+    symmetric; a Gram eigenvalue at or below ``EIG_CLAMP`` raises
+    :class:`NumericalError`, never silently regularized.  Beyond the two
+    factorizations everything takes O(n^2 r): ``q_basis`` spans H_L in the
+    frame, operators move in and out as thin factors, I acts on them as
+    ``-2 eps Gram``, and only :func:`modular_data_full` reads the dense
     ``A``.  Its readers share the eigenpairs ``eigs``, ``vecs`` of ``a_hl``
-    and the factor F of the one thin SVD of the system ``w_sym = q_basis F``.
+    and the factor F of the one thin SVD of the system ``w_sym = q_basis F``,
+    whose singular values give ``frame_cond``, the ratio ``RANK_TOL`` judges.
     """
 
     def __init__(self, state: GaussianState, region: Region):
         self.state, self.region = state, region
         n, r, idx = state.n_sites, len(region), region.indices()
         self.sel = phase_space_indices(region, n)
-        blocks = [np.linalg.eigh(symmetrize(m)) for m in (state.X_full, state.P_full)]
-        w = np.concatenate([w for w, _ in blocks])
-        if w.min() <= EIG_CLAMP:
-            raise NumericalError(_GRAM_ERROR.format(w.min()))
-        self.gram_cond = float(w.max() / w.min())
-
-        def roots(v, *powers):
-            """``Gram^p v`` for each power p, from one ``u^T v`` per block."""
-            halves = [(w, u, u.T @ half) for (w, u), half in zip(blocks, np.split(v, 2))]
-            return [np.vstack([u @ (w[:, None] ** p * ut_v) for w, u, ut_v in halves])
-                    for p in powers]
-
+        chol = [_gram_factor(m) for m in (state.X_full, state.P_full)]
         # [E_R, I E_R], with I E_R = [[0, -2 P[:, R]], [2 X[:, R], 0]]
         w_cols = np.zeros((2 * n, 4 * r))
         w_cols[self.sel, np.arange(2 * r)] = 1.0
         w_cols[n:, 2 * r:3 * r] = 2.0 * state.X_full[:, idx]
         w_cols[:n, 3 * r:] = -2.0 * state.P_full[:, idx]
-        (w_sym,) = roots(w_cols, 0.5)  # the system h = f + I g, in the frame
+        # the system h = f + I g in the frame, L^T w_cols
+        w_sym = np.vstack([c.T @ half for c, half in zip(chol, np.split(w_cols, 2))])
         u_svd, s_svd, vt_svd = np.linalg.svd(w_sym, full_matrices=False)
         self.separating = 4 * r <= 2 * n and float(s_svd[-1] / s_svd[0]) > RANK_TOL
         rank = 4 * r if self.separating else int(np.sum(s_svd > RANK_TOL * s_svd[0]))
+        self.frame_cond = float(s_svd[0] / s_svd[rank - 1])
         self.q_basis = u_svd[:, :rank]
         self.factor = s_svd[:rank, None] * vt_svd[:rank]
         self.trivial_dim = 2 * n - rank
 
-        # Gram^{-1/2} q X q^T Gram^{1/2} = inv_root_q X root_q^T, and I times it
-        self.root_q, self.inv_root_q = roots(self.q_basis, 0.5, -0.5)
-        self.i_inv_root_q = _apply_i(state, self.inv_root_q)
-        # A on H_L, q^T Gram^{1/2} A Gram^{-1/2} q, where P = E_R E_R^T makes
+        # L^{-T} q X q^T L^T = inv_root_q X root_q^T, and I L^{-T} q = -2 eps L q
+        halves = list(zip(chol, np.split(self.q_basis, 2)))
+        self.root_q = np.vstack([c @ half for c, half in halves])
+        self.inv_root_q = np.vstack([scipy.linalg.solve_triangular(c, half, trans="T", lower=True)
+                                     for c, half in halves])
+        self.i_inv_root_q = 2.0 * np.vstack([-self.root_q[n:], self.root_q[:n]])
+        # A on H_L, q^T L^T A L^{-T} q, where P = E_R E_R^T makes
         # A = 1 - E_R E_R^T + (I E_R) (E_R^T I)
         rows = np.vstack([-self.inv_root_q[self.sel], self.i_inv_root_q[self.sel]])
         self.a_hl = symmetrize(self.root_q.T @ (self.inv_root_q + w_cols @ rows))
         self.eigs, self.vecs = np.linalg.eigh(self.a_hl)
 
     def lift(self, op_hl: np.ndarray, times_i: bool = False) -> np.ndarray:
-        """``Gram^{-1/2} q op_hl q^T Gram^{1/2}`` in phase space, or I times it."""
+        """``L^{-T} q op_hl q^T L^T`` in phase space, or I times it."""
         left = self.i_inv_root_q if times_i else self.inv_root_q
         return left @ op_hl @ self.root_q.T
 
@@ -163,12 +157,6 @@ class _SubspaceFrame:
         outside[idx, idx] = 0.0
         return scipy.linalg.block_diag(outside - 4.0 * p[:, idx] @ x[idx],
                                        outside - 4.0 * x[:, idx] @ p[idx])
-
-
-def _apply_i(state: GaussianState, v: np.ndarray) -> np.ndarray:
-    """``I v`` for the complex structure ``I = [[0, -2P], [2X, 0]]``."""
-    n = state.n_sites
-    return np.vstack([state.P_full @ v[n:] * -2.0, state.X_full @ v[:n] * 2.0])
 
 
 def _verdict(state: GaussianState, region: Region):

@@ -468,9 +468,10 @@ class TestRunner:
         assert [("error" in row) for row in rows] == [False] * 4 + [True]
 
     def test_raw_run_solves_no_eigenproblem_above_n(self, tmp_path, monkeypatch):
-        # the frame diagonalizes X and P once each; everything else lives on
-        # the 4r-dimensional H_L or on restrictions, and no dense 2n x 2n
-        # state field is built; the frame builds the dense X and P once each
+        # the frame factors X and P by Cholesky and takes one thin SVD of the
+        # 2n x 4r system; every eigenproblem lives on the 4r-dimensional H_L
+        # or on restrictions, and no dense 2n x 2n state field is built; the
+        # frame builds the dense X and P once each
         import modham.runner as runner_module
 
         states = []
@@ -481,10 +482,10 @@ class TestRunner:
             return states[-1]
 
         monkeypatch.setattr(runner_module, "vacuum_state", recorded)
-        sizes = []
-        for name in ("eigh", "eigvalsh"):
-            def sized(a, *args, _original=getattr(np.linalg, name), **kwargs):
-                sizes.append(a.shape[0])
+        calls = []
+        for name in ("eig", "eigh", "eigvalsh", "svd"):
+            def sized(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, a.shape))
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, sized)
@@ -498,7 +499,8 @@ class TestRunner:
         )))
         assert cli_main(["run", str(path)]) == 0
         (state,) = states
-        assert max(sizes) == 64 and sizes.count(64) == 2
+        assert ("svd", (128, 12)) in calls
+        assert max(min(shape) for _, shape in calls) < 64
         assert not {"I_mat", "mu_gram"} & set(vars(state))
         assert len(built) == 2 and built[0] is not built[1]
         assert {"X_full", "P_full"} <= set(vars(state))
@@ -698,7 +700,7 @@ class TestCrosscheckTask:
         assert report["blocks_vs_quadrature"] <= 1e-7
         assert report["regularized_modes"] == []
 
-    def test_gram_cond_and_a_gap_go_to_metadata_only(self, tmp_path):
+    def test_frame_cond_and_a_gap_go_to_metadata_only(self, tmp_path):
         out = tmp_path / "out"
         config = parse_config(
             minimal_config(
@@ -709,9 +711,9 @@ class TestCrosscheckTask:
         )
         assert run(config)[1] == 0
         trace = json.loads((out / "metadata.json").read_text())["crosscheck"]
-        assert set(trace) == {"gram_cond", "a_gap"}
+        assert set(trace) == {"frame_cond", "a_gap"}
         assert all(isinstance(v, float) and np.isfinite(v) for v in trace.values())
-        assert trace["gram_cond"] >= 1.0 and trace["a_gap"] > 0.0
+        assert trace["frame_cond"] >= 1.0 and trace["a_gap"] > 0.0
         report = json.loads((out / "residuals.json").read_text())["reports"]["crosscheck"]
         assert set(report) == {
             "generator_norm", "spectral_vs_blocks", "spectral_vs_quadrature",

@@ -1,5 +1,5 @@
 """Static hygiene of the package source: no unused private helpers,
-constants, imports or exports."""
+constants, imports, exports or instance attributes."""
 
 import ast
 import re
@@ -196,3 +196,34 @@ def test_no_public_code_serves_unit_tests_alone():
               if not _has_reader(name.rpartition(".")[2],
                                  {id(node) for node in ast.walk(definition)} | exports)]
     assert not unread, f"src/ defines public code only unit tests read: {unread}"
+
+
+def _self_attributes(tree):
+    """``(class, name)`` for every ``self.<name> = ...`` inside a class,
+    tuple targets included."""
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for node in ast.walk(cls):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for leaf in ast.walk(target):
+                        if (isinstance(leaf, ast.Attribute) and isinstance(leaf.value, ast.Name)
+                                and leaf.value.id == "self"):
+                            yield cls.name, leaf.attr
+
+
+ATTRIBUTE_READERS = [*SOURCES.values(), *EXPORT_READERS] + [
+    ast.parse(path.read_text(), filename=str(path)) for path in sorted((ROOT / "tests").glob("*.py"))]
+
+
+def test_every_instance_attribute_is_read():
+    # an attribute a class of src/ sets on self is read as .<name> by the
+    # package, the tests or the benchmark; one that nothing reads is a
+    # leftover of a refactor
+    read = {node.attr for tree in ATTRIBUTE_READERS for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assigned = {(module, *found) for module, tree in SOURCES.items()
+                for found in _self_attributes(tree)}
+    assert len(assigned) >= 20
+    unread = sorted(f"{module}.{cls}.{name}" for module, cls, name in assigned if name not in read)
+    assert not unread, f"src/ sets attributes nothing reads: {unread}"

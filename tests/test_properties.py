@@ -417,3 +417,42 @@ def test_cli_exit_code_contract(config, mutation):
         code, out = _cli_run(broken, root, "broken")
         assert code == EXIT_IO
         assert not out.exists()
+
+
+LOOSE_VALUES = st.one_of(
+    st.integers(-3, 12), st.floats(-10.0, 10.0), st.booleans(), st.text(max_size=4),
+    st.none(), st.sampled_from([np.nan, np.inf, -np.inf, np.int64(2), np.float64(1e-4)]),
+)
+PROBE_STATE = vacuum_state(build_harmonic_chain(12, 0.3))
+PROBE_REGION = Region([5, 6])
+PROBE_RC = restrict_correlators(PROBE_STATE, PROBE_REGION)
+ENTRY_POINTS = {
+    "site": lambda v: Region([v]),
+    "sites": lambda v: Region([v, 1]),
+    "region": Region,
+    "start": lambda v: Region.interval(v, 2),
+    "length": lambda v: Region.interval(2, v),
+    "half": Region.half,
+    "min_gap": lambda v: regularize_correlators(PROBE_RC, v),
+    "clip": lambda v: run_kms_suite(PROBE_STATE, PROBE_REGION, clip=v),
+    "quad_tol": lambda v: route_agreement(PROBE_STATE, PROBE_REGION, quad_tol=v),
+    "sing_tol": lambda v: mn_kernels(PROBE_RC, sing_tol=v),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(ENTRY_POINTS)), LOOSE_VALUES)
+def test_loose_inputs_return_or_raise_a_modham_error(entry, value):
+    # an int, float, bool, string, None or NaN where a site, a start, a
+    # length or a tolerance belongs either runs or is refused with a
+    # ModhamError: nothing is coerced into a different request, and no
+    # TypeError or ValueError escapes
+    try:
+        ENTRY_POINTS[entry](value)
+    except errors.ModhamError:
+        return
+    if entry in ("site", "sites", "start", "length", "half"):
+        assert isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    elif entry != "region" and not (entry == "clip" and value is None):  # None: no clip
+        assert isinstance(value, (int, float, np.integer, np.floating))
+        assert not isinstance(value, bool) and 0 < value < np.inf

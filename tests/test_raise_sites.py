@@ -36,6 +36,40 @@ def _restrict_direct(x_full, p_full):
 
 
 CASES = {
+    # sites, starts and lengths are ints or numpy integers, never rounded
+    "region-site-a-float": (
+        lambda: mh.Region([1.7]), InvalidParameter, "region site must be an integer, got 1.7"),
+    "region-site-a-bool": (
+        lambda: mh.Region([True, 2]), InvalidParameter,
+        "region site must be an integer, got True"),
+    "region-site-a-string": (
+        lambda: mh.Region(["3"]), InvalidParameter, "region site must be an integer, got '3'"),
+    "region-not-iterable": (
+        lambda: mh.Region(5), InvalidParameter, "region sites must be an iterable, got 5"),
+    "interval-start-a-float": (
+        lambda: mh.Region.interval(2.5, 2), InvalidParameter,
+        "interval start must be an integer, got 2.5"),
+    "half-of-a-float": (
+        lambda: mh.Region.half(8.0), InvalidParameter, "n_sites must be an integer, got 8.0"),
+    # a bool is not read as a tolerance of 1, nor a string parsed as one
+    "clip-a-bool": (
+        lambda: mh.regularize_correlators(PAIR, True), InvalidParameter,
+        "min_gap must be a real number, got True"),
+    "kms-clip-a-string": (
+        lambda: mh.run_kms_suite(STATE, mh.Region([1]), clip="1e-4"), InvalidParameter,
+        "min_gap must be a real number, got '1e-4'"),
+    "sing-tol-a-string": (
+        lambda: mh.mn_kernels(PAIR, sing_tol="1e-10"), InvalidParameter,
+        "sing_tol must be a real number, got '1e-10'"),
+    "entropy-below-one-half": (
+        lambda: mh.entanglement_entropy([0.3]), PositivityViolation,
+        "spec(X_R P_R) reaches 9.000000000000e-02 < 1/4 - 1e-10"),
+    "entropy-of-a-negative-c": (
+        lambda: mh.entanglement_entropy([1.0, -1.0]), PositivityViolation,
+        "spec(X_R P_R) reaches -1.000000000000e+00 < 1/4 - 1e-10"),
+    "entropy-of-nan": (
+        lambda: mh.entanglement_entropy([np.nan]), InvalidParameter,
+        "entropy of a non-finite c-spectrum: [nan]"),
     "duplicate-region-sites": (
         lambda: mh.Region([1, 1]),
         InvalidParameter, "duplicate site indices in region: (1, 1)"),
@@ -100,17 +134,19 @@ CASES = {
         ModularDivergence,
         "eigenvalues of 2 eps G + i within tolerance of +-i; arccot diverges"),
     "spectrum-at-minus-one": (
-        # gap 6.7e-16: the verdict accepts |eig| = 1 - 1.1e-16 >= 1 - 1e-9, and
-        # route (a) finds that pair of eigenvalues inside [-1, 1]
-        lambda: mh.modular_data_full(*_raw_half(8, 1.0)),
-        SpectrumOutOfDomain, "2 eigenvalue(s) of A on L + IL inside [-1, 1]; the modular "
-        "generator is not representable for this region (nearly unentangled modes)"),
+        # gap -5.6e-17: the verdict accepts |eig| = 1 - 4.4e-16 >= 1 - 1e-9, and
+        # route (a) finds that eigenvalue inside [-1, 1] (at m = 1, gap 6.7e-16,
+        # |eig| rounds to 1 + 1.1e-15 and the expm gate fires instead)
+        lambda: mh.modular_data_full(*_raw_half(8, 2.0)),
+        SpectrumOutOfDomain, re.compile(r"\d eigenvalue\(s\) of A on L \+ IL inside \[-1, 1\]; "
+                                        r"the modular generator is not representable for this "
+                                        r"region \(nearly unentangled modes\)")),
     "expm-gate-of-a-raw-half": (
         # gap 1.7e-9, so Delta reaches ~6e8 and exp(ln Delta) misses
-        # (A - 1)^{-1} (A + 1) by 8.7e-8 (by 2.3e-3 on the 8-site half, gap 3.1e-13)
+        # (A - 1)^{-1} (A + 1) by 1.5e-7 (by 0.39 on the 8-site half at m = 1)
         lambda: mh.modular_data_full(*_raw_half(6, 0.1)),
         NumericalError, re.compile(r"exp\(ln Delta\) disagrees with \(A-1\)\^\(-1\)\(A\+1\): "
-                                   r"relative residual \d\.\d{3}e-08")),
+                                   r"relative residual \d\.\d{3}e-07")),
     # a valid chain raises ZeroModeError first: the vacuum's spectral checks
     # are reached on crafted one-mode spectra
     "vacuum-spectra-impure": (
