@@ -2,28 +2,36 @@
 
 Route (a) is full-space spectral calculus (``2 arcoth`` of ``1 - P + IPI``),
 route (b) the M/N block formula on the restricted correlators, route (c) the
-resolvent integral as one trapezoid sum in s = tanh t, which reduces
-``A^2 - 1`` to tridiagonal form by one Householder similarity and computes
-no eigenvalue, while route (a) takes ``eigh`` of A and never forms A^2.
-All three must produce the same
-region block of ``I ln Delta``; that three-route comparison at the route
-tolerance is the certificate.  Route (a) evaluates ``ln Delta`` only: the
-Tomita operator S, the conjugation J, Delta itself and the ``exp(ln Delta)``
-consistency gate belong to :func:`modham.subspace.modular_data_full`, and no
-route reads them.  Routes (a) and (c) share the standardness frame of
-(state, region), built on the Cholesky factors of X and P, and lift from H_L
-through its factors in O(n^2 r): route (a) to the full ``I ln Delta``, route
-(c) to its region block from the region columns alone, which are all it
-integrates, so ``quad_error_bound`` bounds the compared block.  Two supplementary residuals follow.  The subspace split
-(region block minus complement block) is compared with the full-space route.
-Its region block is route (b)'s ``L_block`` and its complement block comes from
-the region's mode frame through the purity of the state (a vacuum, or a
-clipped run's purified restriction), so ``split_vs_spectral`` certifies that
-pairing against route (a), which reads neither.  The two-point-kernel route
-diagonalizes ``2 eps G|_R + i`` with a nonsymmetric complex eigensolver and
-applies ``-2 arccot`` to its eigenvalues; it shares no step with the mode data
-of the block route, so ``kernel_vs_blocks`` compares two independent
-evaluations of the region block.
+resolvent integral as one trapezoid sum in s = tanh t on the restriction
+alone: on H_L, A^2 has the blocks 4 P_R X_R and 4 X_R P_R, so the region
+block is ``M = P_R g(4 X_R P_R)``, ``N = X_R g(4 P_R X_R)`` with
+``g(l) = int_0^1 2 (l - s^2)^{-1} ds``, Casini and Huerta's kernels from r x r
+solves and no eigenvalue.  All three must produce the same region block of
+``I ln Delta``; that three-route comparison at the route tolerance is the
+certificate.  They share the input (X_R, P_R) and no step:
+
+- (a): the frame's Cholesky factors of X and P, one SVD, ``eigh`` of ``a_hl``
+  and 2 arcoth, lifted from H_L to the full ``I ln Delta`` in O(n^2 r);
+- (b): the Cholesky factor of P_R and ``eigh`` of ``L^T X_R L``, then f(c);
+- (c): the Cholesky factor ``X_R = R R^T``, one Householder reduction of
+  ``4 R^T P_R R - 1`` to tridiagonal form and ``dptsv`` solves of size r
+  (:func:`modham.subspace._region_quadrature`), with no frame and no
+  ``a_hl``; the rule's h vs h/2 difference is measured on the compared
+  block, so ``quad_error_bound`` bounds that block;
+- the two-point-kernel route: a nonsymmetric complex ``eig`` of
+  ``2 eps G|_R + i`` and ``-2 arccot`` of its eigenvalues, so
+  ``kernel_vs_blocks`` compares two independent evaluations of the block.
+
+Route (a) evaluates ``ln Delta`` only: the Tomita operator S, the
+conjugation J, Delta itself and the ``exp(ln Delta)`` consistency gate
+belong to :func:`modham.subspace.modular_data_full`, and no route reads
+them.  One supplementary residual certifies the full-space construction:
+the subspace split (region block minus complement block) is compared with
+route (a) on the whole phase space.  Its region block is route (b)'s
+``L_block`` and its complement block comes from the region's mode frame
+through the purity of the state (a vacuum, or a clipped run's purified
+restriction), so ``split_vs_spectral`` certifies that pairing against route
+(a), which reads neither.
 
 Regions whose restricted spectrum touches c = 1/2 at double precision have
 no representable generator; for those, :func:`regularized_instance` moves
@@ -33,7 +41,8 @@ compared raw on it.  The gap is always reported, never implicit.  The
 routes read the frame, restriction and kernels of a run's
 :class:`modham.flow._RegionPipeline`, which :func:`route_agreement` builds
 raw.  Under a clip that is the regularized restriction, whose block the run
-writes, and the frame of the pure state that contains it.
+writes: routes (b) and (c) read it directly, and route (a) and the split
+read the frame of the pure state that contains it.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ from .lattice import GaussianState
 from .regions import Region
 from .subspace import (
     _arccot_split,
-    _resolvent_quadrature,
+    _region_quadrature,
     _spectral_lndelta,
 )
 
@@ -135,9 +144,7 @@ def _route_agreement(pipeline: _RegionPipeline, quad_tol: float) -> RouteAgreeme
     gen_spectral = i_ln_delta[np.ix_(sub.sel, sub.sel)]
     gen_blocks = kernels.L_block
 
-    quad_cols, quad_err, quad_evals = _resolvent_quadrature(
-        sub, quad_tol, columns=sub.root_q[sub.sel].T)
-    gen_quad = sub.i_inv_root_q[sub.sel] @ quad_cols
+    gen_quad, quad_err, quad_evals = _region_quadrature(rc, quad_tol)
 
     split_full = _arccot_split(sub, rc, gen_blocks)
     gen_kernel_form = lndelta_region_via_G(rc, sing_tol=pipeline.sing_tol)

@@ -203,7 +203,7 @@ class _RegionPipeline:
 
     ``rc`` is the restriction; ``rc_flow`` is ``rc`` regularized at the
     clip, with the indices of its ``clipped`` modes.  ``frame`` is the
-    standardness frame the full-space routes read: a raw pipeline checks
+    standardness frame route (a) and the split read: a raw pipeline checks
     the region at construction and keeps the check's frame; under a clip it
     is the frame of the pure state that contains ``rc_flow``, built on first
     use, and only an empty or full region fails at construction.

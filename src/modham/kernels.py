@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg.blas import dsyr2k
 from scipy.linalg.lapack import dpotrf
 
-from ._linalg import (ModeData, product_spectrum, rel_diff, require_symmetric,
+from ._linalg import (ModeData, frob, product_spectrum, rel_diff, require_symmetric,
                       require_tolerance, symmetrize)
 from .errors import (
     EmptyRegion,
@@ -287,7 +287,8 @@ def regularize_correlators(
     valid restricted Gaussian state within ``O(min_gap)`` of the input.
     Returns the new correlators and the indices of the adjusted modes.
     A ``min_gap`` that is not finite and positive raises
-    :class:`InvalidParameter`.
+    :class:`InvalidParameter`, and one so large that the new P_R has no
+    finite Frobenius norm in double precision :class:`NumericalError`.
     """
     require_tolerance("min_gap", min_gap)
     c, frame, _ = rc.modes
@@ -295,7 +296,12 @@ def regularize_correlators(
     if clipped.size == 0:
         return rc, ()
     c_eff = np.maximum(c, 0.5 + min_gap)
-    p_new = (frame * (c_eff / c) ** 2) @ frame.T
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        p_new = (frame * (c_eff / c) ** 2) @ frame.T
+        p_norm = frob(p_new)
+    if not np.isfinite(p_norm):
+        raise NumericalError(f"P_R regularized to gap {min_gap:g} is not finite in double "
+                             f"precision: ||P_R|| = {p_norm}")
     out = RestrictedCorrelators(rc.region, rc.X_R, symmetrize(p_new))
     return out, tuple(int(i) for i in clipped)
 

@@ -141,6 +141,8 @@ class GaussianState:
     n_sites: int
     X_full: np.ndarray = field(repr=False)
     P_full: np.ndarray = field(repr=False)
+    # whether a constructor refused a Gram eigenvalue at or below EIG_CLAMP (not a field)
+    _gram_checked = False
 
     @classmethod
     def from_correlators(cls, x_full: np.ndarray, p_full: np.ndarray) -> "GaussianState":
@@ -160,7 +162,9 @@ class GaussianState:
         _purity(frob(4.0 * x_full @ p_full - np.eye(n)), frob(x_full), frob(p_full))
         for m in (x_full, p_full):
             _gram_factor(m)
-        return cls(n, x_full, p_full)
+        state = cls(n, x_full, p_full)
+        object.__setattr__(state, "_gram_checked", True)
+        return state
 
     def gather(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
         """``(X[rows, cols], P[rows, cols])`` on the grid of two sequences of sites."""
@@ -170,6 +174,8 @@ class GaussianState:
 
 class _ChainVacuum(GaussianState):
     """A chain vacuum as views of the symbols of X and P: blocks are gathered from them."""
+
+    _gram_checked = True  # on the mode spectra, at a stricter threshold
 
     def __init__(self, model: LatticeModel, *phis: np.ndarray):
         vars(self).update(n_sites=model.n_sites, windows=[_windows(model, phi) for phi in phis])
@@ -182,15 +188,17 @@ class _ChainVacuum(GaussianState):
     P_full = cached_property(lambda self: _block(self.windows[1], ...))
 
 
-def _gram_factor(m: np.ndarray) -> np.ndarray:
+def _gram_factor(m: np.ndarray, checked: bool = False) -> np.ndarray:
     """The Cholesky factor of the symmetric part of X or P, or :class:`NumericalError` when
-    its min eig is at or below ``EIG_CLAMP``, where ``M - clamp * 1`` has no factor."""
+    its min eig is at or below ``EIG_CLAMP``, where ``M - clamp * 1`` has no factor.  The
+    matrix of a ``checked`` state passed that refusal at construction and is factored once."""
     m = symmetrize(m)
     try:
-        np.linalg.cholesky(m - EIG_CLAMP * np.eye(len(m)))
+        if not checked:
+            np.linalg.cholesky(m - EIG_CLAMP * np.eye(len(m)))
+        return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise NumericalError(_GRAM_ERROR.format(np.linalg.eigvalsh(m)[0])) from None
-    return np.linalg.cholesky(m)
 
 
 def _purity(residual: float, x_norm: float, p_norm: float) -> float:

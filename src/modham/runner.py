@@ -15,8 +15,9 @@ standardness check and its frame, the restriction, its regularization
 under a clip, the kernels of that regularized restriction and the flow).
 Every matrix a run writes belongs to that one restricted state, and the
 crosscheck compares its routes on that restriction, those kernels and the
-pipeline's frame (under a clip that of the purified restriction), as
-:func:`modham.crosscheck.route_agreement` does on a raw pipeline.
+pipeline's frame (under a clip that of the purified restriction, which
+route (c) does not read), as :func:`modham.crosscheck.route_agreement` does
+on a raw pipeline.
 
 Data files are deterministic: floats are rendered with 17 significant
 digits, keys are sorted, and no timestamps enter them.  Wall-clock and
@@ -84,6 +85,10 @@ def to_json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+            # all finite floats: one formatting pass; a sum that is not
+            # finite sends the list down the quoting path below
+            return ("[\n" + f"{inner}%.17g,\n" * (len(obj) - 1) + f"{inner}%.17g\n{pad}]") % tuple(obj)
         items = [format_float(v) if type(v) is float else to_json_text(v, indent + 1) for v in obj]
         return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
     if isinstance(obj, dict):
@@ -103,7 +108,7 @@ def matrix_payload(mat: np.ndarray, sites) -> dict:
     return {
         "rows": rows,
         "cols": cols,
-        "data_row_major": [float(v) for v in mat.ravel()],
+        "data_row_major": mat.ravel().tolist(),
         "site_index_map": [int(s) for s in sites],
     }
 

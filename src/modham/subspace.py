@@ -20,6 +20,18 @@ directions correspond to unentangled complement modes and are counted in
 the standardness report.  There S and J are time reversal
 ``T = diag(1, -1)``, a conjugation because the states here carry no phi-pi
 correlation (see :mod:`modham.lattice`).
+
+The resolvent integral ``ln Delta = int_0^1 2 A (A^2 - s^2)^{-1} ds`` is one
+trapezoid sum in s = tanh t (:func:`_tanh_rule`), over tridiagonal solves of
+a symmetric Z after one Householder reduction, with no eigenvalue.  It has
+two callers.  :func:`lndelta_resolvent_quadrature` integrates the full
+ln Delta on the frame, ``Z = a_hl^2 - 1`` against ``2 a_hl``.  Route (c) of
+:mod:`modham.crosscheck` integrates the region block from X_R and P_R alone,
+``Z = 4 R^T P_R R - 1`` with ``X_R = R R^T``, r x r (:func:`_region_quadrature`).
+So route (c) shares no ``a_hl`` with route (a): (a) is the frame's Cholesky
+factors of X and P and ``eigh`` of ``a_hl``, (b) the Cholesky factor of P_R
+and ``eigh``, (c) the Cholesky factor of X_R, a Householder reduction and
+``dptsv``, and the kernel route a nonsymmetric ``eig``.
 """
 
 from __future__ import annotations
@@ -115,7 +127,7 @@ class _SubspaceFrame:
         self.state, self.region = state, region
         n, r, idx = state.n_sites, len(region), region.indices()
         self.sel = phase_space_indices(region, n)
-        chol = [_gram_factor(m) for m in (state.X_full, state.P_full)]
+        chol = [_gram_factor(m, state._gram_checked) for m in (state.X_full, state.P_full)]
         # [E_R, I E_R], with I E_R = [[0, -2 P[:, R]], [2 X[:, R], 0]]
         w_cols = np.zeros((2 * n, 4 * r))
         w_cols[self.sel, np.arange(2 * r)] = 1.0
@@ -316,16 +328,16 @@ def lndelta_resolvent_quadrature(
 
     Integrates ``2 A (A^2 - s^2)^{-1}`` over s in (0, 1] (the substitution
     t = 1/s of the arcoth resolvent integral over t in [1, inf)), as one
-    trapezoid sum in s = tanh t over tridiagonal solves
-    (:func:`_resolvent_quadrature`) that share no step with route (a), which
-    takes ``eigh`` of A and never forms A^2.  Both H_L and its mu-orthogonal
-    complement are invariant under A, and ln Delta vanishes on the
-    complement, so the solves run in the 4r-dimensional orthonormal basis of
-    H_L (r region sites) and the integral is lifted to phase space once at
-    the end.  The lift is an isometry, so the nodes, the Frobenius error
-    estimate and ``n_evals`` are those of the full-space integrand;
-    ``quad_tol`` is an absolute bound on that estimate, the measured
-    difference of the last two step sizes, for the whole ln Delta.
+    trapezoid sum in s = tanh t over tridiagonal solves (:func:`_tanh_rule`)
+    that share no step with route (a), which takes ``eigh`` of A and never
+    forms A^2.  Both H_L and its mu-orthogonal complement are invariant
+    under A, and ln Delta vanishes on the complement, so the solves run in
+    the 4r-dimensional orthonormal basis of H_L (r region sites) and the
+    integral is lifted to phase space once at the end.  The lift is an
+    isometry, so the nodes, the Frobenius error estimate and ``n_evals``
+    are those of the full-space integrand; ``quad_tol`` is an absolute bound
+    on that estimate, the measured difference of the last two step sizes,
+    for the whole ln Delta.
 
     Raises :class:`QuadratureNotConverged` when that difference cannot be
     pushed below ``quad_tol`` within ``MAX_QUAD_EVALS`` (200 000) solves.
@@ -337,27 +349,64 @@ def lndelta_resolvent_quadrature(
     return QuadratureResult(sub.lift(integral), err, n_evals)
 
 
-def _resolvent_quadrature(sub: _SubspaceFrame, quad_tol: float, columns=None):
-    """``(integral, error_bound, n_evals)`` in the basis ``q_basis``, or the
-    integral times ``columns``.  With s = tanh t the integral is
-    ``int_0^inf 2 A ((A^2 - 1) + sech^2 t)^{-1} sech^2 t dt``: the resolvent is
-    SPD when every |eig a_hl| > 1, and ``A^2 - tanh^2 t`` would cancel.  For an
-    eigenvalue l > 0 of A^2 - 1 the integrand 2 a / (l cosh^2 t + 1) is even in
-    t with its poles on Im t = +-pi/2 whatever l is, so the trapezoid sum
+def _resolvent_quadrature(sub: _SubspaceFrame, quad_tol: float):
+    """``(integral, error_bound, n_evals)`` of ln Delta on H_L in the basis
+    ``q_basis``: :func:`_tanh_rule` on ``Z = a_hl^2 - 1`` against ``2 a_hl``,
+    which is SPD when every |eig a_hl| > 1."""
+    a_hl = sub.a_hl
+    return _tanh_rule(symmetrize(a_hl @ a_hl) - np.eye(len(a_hl)), 2.0 * a_hl, quad_tol)
+
+
+def _region_quadrature(rc: RestrictedCorrelators, quad_tol: float):
+    """Route (c): ``(block, error_bound, n_evals)`` for the region block
+    ``[[0, 2 M], [-2 N, 0]]`` of ``I ln Delta`` from the restriction alone.
+
+    On H_L, A^2 is block-diagonal with the r x r blocks 4 P_R X_R and
+    4 X_R P_R, so the resolvent integral is ``M = P_R g(4 X_R P_R)`` and
+    ``N = X_R g(4 P_R X_R)``, ``g(l) = int_0^1 2 (l - s^2)^{-1} ds``.  With
+    the Cholesky factor ``X_R = R R^T`` both are functions of the symmetric
+    ``Z + 1 = 4 R^T P_R R``, of spectrum 4 c^2: ``G = g(Z + 1)`` gives
+    ``M = P_R R G R^{-1}`` and ``N = R G R^T``.  G is :func:`_tanh_rule` on Z
+    against 2; its measured error is that of the block it lifts to.  X_R is
+    refused as the frame refuses X (:func:`modham.lattice._gram_factor`).
+    """
+    chol, r = _gram_factor(rc.X_R), rc.size
+    p_chol = rc.P_R @ chol
+
+    def block(g: np.ndarray) -> np.ndarray:
+        out = np.zeros((2 * r, 2 * r))
+        # P_R R G R^{-1}: solve R^T Y = (P_R R G)^T
+        out[:r, r:] = 2.0 * scipy.linalg.solve_triangular(
+            chol, (p_chol @ g).T, trans="T", lower=True).T
+        out[r:, :r] = -2.0 * chol @ g @ chol.T
+        return out
+
+    z = symmetrize(4.0 * chol.T @ p_chol) - np.eye(r)
+    return _tanh_rule(z, 2.0 * np.eye(r), quad_tol, lift=block)
+
+
+def _tanh_rule(z: np.ndarray, rhs: np.ndarray, quad_tol: float, lift=None):
+    """``(lift(F), error_bound, n_evals)`` for
+    ``F = int_0^inf (Z + sech^2 t)^{-1} rhs sech^2 t dt``, Z symmetric with
+    spectrum above -sech^2 t at every node; ``lift`` is linear, the identity
+    by default.  With s = tanh t, F is ``int_0^1 (Z + 1 - s^2)^{-1} rhs ds``,
+    whose resolvent ``Z + 1 - tanh^2 t`` would cancel.  For an eigenvalue
+    l > 0 of Z the integrand 1 / (l cosh^2 t + 1) is even in t with its poles
+    on Im t = +-pi/2 whatever l is, so the trapezoid sum
     ``h (f(0) / 2 + sum_k f(k h))`` converges like exp(-pi^2 / h) uniformly in
     the gap (Trefethen and Weideman, SIAM Rev. 56 (2014) 385).  h starts at 1
     and halves, each halving adding the odd nodes only, until the measured
-    ``||I_h - I_{h/2}||_F``, the returned bound, is at most ``quad_tol``; a
-    sweep ends past t = 1 at its first term below 1e-3 ``quad_tol``, where the
-    terms decay like exp(-2 t).  One Householder reduction
-    ``Q^T (A^2 - 1) Q = T`` (``dgehrd``) makes T tridiagonal: each node is an
-    O(k m) ``dptsv`` solve of T + sech^2 t against ``Q^T 2 A columns``; Q lifts
-    the integral once and, being orthogonal, moves the bound by rounding only."""
+    ``||lift(F_h) - lift(F_{h/2})||_F``, the returned bound, is at most
+    ``quad_tol``; a sweep ends past t = 1 at its first term below
+    1e-3 ``quad_tol``, where the terms decay like exp(-2 t).  One Householder
+    reduction ``Q^T Z Q = T`` (``dgehrd``) makes T tridiagonal: each node is
+    an O(k m) ``dptsv`` solve of T + sech^2 t against ``Q^T rhs``, and Q
+    lifts each sum back."""
     require_tolerance("quad_tol", quad_tol)
-    a_hl = sub.a_hl
-    tri, q = scipy.linalg.hessenberg(symmetrize(a_hl @ a_hl) - np.eye(len(a_hl)), calc_q=True)
-    diag, off = np.diag(tri), np.diag(tri, -1)
-    rhs = np.asfortranarray(q.T @ (2.0 * (a_hl if columns is None else a_hl @ columns)))
+    tri, q = scipy.linalg.hessenberg(z, calc_q=True)
+    # dptsv's wrapper takes an off-diagonal of length max(k - 1, 1)
+    diag, off = np.diag(tri), np.diag(tri, -1) if len(tri) > 1 else np.zeros(1)
+    rhs = np.asfortranarray(q.T @ rhs)
     n_evals, err = 0, np.inf
 
     def node(t: float) -> np.ndarray:
@@ -373,9 +422,9 @@ def _resolvent_quadrature(sub: _SubspaceFrame, quad_tol: float, columns=None):
         _, _, sol, info = dptsv(diag + sech_sq, off, rhs)
         if info > 0:
             raise NumericalError(
-                f"resolvent A^2 - s^2 not positive definite at "
+                f"resolvent Z + 1 - s^2 not positive definite at "
                 f"s = {float((1.0 - decay) / (1.0 + decay))!r}: "
-                f"Cholesky pivot {info} of {a_hl.shape[0]}"
+                f"Cholesky pivot {info} of {len(diag)}"
             )
         n_evals += 1
         return sech_sq * sol
@@ -390,12 +439,17 @@ def _resolvent_quadrature(sub: _SubspaceFrame, quad_tol: float, columns=None):
                 return total
             k += stride
 
+    def lifted(total: np.ndarray) -> np.ndarray:
+        return q @ total if lift is None else lift(q @ total)
+
     h, integral = 1.0, 0.5 * node(0.0) + sweep(1.0, 1)
+    value = lifted(integral)
     while err > quad_tol:
         h *= 0.5
-        finer = 0.5 * integral + sweep(h, 2)
-        err, integral = frob(finer - integral), finer
-    return q @ integral, err, n_evals
+        integral = 0.5 * integral + sweep(h, 2)
+        finer = lifted(integral)
+        err, value = frob(finer - value), finer
+    return value, err, n_evals
 
 
 def _arccot_split(sub: _SubspaceFrame, rc: RestrictedCorrelators, block) -> np.ndarray:

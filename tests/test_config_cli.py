@@ -377,7 +377,7 @@ class TestRunner:
         def stalled(*args, **kwargs):
             raise QuadratureNotConverged("evaluation cap reached")
 
-        monkeypatch.setattr(crosscheck, "_resolvent_quadrature", stalled)
+        monkeypatch.setattr(crosscheck, "_region_quadrature", stalled)
         config = parse_config(minimal_config(
             region={"interval": {"start": 3, "length": 2}},
             tasks=["kernels", "crosscheck"],
@@ -945,9 +945,10 @@ def test_crosscheck_runs_at_a_clip_between_sing_tol_and_1e_9(tmp_path):
 
 ALL_TASKS = ["kernels", "flow", "kms", "crosscheck"]
 # route (a) evaluates ln Delta alone: no Tomita operator or expm gate of
-# modular_data_full; route (c) runs one quadrature
+# modular_data_full; route (c) runs one quadrature, on the restriction, and
+# none on the frame
 CROSSCHECK_ROUTES = {"_spectral_lndelta": 1, "_modular_data": 0, "_tomita_operator": 0,
-                     "_resolvent_quadrature": 1}
+                     "_region_quadrature": 1, "_resolvent_quadrature": 0}
 
 
 class TestSharedPipeline:

@@ -227,3 +227,40 @@ def test_every_instance_attribute_is_read():
     assert len(assigned) >= 20
     unread = sorted(f"{module}.{cls}.{name}" for module, cls, name in assigned if name not in read)
     assert not unread, f"src/ sets attributes nothing reads: {unread}"
+
+
+def _defaulted(args):
+    """The parameters of a signature that carry a default, each with its
+    position among the positional parameters (None when keyword-only); a
+    leading ``self`` or ``cls`` is not counted."""
+    positional = args.posonlyargs + args.args
+    offset = 1 if [a.arg for a in positional[:1]] in (["self"], ["cls"]) else 0
+    first = len(positional) - len(args.defaults)
+    found = [(a.arg, i - offset) for i, a in enumerate(positional) if i >= first]
+    found += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def test_every_default_of_a_private_function_is_passed():
+    # a defaulted parameter of a private function that no call in src/,
+    # tests/ or the benchmark passes is an option nothing exercises: a
+    # leftover of the caller that needed it
+    calls = [node for tree in ATTRIBUTE_READERS for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    never = []
+    for name, signatures in sorted(_private_functions().items()):
+        named = [call for call in calls if _is_reference(call.func, name)]
+        for args in signatures:
+            for param, index in _defaulted(args):
+                if not any(_passes(call, param, index) for call in named):
+                    never.append(f"{name}({param})")
+    assert not never, f"defaults no call overrides: {never}"
+
+
+def _passes(call, param, index):
+    """Whether a call passes ``param``, by keyword or at positional ``index``;
+    a call that unpacks ``*args`` or ``**kwargs`` may pass anything."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    return (any(k.arg == param for k in call.keywords)
+            or (index is not None and index < len(call.args)))

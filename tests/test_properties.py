@@ -44,6 +44,8 @@ from modham.runner import (
     EXIT_OK,
     EXIT_VALIDATION,
     _scan_rows,
+    format_float,
+    to_json_text,
 )
 
 from dense_forms import complex_structure, mu_gram
@@ -456,3 +458,31 @@ def test_loose_inputs_return_or_raise_a_modham_error(entry, value):
     elif entry != "region" and not (entry == "clip" and value is None):  # None: no clip
         assert isinstance(value, (int, float, np.integer, np.floating))
         assert not isinstance(value, bool) and 0 < value < np.inf
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=20)
+       | st.lists(st.sampled_from([1.7e308, -1.7e308, 5e-324, -0.0]), min_size=1, max_size=6),
+       st.integers(0, 3))
+def test_float_lists_render_item_by_item(values, indent):
+    # the one-pass rendering of a list of finite floats is the item-by-item
+    # one byte for byte; NaN, infinities and a sum that overflows go item by item
+    inner, pad = "  " * (indent + 1), "  " * indent
+    expected = "[\n" + ",\n".join(inner + format_float(v) for v in values) + "\n" + pad + "]"
+    assert to_json_text(values, indent) == expected
+    assert to_json_text(tuple(values), indent) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(chain_and_region(min_mass=0.1), st.floats(-12.0, 300.0))
+def test_any_clip_returns_a_report_or_raises_a_modham_error(case, log_clip):
+    # a clip from 1e-12 to 1e300 regularizes the restriction to that gap:
+    # the sweep reports or refuses it with a ModhamError, and no overflow
+    # inside the library escapes as a RuntimeWarning (an error here)
+    n, mass, region = case
+    state = vacuum_state(build_harmonic_chain(n, mass))
+    try:
+        report = run_kms_suite(state, region, clip=10.0**log_clip)
+    except errors.ModhamError:
+        return
+    assert report.method in ("eig", "none")

@@ -98,6 +98,13 @@ CASES = {
     "branch-tol-nan": (
         lambda: mh.build_flow(mh.mn_kernels(PAIR), PAIR, branch_tol=np.nan),
         InvalidParameter, "branch_tol must be finite and positive, got nan"),
+    "kms-clip-past-the-float-range": (
+        # both modes (c = 0.52, 0.58) move to 6.2e76: P_R grows by (c'/c)^2 to
+        # entries of 8.9e153, whose squares no longer sum in double precision
+        lambda: mh.run_kms_suite(mh.vacuum_state(mh.build_harmonic_chain(12, 0.3)),
+                                 mh.Region([5, 6]), clip=6.2e76),
+        NumericalError,
+        "P_R regularized to gap 6.2e+76 is not finite in double precision: ||P_R|| = inf"),
     "branch-tol-negative": (
         lambda: mh.build_flow(mh.mn_kernels(PAIR), PAIR, branch_tol=-1),
         InvalidParameter, "branch_tol must be finite and positive, got -1"),

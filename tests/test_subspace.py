@@ -20,6 +20,7 @@ from modham import (
     minimal_gap,
     mn_kernels,
     modular_data_full,
+    regularize_correlators,
     regularized_instance,
     restrict_correlators,
     route_agreement,
@@ -192,12 +193,12 @@ class TestModularData:
             modular_data_full(state, Region(range(8)))
 
 
-def _tanh_trapezoid(integrand, quad_tol):
+def _tanh_trapezoid(integrand, quad_tol, lift=lambda total: total):
     """Route (c)'s rule on the sech^2-weighted ``integrand(t)``, for the tests:
-    ``h (f(0) / 2 + sum_k f(k h))``, h halving from 1 until two sums differ by
-    at most ``quad_tol``, each sweep ending past t = 1 at its first term with
-    ``h ||f|| < 1e-3 quad_tol``.  Returns the integral, the last difference
-    and the number of evaluations."""
+    ``h (f(0) / 2 + sum_k f(k h))``, h halving from 1 until the linear ``lift``
+    of two sums differ by at most ``quad_tol``, each sweep ending past t = 1 at
+    its first term with ``h ||f|| < 1e-3 quad_tol``.  Returns the integral, the
+    last difference and the number of evaluations."""
     values = [integrand(0.0)]
 
     def sweep(h, stride):
@@ -213,7 +214,7 @@ def _tanh_trapezoid(integrand, quad_tol):
     while err > quad_tol:
         h /= 2
         finer = 0.5 * integral + sweep(h, 2)
-        err, integral = np.linalg.norm(finer - integral), finer
+        err, integral = np.linalg.norm(lift(finer) - lift(integral)), finer
     return integral, err, len(values)
 
 
@@ -292,7 +293,7 @@ class TestResolventQuadrature:
 
     @pytest.mark.parametrize("clip", [1e-2, 1e-4, 1e-6, 1e-8, 1e-9])
     @pytest.mark.parametrize("mass", [0.1, 0.5])
-    def test_tanh_rule_matches_plain_rule_in_fewer_evaluations(self, mass, clip):
+    def test_tanh_rule_matches_plain_rule_in_fewer_evaluations(self, mass, clip, exact_block):
         # the plain integrand 2 A (A^2 - s^2)^-1 over s, built here only and
         # integrated by scipy's adaptive Gauss-Kronrod quad_vec, against the
         # route's tanh rule on purified halves with gaps down to 1e-9
@@ -327,31 +328,54 @@ class TestResolventQuadrature:
         assert rel_diff(plain_hl, spectral_hl) <= 1e-7
         assert tanh_evals < info.neval
 
-        # the crosscheck's region columns are those of the public full integral
-        root_r = sub.root_q[sub.sel].T
-        cols, cols_err, _ = subspace._resolvent_quadrature(sub, quad_tol, columns=root_r)
+        # route (c) integrates the same resolvent on the restriction alone: its
+        # block is the region block of I times the public full integral; at
+        # gaps of 1e-8 and below, where both sit on their rounding floors, it
+        # is judged against the block route at 60 digits on the same X_R, P_R
+        rc = restrict_correlators(pure, region)
+        block, block_err, _ = subspace._region_quadrature(rc, quad_tol)
         full = lndelta_resolvent_quadrature(pure, region, quad_tol=quad_tol).lnDelta
-        full_cols = sub.q_basis.T @ _gram_cholesky(pure).T @ full[:, sub.sel]
-        assert cols_err <= quad_tol
-        assert np.linalg.norm(cols - full_cols) <= 10 * quad_tol
+        full_block = (complex_structure(pure) @ full)[np.ix_(sub.sel, sub.sel)]
+        assert block_err <= quad_tol
+        if clip >= 1e-6:
+            assert rel_diff(block, full_block) <= 1e-10
+        else:
+            assert rel_diff(block, exact_block(rc.X_R, rc.P_R)) <= 1e-9
 
     @pytest.mark.parametrize("clip", [1e-2, 1e-4, 1e-6, 1e-8, 1e-9])
     @pytest.mark.parametrize("mass", [0.1, 0.5])
-    def test_tridiagonal_solves_match_dense_cholesky(self, monkeypatch, mass, clip):
+    def test_tridiagonal_solves_match_dense_cholesky(self, monkeypatch, mass, clip, exact_block):
         # the integrand without the Householder reduction, one dense Cholesky
-        # solve of (A^2 - 1) + sech^2 t per node, on the purified halves of the
-        # plain-rule test, compared node for node with the route's tridiagonal
-        # solves lifted by Q; both for the full H_L integral and for the
-        # crosscheck's region columns
+        # solve of Z + sech^2 t per node, on the purified halves of the
+        # plain-rule test, compared node for node with the rule's tridiagonal
+        # solves lifted by Q, for both callers of the rule: ln Delta on H_L
+        # (Z = a_hl^2 - 1 against 2 a_hl) and route (c) on the restriction
+        # (Z = 4 R^T P_R R - 1 against 2, X_R = R R^T), whose error is measured
+        # on the block [[0, 2 P_R R G R^-1], [-2 R G R^T, 0]] it compares
         quad_tol = 1e-10
         state = vacuum_state(build_harmonic_chain(8, mass))
         pure, region, _ = regularized_instance(state, Region.half(8), clip)
         sub = subspace._require_standard(pure, region)
-        a_hl = sub.a_hl
-        eye = np.eye(a_hl.shape[0])
-        a_sq_m1 = symmetrize(a_hl @ a_hl) - eye
-        _, q = scipy.linalg.hessenberg(a_sq_m1, calc_q=True)
-        tridiagonal = []
+        rc = restrict_correlators(pure, region)
+        a_hl, r = sub.a_hl, rc.size
+        chol = np.linalg.cholesky(rc.X_R)
+
+        def region_block(g):
+            out = np.zeros((2 * r, 2 * r))
+            out[:r, r:] = 2.0 * rc.P_R @ chol @ g @ np.linalg.inv(chol)
+            out[r:, :r] = -2.0 * chol @ g @ chol.T
+            return out
+
+        small_gap = clip < 1e-6
+        forms = [
+            (symmetrize(a_hl @ a_hl) - np.eye(4 * r), 2.0 * a_hl, lambda g: g,
+             lambda: subspace._resolvent_quadrature(sub, quad_tol),
+             _arcoth_at_40_digits(a_hl) if small_gap else None),
+            (symmetrize(4.0 * chol.T @ (rc.P_R @ chol)) - np.eye(r), 2.0 * np.eye(r),
+             region_block, lambda: subspace._region_quadrature(rc, quad_tol),
+             exact_block(rc.X_R, rc.P_R) if small_gap else None),
+        ]
+        tridiagonal, q = [], None
 
         def recorded(*args):
             out = dptsv(*args)
@@ -359,66 +383,72 @@ class TestResolventQuadrature:
             return out
 
         monkeypatch.setattr(subspace, "dptsv", recorded)
-        exact = _arcoth_at_40_digits(a_hl) if clip < 1e-6 else None
-        for columns in (None, sub.root_q[sub.sel].T):
-            rhs = 2.0 * (a_hl if columns is None else a_hl @ columns)
+        for z, rhs, lift, route, exact in forms:
+            _, q = scipy.linalg.hessenberg(z, calc_q=True)
             dense = []
 
-            def weighted(t, rhs=rhs):
-                _, sol, info = dposv(a_sq_m1 + _sech_sq(t) * eye, rhs)
+            def weighted(t, z=z, rhs=rhs):
+                _, sol, info = dposv(z + _sech_sq(t) * np.eye(len(z)), rhs)
                 assert info == 0
                 dense.append(sol)
                 return _sech_sq(t) * sol
 
             tridiagonal.clear()
-            ref, _, ref_evals = _tanh_trapezoid(weighted, quad_tol)
-            got, err, evals = subspace._resolvent_quadrature(sub, quad_tol, columns=columns)
+            ref, _, ref_evals = _tanh_trapezoid(weighted, quad_tol, lift)
+            got, err, evals = route()
             assert err <= quad_tol and evals == len(tridiagonal)
             # two backward-stable solves differ by rounding times the
-            # condition number of (A^2 - 1) + sech^2 t, which grows like 1/gap;
+            # condition number of Z + sech^2 t, which grows like 1/gap;
             # both rules visit the same nodes, one of them perhaps at one more h
             assert max(map(rel_diff, tridiagonal, dense)) <= 1e-16 / clip
-            if clip >= 1e-6:
+            if not small_gap:
                 assert evals == ref_evals
-                assert rel_diff(got, ref) <= 1e-12
+                assert rel_diff(got, lift(ref)) <= 1e-12
                 continue
             # at gaps of 1e-8 and below the measured h vs h/2 difference of
             # either sum stops on rounding, so the step where it stops and the
             # sums' 1e-10 agreement are not resolved; both are judged against
-            # 2 arcoth of the same a_hl at 40 digits, the route as close as the
-            # dense reference, and within 1e-9 for the whole ln Delta on H_L
-            if columns is None:
-                assert rel_diff(got, exact) <= min(1e-9, 1.25 * rel_diff(ref, exact))
-            else:
-                assert rel_diff(got, exact @ columns) <= 1.25 * rel_diff(ref, exact @ columns)
+            # the same double a_hl at 40 digits, or X_R and P_R at 60, the
+            # route as close as the dense reference and within 1e-9
+            assert rel_diff(got, exact) <= min(1e-9, 1.25 * rel_diff(lift(ref), exact))
 
-    @pytest.mark.parametrize("mass", [0.1, 0.5, 1.0])
-    def test_routes_against_the_exact_block(self, mass, exact_block):
-        # the three routes of the crosscheck on the purified 8-site half at
-        # clip 1e-9, judged against the block route at 60 digits on the same
-        # double X_R, P_R; measured: (b) 3.3e-9, 2.5e-9, 6.7e-10, (a) 1.1e-8,
-        # 6.0e-9, 3.2e-8, (c) 6.1e-9, 1.2e-8, 3.2e-8 for m = 0.1, 0.5, 1
-        state = vacuum_state(build_harmonic_chain(8, mass))
-        pure, region, _ = regularized_instance(state, Region.half(8), 1e-9)
-        rc = restrict_correlators(pure, region)
+    @pytest.mark.parametrize(
+        "n, mass, sites, quad_tol",
+        [(8, 0.1, None, 1e-10), (8, 0.5, None, 1e-10), (8, 1.0, None, 1e-10),
+         (16, 0.3, None, 1e-10), (64, 0.05, range(29, 36), 1e-8)],
+        ids=["half8-m0.1", "half8-m0.5", "half8-m1", "half16-m0.3", "gap"],
+    )
+    def test_routes_against_the_exact_block(self, n, mass, sites, quad_tol, exact_block):
+        # the three routes of the crosscheck on the purified 8- and 16-site
+        # halves at clip 1e-9 and at the gap c - 1/2 = 2.2e-10 of 7 sites,
+        # judged against the block route at 60 digits on the same double
+        # X_R, P_R; measured: (b) 3.3e-9, 2.5e-9, 6.7e-10, 5.8e-9, 2.0e-9,
+        # (a) 1.5e-8, 2.1e-8, 1.5e-8, 2.7e-8, 2.2e-8 and (c) 5.3e-10, 8.4e-10,
+        # 2.5e-9, 1.9e-9, 2.8e-9 (2.3e-8, 9.9e-9, 1.5e-8, 1.4e-8, 3.6e-8 when it
+        # integrated on the frame)
+        state = vacuum_state(build_harmonic_chain(n, mass))
+        if sites is None:
+            state, region, _ = regularized_instance(state, Region.half(n), 1e-9)
+        else:
+            region = Region(sites)
+        rc = restrict_correlators(state, region)
         exact = exact_block(rc.X_R, rc.P_R)
-        sub = subspace._require_standard(pure, region)
+        sub = subspace._require_standard(state, region)
         grid = np.ix_(sub.sel, sub.sel)
         spectral = sub.lift(subspace._spectral_lndelta(sub), times_i=True)[grid]
-        cols, _, _ = subspace._resolvent_quadrature(sub, 1e-10, columns=sub.root_q[sub.sel].T)
+        quad, _, _ = subspace._region_quadrature(rc, quad_tol)
         assert rel_diff(mn_kernels(rc).L_block, exact) <= 1e-8
         assert rel_diff(spectral, exact) <= 1e-7
-        assert rel_diff(sub.i_inv_root_q[sub.sel] @ cols, exact) <= 1e-7
+        assert rel_diff(quad, exact) <= 1e-8
 
     def test_no_spectral_step(self, monkeypatch):
-        # route (c) certifies route (a), which takes eigh of a_hl: with every
-        # eigensolver and the SVD patched to raise, the quadrature still runs
-        # and returns the same floats
+        # route (c) certifies route (a), which takes eigh of a_hl, and route
+        # (b), which takes eigh of L^T X_R L: with every eigensolver and the
+        # SVD patched to raise, the quadrature still runs and returns the same
+        # floats
         state = vacuum_state(build_harmonic_chain(64, 0.3))
-        pure, region, _ = regularized_instance(state, Region.half(64), 1e-4)
-        sub = subspace._require_standard(pure, region)
-        columns = sub.root_q[sub.sel].T
-        expected = subspace._resolvent_quadrature(sub, 1e-10, columns=columns)
+        rc, _ = regularize_correlators(restrict_correlators(state, Region.half(64)), 1e-4)
+        expected = subspace._region_quadrature(rc, 1e-10)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("route (c) called a spectral routine")
@@ -426,9 +456,40 @@ class TestResolventQuadrature:
         for module, name in [(np.linalg, "eig"), (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
                              (np.linalg, "svd"), (scipy.linalg, "eigh")]:
             monkeypatch.setattr(module, name, forbidden)
-        got = subspace._resolvent_quadrature(sub, 1e-10, columns=columns)
+        got = subspace._region_quadrature(rc, 1e-10)
         assert np.array_equal(got[0], expected[0])
         assert got[1:] == expected[1:] and got[2] == 164
+
+    @pytest.mark.parametrize(
+        "sites, clip",
+        [(range(30, 33), None), ([29, 30, 33, 34], None), (range(32), 1e-4)],
+        ids=["raw", "two_intervals", "clipped_half"],
+    )
+    def test_route_c_reads_the_restriction_only(self, monkeypatch, sites, clip):
+        # route (c) takes the region block from X_R and P_R alone: with the
+        # standardness frame, every read of the state's correlators and the
+        # purification patched to raise, it returns the same floats
+        from modham import crosscheck, flow, kernels, lattice
+
+        state = vacuum_state(build_harmonic_chain(64, 0.3))
+        rc = restrict_correlators(state, Region(sites))
+        if clip is not None:
+            rc, _ = regularize_correlators(rc, clip)
+        expected = subspace._region_quadrature(rc, 1e-10)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("route (c) read more than the restriction")
+
+        for module in (subspace, crosscheck, flow, kernels):
+            for name in ("_SubspaceFrame", "purify_restriction"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        for cls in (lattice.GaussianState, type(state)):
+            for name in ("X_full", "P_full"):
+                monkeypatch.setattr(cls, name, property(forbidden), raising=False)
+            monkeypatch.setattr(cls, "gather", forbidden)
+        got = subspace._region_quadrature(rc, 1e-10)
+        assert np.array_equal(got[0], expected[0]) and got[1:] == expected[1:]
 
     def test_evaluation_cap(self, monkeypatch):
         # the cap stops the rule mid-sweep and reports the last measured
@@ -621,6 +682,31 @@ class TestArccotSplit:
         assert 1e-10 < minimal_gap(state, region) < 1e-9
         agreement = route_agreement(state, region, quad_tol=1e-8)
         assert agreement.max_residual <= 1e-7
+
+
+@pytest.mark.parametrize("build, factorizations", [
+    (lambda state: state, 2),
+    (lambda state: modham.GaussianState.from_correlators(state.X_full, state.P_full), 2),
+    (lambda state: modham.GaussianState(state.n_sites, state.X_full, state.P_full), 4),
+], ids=["vacuum", "from_correlators", "bare_constructor"])
+def test_frame_factors_a_checked_gram_block_once(monkeypatch, build, factorizations):
+    # a state whose constructor refused a Gram eigenvalue at or below the
+    # clamp (vacuum_state on its mode spectra, from_correlators by the
+    # refusal itself) gets one Cholesky per block; a bare-constructor state
+    # is refused first, M - clamp * 1, then factored, with the same frame
+    state = build(vacuum_state(build_harmonic_chain(16, 0.3)))
+    reference = subspace._SubspaceFrame(vacuum_state(build_harmonic_chain(16, 0.3)),
+                                        Region.interval(6, 3))
+    calls, original = [], np.linalg.cholesky
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    frame = subspace._SubspaceFrame(state, Region.interval(6, 3))
+    assert calls == [16] * factorizations
+    assert np.array_equal(frame.a_hl, reference.a_hl)
 
 
 TRIVIAL_DIRECTIONS = pytest.mark.parametrize(
