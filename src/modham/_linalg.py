@@ -20,8 +20,6 @@ from .errors import InvalidParameter, NumericalError
 
 # Eigenvalues of an SPD matrix below this are treated as zero modes.
 EIG_CLAMP = 1e-14
-# Correlators whose relative asymmetry ||M - M^T|| / ||M|| exceeds this are refused.
-SYMMETRY_TOL = 1e-12
 
 
 def frob(a: np.ndarray) -> float:
@@ -34,13 +32,6 @@ def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     if nb == 0.0:
         return frob(a)
     return frob(a - b) / nb
-
-
-def require_symmetric(x_asym: float, p_asym: float, suffix: str = "") -> None:
-    """Raise :class:`NumericalError` for an asymmetry of X or P above ``SYMMETRY_TOL``."""
-    for name, asym in (("X" + suffix, x_asym), ("P" + suffix, p_asym)):
-        if asym > SYMMETRY_TOL:
-            raise NumericalError(f"{name} lost symmetry: {asym:.3e}")
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

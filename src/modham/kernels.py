@@ -37,8 +37,7 @@ import numpy as np
 from scipy.linalg.blas import dsyr2k
 from scipy.linalg.lapack import dpotrf
 
-from ._linalg import (ModeData, frob, product_spectrum, rel_diff, require_symmetric,
-                      require_tolerance, symmetrize)
+from ._linalg import ModeData, frob, product_spectrum, require_tolerance, symmetrize
 from .errors import (
     EmptyRegion,
     InvalidParameter,
@@ -99,13 +98,6 @@ def _log_ratio(c: np.ndarray) -> np.ndarray:
     return np.log((2.0 * c + 1.0) / (2.0 * c - 1.0)) / (2.0 * c)
 
 
-def _asymmetry(mat: np.ndarray) -> np.ndarray:
-    """``||B - B^T|| / ||B||`` (Frobenius) of every leading block B of mat."""
-    norms = [np.sqrt(np.cumsum(np.cumsum(sq, 0), 1).diagonal())
-             for sq in ((mat - mat.T) ** 2, mat**2)]
-    return norms[0] / np.maximum(norms[1], 1e-300)
-
-
 def _require_positive(c: np.ndarray) -> np.ndarray:
     """An ascending c-spectrum, once its first entry has ``c |c| >= 1/4 - POSITIVITY_TOL``
     (``c |c|`` is the spectrum c^2 of X_R P_R, and negative for an unphysical c < 0)."""
@@ -119,7 +111,7 @@ def _require_positive(c: np.ndarray) -> np.ndarray:
 
 def restrict_correlators(state: GaussianState, region: Region) -> RestrictedCorrelators:
     """Principal submatrices of the correlators on the region's sites,
-    checked with their mode data.
+    checked with their mode data (the state stores X and P exactly symmetric).
 
     Raises :class:`EmptyRegion` for an empty region and
     :class:`PositivityViolation` when the spectrum of X_R P_R drops below
@@ -128,10 +120,7 @@ def restrict_correlators(state: GaussianState, region: Region) -> RestrictedCorr
     if len(region) == 0:
         raise EmptyRegion("cannot restrict correlators to an empty region")
     validate_region(region, state.n_sites)
-    x_r, p_r = state.gather(region.indices(), region.indices())
-    # the last entry of _asymmetry, at a fraction of its cost
-    require_symmetric(rel_diff(x_r, x_r.T), rel_diff(p_r, p_r.T), "_R")
-    rc = RestrictedCorrelators(region, symmetrize(x_r), symmetrize(p_r))
+    rc = RestrictedCorrelators(region, *state.gather(region.indices(), region.indices()))
     _require_positive(symplectic_spectrum(rc))
     return rc
 
@@ -146,7 +135,8 @@ def nested_spectra(state: GaussianState, site_sets) -> list:
     factored once, and ``M_k = L_k^T X_k L_k`` grows by bordering: with the
     new rows ``[L_b, L_c]`` of L, columns ``[X_b; X_c]`` of X and
     ``A = L_k^T X_b``, its blocks are ``M_k + A L_b + L_b^T A^T + L_b^T X_c L_b``,
-    ``(A + L_b^T X_c) L_c`` and ``L_c^T X_c L_c``.
+    ``(A + L_b^T X_c) L_c`` and ``L_c^T X_c L_c``.  Each length is checked as a
+    restriction is: the gathered window is exactly symmetric.
     """
     window = []
     for sites in sorted(site_sets, key=len):
@@ -154,14 +144,11 @@ def nested_spectra(state: GaussianState, site_sets) -> list:
         if len(window) != len(sites):
             raise InvalidParameter("the site sets of a sweep must be nested")
     x_w, p_w = state.gather(window, window)
-    x_asym, p_asym = _asymmetry(x_w), _asymmetry(p_w)
-    x_w = symmetrize(x_w)
-    chol, info = dpotrf(symmetrize(p_w), lower=True)
+    chol, info = dpotrf(p_w, lower=True)
     m_w = np.zeros_like(x_w, order="F")  # lower triangle only, as eigvalsh reads it
     done, spectra = 0, {}
     for k in sorted({len(sites) for sites in site_sets}):
         try:
-            require_symmetric(x_asym[k - 1], p_asym[k - 1], "_R")
             if 0 < info <= k:
                 raise NumericalError("P correlator is not positive definite")
             l_b, l_c = chol[done:k, :done], chol[done:k, done:k]

@@ -26,8 +26,10 @@ holds only ``(n_sites, mass, coupling, boundary)`` and derives V on first read.
 
 A :class:`GaussianState` stores X and P, and ``gather(rows, cols)`` reads a
 block; a vacuum keeps views of the symbols, gathers blocks from them and
-builds X and P on first read.  No 2n x 2n I or ``diag(X, P)`` is formed:
-the subspace frame applies them block by block.  Only pure
+builds X and P on first read.  A state is checked once, when it is made (a
+vacuum on its mode spectra), and no route checks the blocks it gathers again.
+No 2n x 2n I or ``diag(X, P)`` is formed: the subspace frame applies them
+block by block.  Only pure
 states with vanishing symmetric phi-pi cross correlations are supported.
 Mixed states are reached by restricting a pure state on a larger lattice;
 see :func:`modham.kernels.purify_restriction`.
@@ -42,7 +44,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._linalg import EIG_CLAMP, frob, rel_diff, require_symmetric, symmetrize
+from ._linalg import EIG_CLAMP, frob, rel_diff, symmetrize
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -51,6 +53,8 @@ from .errors import (
 )
 
 INVARIANT_TOL = 1e-10
+# Correlators whose relative asymmetry ||M - M^T|| / ||M|| exceeds this are refused.
+SYMMETRY_TOL = 1e-12
 _GRAM_ERROR = "mu Gram matrix not positive definite (min eig {:.3e})"
 
 
@@ -131,40 +135,53 @@ class LatticeModel:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Pure Gaussian state data on the full lattice.
+    """Pure Gaussian state data on the full lattice, checked once, when it is made.
 
     Holds the correlators, of which :meth:`gather` reads a block; a
     :func:`vacuum_state`'s X and P are built on first read.  All arrays are
-    treated as immutable.
+    treated as immutable.  The constructor checks that ``n_sites`` is a positive
+    integer, that X and P are real, finite ``n_sites x n_sites`` arrays, symmetric to
+    ``||M - M^T|| <= 1e-12 ||M||``, that the Gram matrix ``diag(X, P)`` has no
+    eigenvalue at or below 1e-14, and purity, ``||4 X P - 1|| <= 1e-10 max(1, ||X||
+    ||P||)`` (so ``I^2 = -1``); it stores the exactly symmetric ``(M + M^T) / 2``.
     """
 
     n_sites: int
     X_full: np.ndarray = field(repr=False)
     P_full: np.ndarray = field(repr=False)
-    # whether a constructor refused a Gram eigenvalue at or below EIG_CLAMP (not a field)
-    _gram_checked = False
+
+    def __post_init__(self):
+        n = self.n_sites
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise InvalidParameter(f"n_sites must be a positive integer, got {n!r}")
+        for name, m in (("X", self.X_full), ("P", self.P_full)):
+            m = np.asarray(m)
+            if m.dtype.kind not in "iuf":
+                raise InvalidParameter(f"{name} must be a real array, got dtype {m.dtype}")
+            m = m.astype(float, copy=False)
+            if m.shape != (n, n):
+                raise DimensionMismatch(f"{name} must be {n} x {n} for {n} sites, got {m.shape}")
+            bad = np.argwhere(~np.isfinite(m))
+            if bad.size:
+                raise InvalidParameter(f"{name} must be finite, got {m[tuple(bad[0])]} at "
+                                       f"{bad[0].tolist()}")
+            asym = rel_diff(m, m.T)
+            if not asym <= SYMMETRY_TOL:
+                raise NumericalError(f"{name} lost symmetry: {asym:.3e}")
+            m = vars(self)[f"{name}_full"] = symmetrize(m)
+            try:
+                np.linalg.cholesky(m - EIG_CLAMP * np.eye(n))
+            except np.linalg.LinAlgError:
+                raise NumericalError(_GRAM_ERROR.format(np.linalg.eigvalsh(m)[0])) from None
+        x, p = self.X_full, self.P_full
+        _purity(frob(4.0 * (x @ p) - np.eye(n)), frob(x), frob(p))
+        vars(self)["n_sites"] = int(n)
 
     @classmethod
     def from_correlators(cls, x_full: np.ndarray, p_full: np.ndarray) -> "GaussianState":
-        """Build the state data from the correlators X, P of a pure state.
-
-        Checks symmetry, ``||M - M^T|| <= 1e-12 ||M||`` for M = X, P, then
-        purity, ``||4 X P - 1|| <= 1e-10 max(1, ||X|| ||P||)``, which also
-        gives ``I^2 = -diag(4 P X, 4 X P) = -1``, and that the Gram matrix
-        ``diag(X, P)`` has no eigenvalue at or below 1e-14.
-        """
-        x_full = np.asarray(x_full, dtype=float)
-        p_full = np.asarray(p_full, dtype=float)
-        n = x_full.shape[0]
-        if x_full.shape != (n, n) or p_full.shape != (n, n):
-            raise DimensionMismatch("correlators must be square and equal-sized")
-        require_symmetric(rel_diff(x_full, x_full.T), rel_diff(p_full, p_full.T))
-        _purity(frob(4.0 * x_full @ p_full - np.eye(n)), frob(x_full), frob(p_full))
-        for m in (x_full, p_full):
-            _gram_factor(m)
-        state = cls(n, x_full, p_full)
-        object.__setattr__(state, "_gram_checked", True)
-        return state
+        """The state of the correlators X, P on ``len(X)`` sites, with the constructor's checks."""
+        x_full = np.asarray(x_full)
+        return cls(x_full.shape[0] if x_full.ndim else 1, x_full, p_full)  # 0-d: refused
 
     def gather(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
         """``(X[rows, cols], P[rows, cols])`` on the grid of two sequences of sites."""
@@ -173,9 +190,7 @@ class GaussianState:
 
 
 class _ChainVacuum(GaussianState):
-    """A chain vacuum as views of the symbols of X and P: blocks are gathered from them."""
-
-    _gram_checked = True  # on the mode spectra, at a stricter threshold
+    """A chain vacuum as views of the symbols of X and P, checked on their spectra."""
 
     def __init__(self, model: LatticeModel, *phis: np.ndarray):
         vars(self).update(n_sites=model.n_sites, windows=[_windows(model, phi) for phi in phis])
@@ -188,14 +203,9 @@ class _ChainVacuum(GaussianState):
     P_full = cached_property(lambda self: _block(self.windows[1], ...))
 
 
-def _gram_factor(m: np.ndarray, checked: bool = False) -> np.ndarray:
-    """The Cholesky factor of the symmetric part of X or P, or :class:`NumericalError` when
-    its min eig is at or below ``EIG_CLAMP``, where ``M - clamp * 1`` has no factor.  The
-    matrix of a ``checked`` state passed that refusal at construction and is factored once."""
-    m = symmetrize(m)
+def _gram_factor(m: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of X, P or a principal block, or :class:`NumericalError`."""
     try:
-        if not checked:
-            np.linalg.cholesky(m - EIG_CLAMP * np.eye(len(m)))
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise NumericalError(_GRAM_ERROR.format(np.linalg.eigvalsh(m)[0])) from None
@@ -204,7 +214,7 @@ def _gram_factor(m: np.ndarray, checked: bool = False) -> np.ndarray:
 def _purity(residual: float, x_norm: float, p_norm: float) -> float:
     """``||4 X P - 1|| / max(1, ||X|| ||P||)``, checked against ``INVARIANT_TOL``."""
     purity = residual / max(1.0, x_norm * p_norm)
-    if purity > INVARIANT_TOL:
+    if not purity <= INVARIANT_TOL:  # NaN fails too
         raise InvalidParameter(f"state is not pure: ||4 X P - 1|| = {purity:.3e} (only pure states "
                                f"are supported; restrict a purification for mixed states)")
     return purity
@@ -298,11 +308,10 @@ def _check_mode_spectra(x_modes: np.ndarray, p_modes: np.ndarray) -> float:
     passes above ``EIG_CLAMP + 8 log2(2n + 2) eps ||v||``, which bounds (Weyl) the rounding
     of ``T - H`` (``eps ||v||``, as ``||T||, ||H|| <= ||v||``) plus the FFT's (Higham, Thm
     24.2: ``~5 log2(2n + 2) eps ||v||``; below ``0.2 log2(2n + 2) eps ||v||`` measured)."""
-    purity = _purity(frob(4.0 * x_modes * p_modes - 1.0), frob(x_modes), frob(p_modes))
     for v in (x_modes, p_modes):
         if v.min() - 8.0 * np.log2(2 * v.size + 2) * np.finfo(float).eps * frob(v) <= EIG_CLAMP:
             raise NumericalError(_GRAM_ERROR.format(v.min()))
-    return purity
+    return _purity(frob(4.0 * x_modes * p_modes - 1.0), frob(x_modes), frob(p_modes))
 
 
 def vacuum_state(model: LatticeModel) -> GaussianState:

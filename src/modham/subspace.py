@@ -113,8 +113,8 @@ class _SubspaceFrame:
 
     With the block Cholesky factor L of the Gram matrix ``diag(X, P) = L L^T``
     (any F with ``F^T F = Gram`` gives the same ``a_hl``), ``L^T A L^{-T}`` is
-    symmetric; a Gram eigenvalue at or below ``EIG_CLAMP`` raises
-    :class:`NumericalError`, never silently regularized.  Beyond the two
+    symmetric; the state's constructor refused a Gram eigenvalue at or below
+    ``EIG_CLAMP``, so each block is factored once.  Beyond the two
     factorizations everything takes O(n^2 r): ``q_basis`` spans H_L in the
     frame, operators move in and out as thin factors, I acts on them as
     ``-2 eps Gram``, and only :func:`modular_data_full` reads the dense
@@ -127,7 +127,7 @@ class _SubspaceFrame:
         self.state, self.region = state, region
         n, r, idx = state.n_sites, len(region), region.indices()
         self.sel = phase_space_indices(region, n)
-        chol = [_gram_factor(m, state._gram_checked) for m in (state.X_full, state.P_full)]
+        chol = [_gram_factor(m) for m in (state.X_full, state.P_full)]
         # [E_R, I E_R], with I E_R = [[0, -2 P[:, R]], [2 X[:, R], 0]]
         w_cols = np.zeros((2 * n, 4 * r))
         w_cols[self.sel, np.arange(2 * r)] = 1.0
@@ -367,8 +367,9 @@ def _region_quadrature(rc: RestrictedCorrelators, quad_tol: float):
     the Cholesky factor ``X_R = R R^T`` both are functions of the symmetric
     ``Z + 1 = 4 R^T P_R R``, of spectrum 4 c^2: ``G = g(Z + 1)`` gives
     ``M = P_R R G R^{-1}`` and ``N = R G R^T``.  G is :func:`_tanh_rule` on Z
-    against 2; its measured error is that of the block it lifts to.  X_R is
-    refused as the frame refuses X (:func:`modham.lattice._gram_factor`).
+    against 2; its measured error is that of the block it lifts to.  X_R, a
+    principal block of a checked X kept by regularization, has its smallest
+    eigenvalue above ``EIG_CLAMP`` too (Cauchy interlacing): it is factored once.
     """
     chol, r = _gram_factor(rc.X_R), rc.size
     p_chol = rc.P_R @ chol

@@ -264,3 +264,33 @@ def _passes(call, param, index):
         return True
     return (any(k.arg == param for k in call.keywords)
             or (index is not None and index < len(call.args)))
+
+
+def _class_names(tree):
+    """The names the classes of a module set: in their bodies, methods
+    included, or on ``self``."""
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield node.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                yield from (t.id for t in targets if isinstance(t, ast.Name))
+    yield from (name for _, name in _self_attributes(tree))
+
+
+def test_no_private_attribute_crosses_a_module():
+    # obj._name, with obj not self or cls, reads the private state of a
+    # class of another module: what one module must tell another goes
+    # through a public name or an argument; module-level private functions
+    # stay callable across modules
+    owners = {}
+    for module, tree in SOURCES.items():
+        for name in filter(_is_private, _class_names(tree)):
+            owners.setdefault(name, set()).add(module)
+    crossing = sorted(
+        f"{module}:{node.lineno} {ast.unparse(node)}" for module, tree in SOURCES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and owners.get(node.attr, set()) - {module}
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")))
+    assert not crossing, f"src/ reads private attributes of another module's class: {crossing}"

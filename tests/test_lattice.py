@@ -13,6 +13,7 @@ from modham import (
     GaussianState,
     InvalidParameter,
     LatticeModel,
+    ModhamError,
     NumericalError,
     ZeroModeError,
     build_harmonic_chain,
@@ -312,6 +313,25 @@ class TestVacuumState:
     def test_from_correlators_rejects_impure(self):
         with pytest.raises(InvalidParameter):
             GaussianState.from_correlators(np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("x, p", [
+        (np.eye(2), np.eye(2)),  # impure
+        (np.eye(2) + np.triu(np.ones((2, 2)), 1), np.eye(2) / 4),  # asymmetric
+        (np.diag([0.25, -0.25]), np.diag([1.0, -1.0])),  # indefinite Gram
+        (np.diag([0.5, 1e-15]), np.diag([0.5, 0.25e15])),  # Gram below the clamp
+        (np.diag([0.5, np.nan]), np.diag([0.5, 0.5])),  # not finite
+        (np.eye(2, dtype=complex) / 2, np.eye(2) / 2),  # not real
+        (np.eye(2) / 2, np.eye(3) / 2),  # unequal sizes
+        (np.ones((2, 3)), np.ones((2, 3))),  # not square
+    ], ids=["impure", "asymmetric", "indefinite", "clamp", "nan", "complex", "sizes", "square"])
+    def test_constructor_refuses_as_from_correlators_does(self, x, p):
+        # the bare constructor and from_correlators run one set of checks
+        refusals = []
+        for build in (lambda: GaussianState(2, x, p), lambda: GaussianState.from_correlators(x, p)):
+            with pytest.raises(ModhamError) as info:
+                build()
+            refusals.append((type(info.value), str(info.value)))
+        assert refusals[0] == refusals[1]
 
 
 def sigma(f, g):

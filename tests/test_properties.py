@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from modham import (
+    GaussianState,
     Region,
     build_flow,
     build_harmonic_chain,
@@ -32,7 +33,7 @@ from modham import (
     vacuum_state,
 )
 from modham import errors
-from modham._linalg import rel_diff, symmetrize
+from modham._linalg import frob, rel_diff, symmetrize
 from modham.cli import main as cli_main
 from modham.config import ScanConfig
 from modham.kernels import nested_spectra
@@ -292,6 +293,35 @@ def test_tomita_algebra_with_trivial_directions(case):
     assert np.linalg.norm(md.S_op - md.J_op @ half) <= 1e-7 * norm_s
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chain_and_interval(), st.data())
+def test_every_state_and_its_blocks_are_exactly_symmetric(case, data):
+    # the premise on which the restriction and the sweep read blocks
+    # unchecked: a vacuum, the purification of a restriction of it, and each
+    # of them rebuilt from its correlators with a skew of up to 1e-13
+    # relative added store exactly symmetric X and P, and every block
+    # gathered on one sequence of sites is exactly symmetric
+    model, _ = case
+    n = model.n_sites
+    vacuum = vacuum_state(model)
+    sites = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    pure, _ = purify_restriction(restrict_correlators(vacuum, Region(sites)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    states = [vacuum, pure]
+    for state in (vacuum, pure):
+        skewed = []
+        for m in (state.X_full, state.P_full):
+            noise = rng.standard_normal(m.shape)
+            skewed.append(m + data.draw(st.floats(0.0, 1e-13)) * frob(m) / frob(noise) * noise)
+        states.append(GaussianState.from_correlators(*skewed))
+    for state in states:
+        for m in (state.X_full, state.P_full):
+            assert np.array_equal(m, m.T)
+        grid = data.draw(st.lists(st.integers(0, state.n_sites - 1), min_size=1, max_size=12))
+        for block in state.gather(grid, grid):
+            assert np.array_equal(block, block.T)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(chain_and_region(min_mass=0.1), st.floats(1e-6, 1e-2))
 def test_regularize_then_purify_round_trip(case, clip):
@@ -439,6 +469,11 @@ ENTRY_POINTS = {
     "clip": lambda v: run_kms_suite(PROBE_STATE, PROBE_REGION, clip=v),
     "quad_tol": lambda v: route_agreement(PROBE_STATE, PROBE_REGION, quad_tol=v),
     "sing_tol": lambda v: mn_kernels(PROBE_RC, sing_tol=v),
+    "n_sites": lambda v: GaussianState(v, PROBE_STATE.X_full, PROBE_STATE.P_full),
+    # the value in place of X[0, 0]
+    "correlator": lambda v: GaussianState.from_correlators(
+        [[v, *row[1:]] if i == 0 else row for i, row in enumerate(PROBE_STATE.X_full.tolist())],
+        PROBE_STATE.P_full),
 }
 
 
@@ -446,15 +481,18 @@ ENTRY_POINTS = {
 @given(st.sampled_from(sorted(ENTRY_POINTS)), LOOSE_VALUES)
 def test_loose_inputs_return_or_raise_a_modham_error(entry, value):
     # an int, float, bool, string, None or NaN where a site, a start, a
-    # length or a tolerance belongs either runs or is refused with a
-    # ModhamError: nothing is coerced into a different request, and no
-    # TypeError or ValueError escapes
+    # length, a number of sites, a correlator entry or a tolerance belongs
+    # either runs or is refused with a ModhamError: nothing is coerced into a
+    # different request, and no TypeError or ValueError escapes
     try:
         ENTRY_POINTS[entry](value)
     except errors.ModhamError:
         return
-    if entry in ("site", "sites", "start", "length", "half"):
+    if entry in ("site", "sites", "start", "length", "half", "n_sites"):
         assert isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    elif entry == "correlator":
+        assert isinstance(value, (int, float, np.integer, np.floating))
+        assert not isinstance(value, bool) and np.isfinite(value)
     elif entry != "region" and not (entry == "clip" and value is None):  # None: no clip
         assert isinstance(value, (int, float, np.integer, np.floating))
         assert not isinstance(value, bool) and 0 < value < np.inf

@@ -8,6 +8,7 @@ import pytest
 
 import modham as mh
 from modham import (
+    DimensionMismatch,
     InvalidParameter,
     ModularDivergence,
     NumericalError,
@@ -18,6 +19,7 @@ from modham import (
 from modham._linalg import product_spectrum, rel_diff
 from modham.kernels import nested_spectra
 from modham.lattice import _check_mode_spectra
+from modham.subspace import _region_quadrature
 from modham.runner import to_json_text
 
 STATE = mh.vacuum_state(mh.build_harmonic_chain(4, 1.0))
@@ -30,9 +32,15 @@ def _raw_half(n, mass):
     return mh.vacuum_state(mh.build_harmonic_chain(n, mass)), mh.Region.half(n)
 
 
-def _restrict_direct(x_full, p_full):
-    # a GaussianState built by its constructor skips the purity checks
-    return mh.restrict_correlators(mh.GaussianState(2, x_full, p_full), mh.Region([0, 1]))
+def _with_entry(matrix, entries, value):
+    # a copy of the matrix with the value at each of the entries
+    matrix = matrix.copy()
+    for entry in entries:
+        matrix[entry] = value
+    return matrix
+
+
+VACUUM_8 = mh.vacuum_state(mh.build_harmonic_chain(8, 0.5))
 
 
 CASES = {
@@ -117,24 +125,69 @@ CASES = {
         lambda: mh.build_flow(mh.mn_kernels(PAIR), mh.RestrictedCorrelators(
             PAIR.region, PAIR.X_R + SKEW, PAIR.P_R)),
         NumericalError, "G^T != G - i eps beyond tolerance: 1.414e+00"),
-    "restriction-lost-symmetry": (
-        # ||X - X^T|| / ||X|| = sqrt(2) / sqrt(3)
-        lambda: _restrict_direct(np.eye(2) + SKEW, np.eye(2)),
-        NumericalError, "X_R lost symmetry: 8.165e-01"),
     "state-of-asymmetric-X": (
-        # the restriction's check, on the full correlators
+        # ||X - X^T|| / ||X|| = sqrt(2) / sqrt(3)
         lambda: mh.GaussianState.from_correlators(np.eye(2) + SKEW, np.eye(2)),
         NumericalError, "X lost symmetry: 8.165e-01"),
     "restriction-below-uncertainty": (
-        lambda: _restrict_direct(0.1 * np.eye(2), 0.1 * np.eye(2)),
-        PositivityViolation, "spec(X_R P_R) reaches 1.000000000000e-02 < 1/4 - 1e-10"),
-    "frame-of-indefinite-gram": (
-        lambda: mh.standardness_check(
-            mh.GaussianState(2, np.eye(2), -np.eye(2)), mh.Region([0])),
+        # the purity residual 1e-3 passes against ||X|| ||P|| = 2.5e7, and
+        # the region's x p = 0.999 / 4 does not
+        lambda: mh.restrict_correlators(
+            mh.GaussianState(2, np.diag([1e-4, 1e4]), np.diag([0.999 / 4e-4, 1 / 4e4])),
+            mh.Region([0])),
+        PositivityViolation, "spec(X_R P_R) reaches 2.497500000000e-01 < 1/4 - 1e-10"),
+    "state-of-indefinite-gram": (
+        # pure and symmetric, with X and P negative on the second site
+        lambda: mh.GaussianState(2, np.diag([0.25, -0.25]), np.diag([1.0, -1.0])),
+        NumericalError, "mu Gram matrix not positive definite (min eig -2.500e-01)"),
+    "bare-state-impure": (
+        # the bare constructor checks what from_correlators checks
+        lambda: mh.GaussianState(8, 2 * VACUUM_8.X_full, VACUUM_8.P_full),
+        InvalidParameter, "state is not pure: ||4 X P - 1|| = 5.184e-01 (only pure states are "
+        "supported; restrict a purification for mixed states)"),
+    "state-of-a-nan-diagonal": (
+        # NaN makes every `value > tol` False: it is refused before any such check
+        lambda: mh.GaussianState.from_correlators(
+            _with_entry(STATE.X_full, [(0, 0)], np.nan), STATE.P_full),
+        InvalidParameter, "X must be finite, got nan at [0, 0]"),
+    "state-of-a-nan-pair": (
+        lambda: mh.GaussianState.from_correlators(
+            _with_entry(STATE.X_full, [(1, 2), (2, 1)], np.nan), STATE.P_full),
+        InvalidParameter, "X must be finite, got nan at [1, 2]"),
+    "state-of-an-inf": (
+        lambda: mh.GaussianState(4, STATE.X_full, _with_entry(STATE.P_full, [(3, 3)], -np.inf)),
+        InvalidParameter, "P must be finite, got -inf at [3, 3]"),
+    "state-of-complex-X": (
+        lambda: mh.GaussianState.from_correlators(STATE.X_full + 0j, STATE.P_full),
+        InvalidParameter, "X must be a real array, got dtype complex128"),
+    "state-of-text": (
+        lambda: mh.GaussianState.from_correlators(STATE.X_full, [["1"]]),
+        InvalidParameter, "P must be a real array, got dtype <U1"),
+    "state-on-a-bool-of-sites": (
+        lambda: mh.GaussianState(True, np.eye(1), np.eye(1) / 4),
+        InvalidParameter, "n_sites must be a positive integer, got True"),
+    "state-on-a-float-of-sites": (
+        lambda: mh.GaussianState(4.0, STATE.X_full, STATE.P_full),
+        InvalidParameter, "n_sites must be a positive integer, got 4.0"),
+    "state-of-the-wrong-size": (
+        lambda: mh.GaussianState(3, STATE.X_full, STATE.P_full),
+        DimensionMismatch, "X must be 3 x 3 for 3 sites, got (4, 4)"),
+    "route-c-of-an-indefinite-hand-built-X_R": (
+        # a restriction of a state keeps its Gram bound; a hand-built one need not
+        lambda: _region_quadrature(mh.RestrictedCorrelators(
+            mh.Region([0]), np.array([[-1.0]]), np.array([[1.0]])), 1e-10),
         NumericalError, "mu Gram matrix not positive definite (min eig -1.000e+00)"),
     "spectrum-of-indefinite-P": (
         lambda: product_spectrum(np.eye(2), -np.eye(2)),
         NumericalError, "P correlator is not positive definite"),
+    "via-G-of-a-nearly-defective-pair": (
+        # a hand-built X_R P_R = [[0.3, 1], [0, 0.3 + 1e-10]], a Jordan block split
+        # by 1e-10: eig's eigenvectors have condition 3.7e10, and the complex
+        # products leave ~eps times that in the imaginary part
+        lambda: mh.lndelta_region_via_G(mh.RestrictedCorrelators(
+            mh.Region([0, 1]), np.eye(2), np.array([[0.3, 1.0], [0.0, 0.3 + 1e-10]]))),
+        NumericalError,
+        re.compile(r"complex arccot path left imaginary residual \d\.\d{3}e-0[5-7]")),
     "via-G-at-c-one-half": (
         lambda: mh.lndelta_region_via_G(mh.RestrictedCorrelators(
             mh.Region([0]), np.array([[0.5]]), np.array([[0.5]]))),

@@ -28,6 +28,8 @@ from modham import (
     vacuum_state,
 )
 from modham import subspace
+from modham.crosscheck import _route_agreement
+from modham.flow import _RegionPipeline
 from modham._linalg import rel_diff, symmetrize
 from modham.regions import phase_space_indices, region_mask
 
@@ -684,19 +686,26 @@ class TestArccotSplit:
         assert agreement.max_residual <= 1e-7
 
 
-@pytest.mark.parametrize("build, factorizations", [
-    (lambda state: state, 2),
-    (lambda state: modham.GaussianState.from_correlators(state.X_full, state.P_full), 2),
-    (lambda state: modham.GaussianState(state.n_sites, state.X_full, state.P_full), 4),
+@pytest.mark.parametrize("build", [
+    lambda state: state,
+    lambda state: modham.GaussianState.from_correlators(state.X_full, state.P_full),
+    lambda state: modham.GaussianState(state.n_sites, state.X_full, state.P_full),
 ], ids=["vacuum", "from_correlators", "bare_constructor"])
-def test_frame_factors_a_checked_gram_block_once(monkeypatch, build, factorizations):
-    # a state whose constructor refused a Gram eigenvalue at or below the
-    # clamp (vacuum_state on its mode spectra, from_correlators by the
-    # refusal itself) gets one Cholesky per block; a bare-constructor state
-    # is refused first, M - clamp * 1, then factored, with the same frame
+def test_frame_factors_a_checked_gram_block_once(monkeypatch, build):
+    # every state refused a Gram eigenvalue at or below the clamp when it was
+    # made (vacuum_state on its mode spectra, the constructor by the refusal
+    # itself), so the frame takes one Cholesky per block, with the same frame
     state = build(vacuum_state(build_harmonic_chain(16, 0.3)))
     reference = subspace._SubspaceFrame(vacuum_state(build_harmonic_chain(16, 0.3)),
                                         Region.interval(6, 3))
+    calls = _count_cholesky(monkeypatch)
+    frame = subspace._SubspaceFrame(state, Region.interval(6, 3))
+    assert calls == [16] * 2
+    assert np.array_equal(frame.a_hl, reference.a_hl)
+
+
+def _count_cholesky(monkeypatch):
+    """The sizes of the matrices np.linalg.cholesky factors from here on."""
     calls, original = [], np.linalg.cholesky
 
     def counted(a, *args, **kwargs):
@@ -704,9 +713,22 @@ def test_frame_factors_a_checked_gram_block_once(monkeypatch, build, factorizati
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
-    frame = subspace._SubspaceFrame(state, Region.interval(6, 3))
-    assert calls == [16] * factorizations
-    assert np.array_equal(frame.a_hl, reference.a_hl)
+    return calls
+
+
+@pytest.mark.parametrize("region, clip, expected", [
+    # route (c) factors X_R once, beside the mode frame's P_R
+    (Region.interval(30, 3), None, {64: 2, 3: 2}),
+    # the purified 64-site state: its refusal and the frame, once per block;
+    # P_R of rc and of rc_flow for their mode frames, and route (c)'s X_R
+    (Region.half(64), 1e-4, {64: 4, 32: 3}),
+], ids=["centered3", "clipped_half"])
+def test_route_agreement_factors_each_matrix_once(monkeypatch, region, clip, expected):
+    state = vacuum_state(build_harmonic_chain(64, 0.3))
+    calls = _count_cholesky(monkeypatch)
+    pipeline = _RegionPipeline(state, region, clip=clip, sing_tol=1e-10)
+    _route_agreement(pipeline, 1e-10)
+    assert {size: calls.count(size) for size in calls} == expected
 
 
 TRIVIAL_DIRECTIONS = pytest.mark.parametrize(
